@@ -100,7 +100,7 @@ def _dist_rows(u: ThresholdDistribution):
     return rows
 
 
-def cmd_distribution(cfg, out: Path, seed, z: float, workers: int) -> int:
+def cmd_distribution(cfg, out: Path, seed, z: float) -> int:
     env, params = _build(cfg)
     solver = cfg.get("solver", {})
     dist = solve_stationary(z, env, params, grid_step=solver.get("grid_step"))
@@ -121,12 +121,12 @@ def cmd_distribution(cfg, out: Path, seed, z: float, workers: int) -> int:
     return 0
 
 
-def cmd_curves(cfg, out: Path, seed, workers: int) -> int:
+def cmd_curves(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     solver = cfg.get("solver", {})
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
-                                grid_step=solver.get("grid_step"), workers=workers)
+                                grid_step=solver.get("grid_step"))
     rows = zip(curves.z_grid, curves.phi, curves.phi_prime, curves.d1,
                *(curves.d_theta[j] for j in range(env.n_comfort)),
                curves.d_hat, curves.w)
@@ -138,13 +138,13 @@ def cmd_curves(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_optimize(cfg, out: Path, seed, workers: int) -> int:
+def cmd_optimize(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     solver = cfg.get("solver", {})
     gamma = solver.get("gamma", 0.0)
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
-                                grid_step=solver.get("grid_step"), workers=workers)
+                                grid_step=solver.get("grid_step"))
     trace, kappas, pooled = [], [], []
     if env.n_comfort >= 3:
         fp = fixed_point(env, params, gamma, tol=solver.get("tolerance", 1e-6),
@@ -172,7 +172,7 @@ def cmd_optimize(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_simulate(cfg, out: Path, seed, workers: int) -> int:
+def cmd_simulate(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     sim = cfg.get("simulation", {})
     gamma = cfg.get("solver", {}).get("gamma", 0.0)
@@ -220,7 +220,7 @@ def cmd_simulate(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_compare(cfg, out: Path, seed, workers: int) -> int:
+def cmd_compare(cfg, out: Path, seed) -> int:
     """Analytic stationary CDF against a long single-load simulation."""
     env, params = _build(cfg)
     sim = cfg.get("simulation", {})
@@ -242,7 +242,7 @@ def cmd_compare(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_cftp(cfg, out: Path, seed, workers: int) -> int:
+def cmd_cftp(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("cftp", {})
     gamma = cfg.get("solver", {}).get("gamma", 0.0)
@@ -278,7 +278,7 @@ def cmd_cftp(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_heuristic(cfg, out: Path, seed, workers: int) -> int:
+def cmd_heuristic(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("heuristic", {})
     gamma = cfg.get("solver", {}).get("gamma", 0.0)
@@ -305,7 +305,7 @@ def cmd_heuristic(cfg, out: Path, seed, workers: int) -> int:
     return 0
 
 
-def cmd_hjb(cfg, out: Path, seed, workers: int) -> int:
+def cmd_hjb(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("hjb", {})
     values, policy = solve_hjb(
@@ -348,12 +348,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="zpolicy", description=__doc__)
-    import os
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--z", type=float, default=None,
                         help="set-point for the distribution command")
     args = parser.parse_args(argv)
@@ -368,8 +366,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "distribution":
             z = args.z if args.z is not None else cfg["model"]["comfort_levels"][-1]
-            return cmd_distribution(cfg, out, args.seed, z, args.workers)
-        return _COMMANDS[args.command](cfg, out, args.seed, args.workers)
+            return cmd_distribution(cfg, out, args.seed, z)
+        return _COMMANDS[args.command](cfg, out, args.seed)
     except errors.ZPolicyError as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

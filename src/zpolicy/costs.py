@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import ThresholdDistribution
 from .errors import UnsortedInput
 from .model import LoadParams, MarkovEnvironment
-from .stationary import PointMassCurves, point_mass_curves, solve_stationary
+from .stationary import PointMassCurves, point_mass_curves
 
 __all__ = [
     "CostReport",
@@ -160,9 +160,7 @@ def _per_segment_gradient(y: np.ndarray, z: np.ndarray, slices) -> np.ndarray:
 def phi(z: float, env: MarkovEnvironment, params: LoadParams,
         grid_step: float | None = None) -> float:
     """Discomfort integral E[((X_z - Theta_M)^+)^2] under the stationary law."""
-    from .stationary import _phi_value
-    dist = solve_stationary(z, env, params, grid_step=grid_step)
-    return _phi_value(dist, env, params)
+    return float(point_mass_curves(env, params, [z], grid_step=grid_step).phi[0])
 
 
 def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
@@ -174,13 +172,13 @@ def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
     Central differences inside each comfort interval, one-sided at the
     interval ends; the breakpoint discontinuities never enter a stencil.
     A non-positive quadratic weight is recorded (w_nonpositive) rather than
-    raised; divisions use the eps-clamped weight.
+    raised; divisions use the eps-clamped weight.  ``workers`` is accepted
+    for compatibility and has no effect.
     """
     if raw is None:
         if z_grid is None:
             z_grid = default_z_grid(params)
-        raw = point_mass_curves(env, params, z_grid, grid_step=grid_step,
-                                workers=workers)
+        raw = point_mass_curves(env, params, z_grid, grid_step=grid_step)
     z_grid = raw.z_grid
     levels = params.comfort_levels
     slices = _segment_slices(z_grid, levels)

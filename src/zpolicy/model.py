@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveRate
+from .errors import InvalidSetPoint, NonPositiveRate
 
 __all__ = [
     "MarkovEnvironment",
@@ -158,6 +158,13 @@ class LoadParams:
     @property
     def theta_max(self) -> float:
         return self.comfort_levels[-1]
+
+    def check_set_points(self, z) -> None:
+        """Raise InvalidSetPoint unless every set-point lies in [0, Theta_C]."""
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        bad = ~((z >= 0.0) & (z <= self.theta_max))
+        if bad.any():
+            raise InvalidSetPoint(f"z={z[bad][0]} outside [0, {self.theta_max}]")
 
     def wind_cooling_rates(self, n_wind: int) -> np.ndarray:
         """Net cooling rate per wind state: i*c/(W-1), so 0 when off and c at full wind."""

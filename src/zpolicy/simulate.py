@@ -53,7 +53,12 @@ class SimulationConfig:
     occupation_edges: int = 401
     initial_temperature: float = 0.0
 
+    def __post_init__(self):
+        if self.n_loads < 1:
+            raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
+
     def resolve_set_points(self, params: LoadParams) -> np.ndarray:
+        """Ascending set-points; InvalidSetPoint unless all lie in [0, Theta_C]."""
         if self.set_points is not None:
             z = np.sort(np.asarray(self.set_points, dtype=float))
         elif self.distribution is not None:
@@ -62,6 +67,7 @@ class SimulationConfig:
             raise ValueError("config needs set_points or a distribution")
         if len(z) != self.n_loads:
             raise ValueError("set_points length must equal n_loads")
+        params.check_set_points(z)
         return z
 
 

@@ -20,18 +20,36 @@ normalization this yields a single global linear system; the conservation
 law 1^T D(x) p(x) = 0 makes exactly one of its equations redundant.
 
 D is constant and invertible on each open interval between breakpoints,
-so densities propagate by matrix exponentials of D^-1 Q and the assembled
-system is exact up to round-off; there is no shooting or ODE stepping.
+and its pattern on the k-th comfort interval does not depend on the
+set-point, so one eigendecomposition D^-1 Q = V diag(lam) V^-1 per
+interval serves every z.  On an interval [lo, hi] the densities are
+
+    p(x) = V diag(e^{lam (x - lo)} for lam <= 0, e^{lam (x - hi)} for lam > 0) a,
+
+the spectral solution of Markov-modulated fluid queues (Anick, Mitra &
+Sondhi 1982; Mitra 1988): decaying modes are anchored at the left end and
+growing modes at the right end, so every exponential is at most 1 and the
+system stays well conditioned however fast the environment switches.  The
+unknowns are the mode coefficients a of each interval and the point
+masses; there is no shooting or ODE stepping.
+
+Set-points with the same number of comfort levels below them share the
+structure of the system; only the length of the last interval changes.
+``point_mass_curves`` solves each such group as one stacked system with a
+batched SVD, and ``solve_stationary`` is the same solve at a batch of one
+plus the density grid.  Tails and the discomfort integral are closed-form
+integrals of (polynomial of degree <= 2) x exponential over whole
+intervals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import InvalidSetPoint, SingularSystem
+from .errors import SingularSystem
 from .model import LoadParams, MarkovEnvironment
 
 __all__ = [
@@ -44,6 +62,13 @@ __all__ = [
 ]
 
 _NEG_DENSITY_TOL = 1e-10
+_BATCH = 256          # set-points per stacked system
+# j_n(u) = int_0^1 s^n e^{-us} ds = sum_k (-u)^k / (k! (n + k + 1)) for n = 0, 1, 2;
+# the series is used for |u| < 1, where the closed forms cancel
+_SERIES = np.array([[(-1.0) ** k / (math.factorial(k) * (n + k + 1)) for n in range(3)]
+                    for k in range(20)])
+# (j0, j1, j2) -> moments of (1 - s)^n: the same integrals for a growing mode
+_REVERSE = np.array([[1.0, 1.0, 1.0], [0.0, -1.0, -2.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -101,8 +126,11 @@ class StationaryDistribution:
                 locs.append(loc)
         return locs
 
-    def cdf(self, x) -> np.ndarray:
-        """P(X <= x) mixing densities and point masses (right-continuous)."""
+    def cdf(self, x):
+        """P(X <= x) mixing densities and point masses (right-continuous).
+
+        A scalar ``x`` gives a float, an array gives an array.
+        """
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
         for seg in self.segments:
@@ -116,7 +144,7 @@ class StationaryDistribution:
             out += np.where(xq < lo, 0.0, np.where(xq >= hi, cum[-1], frac))
         for (loc, _s), m in self.point_masses.items():
             out += np.where(xq >= loc - 1e-9, m, 0.0)
-        return out if np.ndim(x) else out  # array in, array out
+        return out if np.ndim(x) else float(out[0])
 
     def tail_above(self, theta: float, states=None) -> float:
         """Integrated density mass strictly above ``theta`` for the given states."""
@@ -136,44 +164,204 @@ class StationaryDistribution:
         return tot
 
 
-def _drift_diagonal(env: MarkovEnvironment, params: LoadParams, z: float,
-                    x_mid: float) -> np.ndarray:
-    """Diagonal of D(x) at a point x_mid in the open interval containing it."""
-    rates = params.wind_cooling_rates(env.n_wind)
-    d = np.empty(env.n_states)
-    for s in range(env.n_states):
-        i, j = env.split_index(s)
-        theta = params.comfort_levels[j]
-        if x_mid > theta:
-            d[s] = -params.c          # forced cooling above the active level
-        elif i == 0:
-            d[s] = params.h
-        else:
-            d[s] = -rates[i]
-    return d
+def _drift_diagonal(env: MarkovEnvironment, params: LoadParams, k: int) -> np.ndarray:
+    """Diagonal of D(x) on the k-th comfort interval, (Theta_k, Theta_{k+1}),
+    the first one starting at 0."""
+    wind, comfort = np.divmod(np.arange(env.n_states), env.n_comfort)
+    return np.where(comfort < k, -params.c,          # forced cooling above the active level
+                    np.where(wind == 0, params.h, -params.wind_cooling_rates(env.n_wind)[wind]))
 
 
-def _integral_expm(m: np.ndarray, length: float) -> np.ndarray:
-    """Integral of expm(m*s) ds over [0, length] via the augmented block trick."""
-    n = m.shape[0]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = m
-    blk[:n, n:] = np.eye(n)
-    return expm(blk * length)[:n, n:]
+def _modes(lam: np.ndarray, length: np.ndarray):
+    """Each anchored mode (e^{lam t} decaying, e^{lam (t - L)} growing, t the
+    offset from the interval's left end) at t = 0, at t = L, and its
+    integrals of t^n over [0, L] for n = 0, 1, 2.  ``length`` has shape
+    (..., 1); the ends have shape (..., n_sup), the moments (..., n_sup, 3)."""
+    grow = lam.real > 0
+    lam_l = lam * length
+    left = np.exp(np.where(grow, -lam_l, 0.0))
+    right = np.exp(np.where(grow, 0.0, lam_l))
+    u = np.where(grow, lam_l, -lam_l)
+    small = np.abs(u) < 1.0
+    us = np.where(small, u, 0.0)
+    ul = np.where(small, 1.0, u)
+    e = np.exp(-ul)
+    j0 = (1.0 - e) / ul
+    j1 = (j0 - e) / ul
+    j = np.where(small[..., None], (us[..., None] ** np.arange(len(_SERIES))) @ _SERIES,
+                 np.stack([j0, j1, (2.0 * j1 - e) / ul], axis=-1))
+    j = np.where(grow[:, None], j @ _REVERSE, j)
+    return left, right, j * length[..., None] ** np.arange(1, 4)
 
 
-def _propagate(m: np.ndarray, p_left: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Densities expm(m*(x-x0)) @ p_left along a local grid xs (xs[0] == 0)."""
-    try:
-        lam, vec = np.linalg.eig(m)
-        coef = np.linalg.solve(vec, p_left)
-        vals = np.real(vec @ (np.exp(np.outer(lam, xs)) * coef[:, None]))
-        check = expm(m * xs[-1]) @ p_left
-        if np.max(np.abs(vals[:, -1] - check)) <= 1e-9 * max(1.0, np.max(np.abs(check))):
-            return vals
-    except np.linalg.LinAlgError:
-        pass
-    return np.column_stack([expm(m * s) @ p_left for s in xs])
+@dataclass(frozen=True)
+class _Basis:
+    """Eigenbasis of D^-1 Q on one comfort interval, on the support."""
+
+    lo: float                # left end of the interval
+    length: np.ndarray       # (1,): its length up to the next comfort level
+    drift: np.ndarray        # diagonal of D, every state
+    lam: np.ndarray          # eigenvalues
+    vec: np.ndarray          # eigenvectors V, one per column
+    dvec: np.ndarray         # D V
+    by_comfort: np.ndarray   # (n_comfort, n_sup): rows of V summed per comfort level
+    whole: tuple             # _modes over that whole length
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What every set-point of one (environment, load) pair shares."""
+
+    env: MarkovEnvironment
+    params: LoadParams
+    support: np.ndarray
+    mass_states: np.ndarray  # floor (wind-on) states, then parking (wind-off) states
+    mass_q: np.ndarray       # (n_sup, n_masses): column Q[:, s] of each mass
+    bases: tuple             # one _Basis per comfort interval
+
+
+_MODELS: dict = {}
+
+
+def _model(env: MarkovEnvironment, params: LoadParams) -> _Model:
+    """The eigenbases of (env, params), built once per distinct pair."""
+    key = (env.wind_generator.shape, env.wind_generator.tobytes(),
+           env.comfort_generator.shape, env.comfort_generator.tobytes(), params)
+    model = _MODELS.get(key)
+    if model is None:
+        if len(_MODELS) >= 64:
+            _MODELS.clear()
+        model = _MODELS[key] = _build_model(env, params)
+    return model
+
+
+def _build_model(env: MarkovEnvironment, params: LoadParams) -> _Model:
+    # environment states the chain never visits (e.g. a stuck wind state)
+    # are left out: the support is closed under Q, so the solve is
+    # restricted to it and reports zeros elsewhere
+    support = np.nonzero(env.stationary() > 1e-13)[0]
+    q_sup = env.generator[np.ix_(support, support)]
+    wind, comfort = np.divmod(support, env.n_comfort)
+    order = np.argsort(wind == 0, kind="stable")
+    lows = (0.0,) + params.comfort_levels[:-1]
+    bases = []
+    for k, lo in enumerate(lows):
+        drift = _drift_diagonal(env, params, k)
+        lam, vec = np.linalg.eig(q_sup / drift[support, None])
+        length = np.array([params.comfort_levels[k] - lo])
+        bases.append(_Basis(
+            lo=lo, length=length, drift=drift, lam=lam, vec=vec,
+            dvec=drift[support, None] * vec,
+            by_comfort=(comfort == np.arange(env.n_comfort)[:, None]) @ vec,
+            whole=_modes(lam, length)))
+    return _Model(env=env, params=params, support=support, mass_states=support[order],
+                  mass_q=q_sup[:, order], bases=tuple(bases))
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """Stationary laws of a batch of B set-points with the same comfort
+    levels below them, renormalized; K intervals of n_sup modes."""
+
+    coef: np.ndarray         # (B, K, n_sup) mode coefficients
+    moments: list            # per interval, (..., n_sup, 3) from _modes
+    integrals: np.ndarray    # (B, K, n_states) density mass per interval and state
+    masses: np.ndarray       # (B, n_masses), in the order of _Model.mass_states
+    grids: list              # per interval, (..., n_pts) local solver grid
+    densities: list          # per interval, (B, n_sup, n_pts) on the solver grid,
+                             # before the renormalization by ``scale``
+    scale: np.ndarray        # (B,)
+    rank: np.ndarray         # (B,)
+    shape: tuple             # (n_equations, n_unknowns)
+
+
+def _fail(z: np.ndarray, bad: np.ndarray, message) -> None:
+    """Raise SingularSystem for the first set-point flagged in ``bad``."""
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise SingularSystem(f"z={z[b]}: {message(b)}")
+
+
+def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
+    """Solve the set-points ``z`` (all > 0, same number of comfort levels
+    below) as one stacked system.
+
+    Raises SingularSystem for the first z whose system loses rank beyond
+    the conservation redundancy, is inconsistent, or gives a negative mass,
+    a negative density on the solver grid, or a total mass far from 1.
+    """
+    env = model.env
+    n_int = int(np.searchsorted(model.params.comfort_levels, z[0])) + 1
+    bases = model.bases[:n_int]
+    n_sup, n_b, n_m = len(model.support), len(z), len(model.mass_states)
+    n_unknowns = n_int * n_sup + n_m
+    a = np.zeros((n_b, (n_int + 1) * n_sup + 1, n_unknowns),
+                 dtype=np.result_type(*(b.vec for b in bases)))
+
+    # the last interval ends at the set-point, the others at the next level
+    lengths = [b.length for b in bases[:-1]] + [(z - bases[-1].lo)[:, None]]
+    modes = [b.whole for b in bases[:-1]] + [_modes(bases[-1].lam, lengths[-1])]
+    for k, (basis, (left, right, mom)) in enumerate(zip(bases, modes)):
+        cols = slice(k * n_sup, (k + 1) * n_sup)
+        # flux jumps D(b+) p(b+) - D(b-) p(b-) at the interval's two ends
+        a[:, k * n_sup:(k + 1) * n_sup, cols] = -basis.dvec * left[..., None, :]
+        a[:, (k + 1) * n_sup:(k + 2) * n_sup, cols] = basis.dvec * right[..., None, :]
+        a[:, -1, cols] = basis.by_comfort.sum(axis=0) * mom[..., 0]
+    # floor masses balance the flux at 0; parking masses at Theta_j, or at
+    # the set-point once it binds first
+    wind, comfort = np.divmod(model.mass_states, env.n_comfort)
+    block = np.where(wind > 0, 0, np.minimum(comfort + 1, n_int))
+    a[:, block[:, None] * n_sup + np.arange(n_sup),
+      n_int * n_sup + np.arange(n_m)[:, None]] = model.mass_q.T
+    a[:, -1, n_int * n_sup:] = 1.0
+
+    # the rank rule of least squares (rcond = eps max(m, n))
+    sv = np.linalg.svd(a, compute_uv=False)
+    rank = np.sum(sv > sv[:, :1] * np.finfo(float).eps * max(a.shape[1:]), axis=1)
+    _fail(z, rank < n_unknowns,
+          lambda b: f"rank {rank[b]} < {n_unknowns} unknowns (system {a.shape[1:]})")
+    # the flux rows sum to zero (1^T Q = 0, and 1^T D v = 0 for every mode
+    # with lam != 0), so without the first one the system is square
+    rhs = np.zeros((n_b, n_unknowns, 1))
+    rhs[:, -1] = 1.0
+    x = np.linalg.solve(a[:, 1:], rhs)[..., 0]
+    resid = (a @ x[..., None])[..., 0]
+    resid[:, -1] -= 1.0
+    residual = np.abs(resid).max(axis=1)
+    _fail(z, residual > 1e-7,
+          lambda b: f"inconsistent stationary system, residual {residual[b]:.2e}")
+
+    masses = x[:, n_int * n_sup:].real
+    _fail(z, masses.min(axis=1) < -_NEG_DENSITY_TOL,
+          lambda b: f"negative point mass {masses[b].min():.2e}")
+    masses = np.maximum(masses, 0.0)
+    coef = x[:, :n_int * n_sup].reshape(n_b, n_int, n_sup)
+
+    integrals = np.zeros((n_b, n_int, env.n_states))
+    grids, densities = [], []
+    for k, (basis, (_, _, mom)) in enumerate(zip(bases, modes)):
+        integrals[:, k, model.support] = ((mom[..., 0] * coef[:, k]) @ basis.vec.T).real
+        # the solver grid: linspace(0, L, n_pts) for each set-point, padded with L
+        length = lengths[k]
+        n_pts = np.maximum(np.ceil(length / grid_step).astype(int) + 1, 2)
+        p = np.arange(n_pts.max())
+        t = np.where(p >= n_pts - 1, length, p * (length / (n_pts - 1)))
+        shift = t[..., None, :] - np.where(basis.lam.real > 0, length, 0.0)[..., :, None]
+        dens = ((basis.vec * coef[:, k, None, :]) @ np.exp(basis.lam[:, None] * shift)).real
+        hi = basis.lo + np.broadcast_to(length[..., 0], (n_b,))
+        _fail(z, dens.min(axis=(1, 2)) < -_NEG_DENSITY_TOL,
+              lambda b: f"negative density {dens[b].min():.2e} on interval [{basis.lo}, {hi[b]}]")
+        grids.append(t)
+        densities.append(dens)
+
+    total = masses.sum(axis=1) + integrals.sum(axis=(1, 2))
+    _fail(z, np.abs(total - 1.0) > 1e-6, lambda b: f"total mass {total[b]} far from 1")
+    # round-off from the clamps above is renormalized away
+    scale = np.where(np.abs(total - 1.0) > 1e-12, 1.0 / total, 1.0)
+    return _Solution(
+        coef=coef * scale[:, None, None], moments=[m[2] for m in modes],
+        integrals=integrals * scale[:, None, None], masses=masses * scale[:, None],
+        grids=grids, densities=densities, scale=scale, rank=rank, shape=a.shape[1:])
 
 
 def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
@@ -184,22 +372,10 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
     the assembled system loses rank beyond the single conservation
     redundancy or produces significantly negative densities.
     """
-    theta_top = params.theta_max
-    if not (0.0 <= z <= theta_top):
-        raise InvalidSetPoint(f"z={z} outside [0, {theta_top}]")
+    params.check_set_points(z)
     if grid_step is None:
-        grid_step = theta_top / 400.0
-
+        grid_step = params.theta_max / 400.0
     n_states = env.n_states
-    n_wind, n_comfort = env.n_wind, env.n_comfort
-    q = env.generator
-    levels = params.comfort_levels
-
-    # environment states the chain never visits (e.g. a stuck wind state)
-    # destabilize the transfer matrices; the support is closed under Q, so
-    # restrict the solve to it and report zeros elsewhere
-    pi_env = env.stationary()
-    support = np.where(pi_env > 1e-13)[0]
 
     if z == 0.0:
         # Degenerate policy: the load is pinned at the floor in every state.
@@ -210,125 +386,22 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                                       system_shape=(n_states + 1, n_states),
                                       system_rank=n_states)
 
-    breakpoints = [0.0] + [t for t in levels if t < z] + [z]
-    n_intervals = len(breakpoints) - 1
-    n_sup = len(support)
-    q_sup = q[np.ix_(support, support)]
-    pos = {int(s): k for k, s in enumerate(support)}
-
-    floor_states = [env.state_index(i, j)
-                    for i in range(1, n_wind) for j in range(n_comfort)
-                    if env.state_index(i, j) in pos]
-    # parking mass of state (0, j) sits at min(z, Theta_j)
-    park_states = [env.state_index(0, j) for j in range(n_comfort)
-                   if env.state_index(0, j) in pos]
-    park_locs = {s: min(z, levels[env.split_index(s)[1]]) for s in park_states}
-
-    n_masses = len(floor_states) + len(park_states)
-    n_unknowns = n_intervals * n_sup + n_masses
-    mass_offset = n_intervals * n_sup
-
-    mass_index = {}
-    for k, s in enumerate(floor_states):
-        mass_index[(0.0, s)] = mass_offset + k
-    for j, s in enumerate(park_states):
-        mass_index[(park_locs[s], s)] = mass_offset + len(floor_states) + j
-
-    drifts, transfers, integrals, mats = [], [], [], []
-    for k in range(n_intervals):
-        lo, hi = breakpoints[k], breakpoints[k + 1]
-        d = _drift_diagonal(env, params, z, 0.5 * (lo + hi))[support]
-        m = q_sup / d[:, None]         # D^-1 Q row-scaled
-        drifts.append(d)
-        mats.append(m)
-        transfers.append(expm(m * (hi - lo)))
-        integrals.append(_integral_expm(m, hi - lo))
-
-    n_equations = (n_intervals + 1) * n_sup + 1
-    a = np.zeros((n_equations, n_unknowns))
-    b = np.zeros(n_equations)
-
-    def pcols(k: int) -> slice:
-        return slice(k * n_sup, (k + 1) * n_sup)
-
-    row = 0
-    # floor: sum_s Q[:, s] mass_s = D(0+) p(0+)
-    a[row:row + n_sup, pcols(0)] = -np.diag(drifts[0])
-    for s in floor_states:
-        a[row:row + n_sup, mass_index[(0.0, s)]] = q_sup[:, pos[s]]
-    row += n_sup
-    # interior breakpoints: Q[:, s] mass = D(b+) p(b+) - D(b-) p(b-)
-    for k in range(n_intervals - 1):
-        bpt = breakpoints[k + 1]
-        a[row:row + n_sup, pcols(k)] = np.diag(drifts[k]) @ transfers[k]
-        a[row:row + n_sup, pcols(k + 1)] = -np.diag(drifts[k + 1])
-        for s in park_states:
-            if abs(park_locs[s] - bpt) < 1e-12:
-                a[row:row + n_sup, mass_index[(park_locs[s], s)]] = q_sup[:, pos[s]]
-        row += n_sup
-    # top: Q[:, s] mass = -D(z-) p(z-)
-    a[row:row + n_sup, pcols(n_intervals - 1)] = \
-        np.diag(drifts[-1]) @ transfers[-1]
-    for s in park_states:
-        if abs(park_locs[s] - z) < 1e-12:
-            a[row:row + n_sup, mass_index[(park_locs[s], s)]] = q_sup[:, pos[s]]
-    row += n_sup
-    # normalization
-    for k in range(n_intervals):
-        a[row, pcols(k)] = np.ones(n_sup) @ integrals[k]
-    a[row, mass_offset:] = 1.0
-    b[row] = 1.0
-
-    sol, _res, rank, _sv = np.linalg.lstsq(a, b, rcond=None)
-    if rank < n_unknowns:
-        raise SingularSystem(
-            f"rank {rank} < {n_unknowns} unknowns (system {a.shape})")
-    residual = float(np.max(np.abs(a @ sol - b)))
-    if residual > 1e-7:
-        raise SingularSystem(f"inconsistent stationary system, residual {residual:.2e}")
-
-    masses = {}
-    for (loc, s), col in mass_index.items():
-        m = float(sol[col])
-        if m < -_NEG_DENSITY_TOL:
-            raise SingularSystem(f"negative point mass {m:.2e} at ({loc}, state {s})")
-        masses[(loc, s)] = max(m, 0.0)
-
+    model = _model(env, params)
+    sol = _solve_batch(model, np.array([float(z)]), grid_step)
     segments = []
-    for k in range(n_intervals):
-        lo, hi = breakpoints[k], breakpoints[k + 1]
-        n_pts = max(int(np.ceil((hi - lo) / grid_step)) + 1, 2)
-        xs = np.linspace(0.0, hi - lo, n_pts)
-        dens_sup = _propagate(mats[k], sol[pcols(k)], xs)
-        if dens_sup.min() < -_NEG_DENSITY_TOL:
-            raise SingularSystem(
-                f"negative density {dens_sup.min():.2e} on interval [{lo}, {hi}]")
-        dens = np.zeros((n_states, len(xs)))
-        dens[support] = np.clip(dens_sup, 0.0, None)
-        integ = np.zeros(n_states)
-        integ[support] = integrals[k] @ sol[pcols(k)]
-        drift_full = _drift_diagonal(env, params, z,
-                                     0.5 * (breakpoints[k] + breakpoints[k + 1]))
-        segments.append(Segment(x=lo + xs, densities=dens,
-                                drift=drift_full, integral=integ))
-
-    dist = StationaryDistribution(z=z, env=env, params=params,
-                                  segments=tuple(segments), point_masses=masses,
-                                  system_shape=a.shape, system_rank=int(rank))
-    # round-off from the clamp above is renormalized away
-    total = dist.total_mass()
-    if abs(total - 1.0) > 1e-6:
-        raise SingularSystem(f"total mass {total} far from 1")
-    if abs(total - 1.0) > 1e-12:
-        scale = 1.0 / total
-        segments = tuple(Segment(x=s.x, densities=s.densities * scale, drift=s.drift,
-                                 integral=s.integral * scale)
-                         for s in segments)
-        masses = {k: v * scale for k, v in masses.items()}
-        dist = StationaryDistribution(z=z, env=env, params=params,
-                                      segments=segments, point_masses=masses,
-                                      system_shape=a.shape, system_rank=int(rank))
-    return dist
+    for basis, t, dens_sup, integ in zip(model.bases, sol.grids, sol.densities,
+                                         sol.integrals[0]):
+        dens = np.zeros((n_states, t.shape[-1]))
+        dens[model.support] = np.clip(dens_sup[0], 0.0, None) * sol.scale[0]
+        segments.append(Segment(x=basis.lo + t.reshape(-1), densities=dens,
+                                drift=basis.drift, integral=integ))
+    masses = {}
+    for s, m in zip(model.mass_states.tolist(), sol.masses[0].tolist()):
+        wind, j = env.split_index(s)
+        masses[(0.0 if wind else min(z, params.comfort_levels[j]), s)] = m
+    return StationaryDistribution(z=z, env=env, params=params, segments=tuple(segments),
+                                  point_masses=masses, system_shape=sol.shape,
+                                  system_rank=int(sol.rank[0]))
 
 
 def verify_conservation(dist: StationaryDistribution) -> float:
@@ -369,75 +442,72 @@ class PointMassCurves:
         return self.delta_z + self.delta_theta.sum(axis=0)
 
 
-def _violation_tail(dist: StationaryDistribution, env: MarkovEnvironment,
-                    params: LoadParams, wind: int) -> float:
-    """P(X above the active comfort level) restricted to one wind state."""
-    tot = 0.0
-    for j, theta in enumerate(params.comfort_levels):
-        s = env.state_index(wind, j)
-        tot += dist.tail_above(theta, states=[s])
-    return tot
-
-
-def _phi_value(dist: StationaryDistribution, env: MarkovEnvironment,
-               params: LoadParams) -> float:
-    """Discomfort integral sum_j int ((x - Theta_j)^+)^2 p_{.j}(x) dx."""
-    tot = 0.0
-    for seg in dist.segments:
-        for j, theta in enumerate(params.comfort_levels):
-            states = [env.state_index(i, j) for i in range(env.n_wind)]
-            dens = seg.densities[states].sum(axis=0)
-            excess = np.clip(seg.x - theta, 0.0, None)
-            tot += float(np.trapezoid(excess * excess * dens, seg.x))
-    return tot
+def _phi(model: _Model, sol: _Solution) -> np.ndarray:
+    """Discomfort integral sum_j int ((x - Theta_j)^+)^2 p_{.j}(x) dx: above
+    Theta_j, x - Theta_j = t + (lo - Theta_j) with t the offset from lo."""
+    levels = model.params.comfort_levels
+    phi = np.zeros(len(sol.coef))
+    for k in range(1, sol.coef.shape[1]):
+        basis = model.bases[k]
+        for j in range(k):
+            delta = basis.lo - levels[j]
+            weight = sol.moments[k] @ np.array([delta * delta, 2.0 * delta, 1.0])
+            phi = phi + (basis.by_comfort[j] * sol.coef[:, k] * weight).sum(axis=-1).real
+    return phi
 
 
 def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
                       grid_step: float | None = None,
                       workers: int = 1) -> PointMassCurves:
-    """One stationary solve per set-point in ``z_grid``; returns the mass curves.
+    """The stationary law at every set-point in ``z_grid``, as mass curves.
 
-    Solves for distinct z are independent; ``workers`` > 1 runs them in a
-    thread pool (the heavy lifting is numpy/LAPACK).
+    Set-points with the same number of comfort levels below them are solved
+    together as one stacked system, with every check of
+    ``solve_stationary`` applied to each z.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be strictly ascending")
+    params.check_set_points(z_grid)
+    if grid_step is None:
+        grid_step = params.theta_max / 400.0
+    levels = params.comfort_levels
+    n_c, n_w, n_z = env.n_comfort, env.n_wind, len(z_grid)
 
-    n_c = env.n_comfort
-    n_int = max(env.n_wind - 2, 0)
+    delta_z = np.zeros(n_z)
+    delta_theta = np.zeros((n_c, n_z))
+    tail = np.zeros(n_z)
+    tail_wind = np.zeros((n_w, n_z))   # P(X above the active level), per wind state
+    phi = np.zeros(n_z)
+    # z = 0 pins the load at the floor: the wind-off mass is parked at z
+    delta_z[z_grid == 0.0] = env.stationary()[:n_c].sum()
 
-    def one(z: float):
-        dist = solve_stationary(z, env, params, grid_step=grid_step)
-        # parked exactly at the set-point: wind-off states only (under wind
-        # the load is held at the floor, not at z)
-        dz = sum(dist.mass_at(z, state=env.state_index(0, j))
-                 for j in range(n_c))
-        dth = np.zeros(n_c)
-        for j, theta in enumerate(params.comfort_levels):
-            if theta < z - 1e-12:
-                dth[j] = dist.mass_at(theta, state=env.state_index(0, j))
-        tail = dist.tail_above(params.comfort_levels[0])
-        tail_off = _violation_tail(dist, env, params, wind=0)
-        tail_mid = np.array([_violation_tail(dist, env, params, wind=i)
-                             for i in range(1, env.n_wind - 1)])
-        return dz, dth, tail, tail_off, tail_mid, _phi_value(dist, env, params)
+    n_below = np.searchsorted(levels, z_grid)
+    model = _model(env, params)
+    for n in np.unique(n_below):
+        group = np.nonzero((n_below == n) & (z_grid > 0.0))[0]
+        for sel in (group[i:i + _BATCH] for i in range(0, len(group), _BATCH)):
+            z = z_grid[sel]
+            sol = _solve_batch(model, z, grid_step)
+            for col, s in enumerate(model.mass_states.tolist()):
+                wind, j = env.split_index(s)
+                if wind:
+                    continue
+                # parked exactly at the set-point: wind-off states only
+                # (under wind the load is held at the floor, not at z)
+                m = sol.masses[:, col]
+                delta_z[sel] += np.where(np.abs(np.minimum(z, levels[j]) - z) <= 1e-9, m, 0.0)
+                delta_theta[j, sel] = np.where(levels[j] < z - 1e-12, m, 0.0)
+            tail[sel] = sol.integrals[:, 1:].sum(axis=(1, 2))
+            for j in range(n_c):
+                states = [env.state_index(i, j) for i in range(n_w)]
+                tail_wind[:, sel] += sol.integrals[:, j + 1:, states].sum(axis=1).T
+            phi[sel] = _phi(model, sol)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, z_grid))
-    else:
-        rows = [one(z) for z in z_grid]
-
+    tail, tail_wind, phi = (np.maximum(v, 0.0) for v in (tail, tail_wind, phi))
     return PointMassCurves(
-        z_grid=z_grid,
-        delta_z=np.array([r[0] for r in rows]),
-        delta_theta=np.array([r[1] for r in rows]).T,
-        tail=np.array([r[2] for r in rows]),
-        tail_wind_off=np.array([r[3] for r in rows]),
-        tail_intermediate=(np.array([r[4] for r in rows]).T
-                           if n_int else np.zeros((0, len(z_grid)))),
-        phi=np.array([r[5] for r in rows]),
-        env=env, params=params,
+        z_grid=z_grid, delta_z=delta_z, delta_theta=delta_theta, tail=tail,
+        tail_wind_off=tail_wind[0], tail_intermediate=tail_wind[1:n_w - 1],
+        phi=phi, env=env, params=params,
     )

@@ -172,3 +172,20 @@ def test_deterministic_outputs_across_commands(tmp_path):
         assert main(["curves", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "curves.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("simulation, code", [
+    ({"n_loads": 0, "horizon_jumps": 100}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "set_points": [150.0]}, 2),
+    ({"n_loads": 1, "horizon_jumps": 100, "set_points": [float("nan")]}, 2),
+])
+def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
+    cfg = _write_config(tmp_path, simulation=simulation)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+
+
+def test_workers_flag_is_gone(tmp_path):
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit):
+        main(["curves", "--config", str(cfg), "--out", str(tmp_path / "o"),
+              "--workers", "2"])

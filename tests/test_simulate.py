@@ -5,7 +5,7 @@ from zpolicy import (
     LoadParams, SimulationConfig, ThresholdDistribution, build_environment,
     check_dominance, child_seed, empirical_cdf, simulate, solve_stationary,
 )
-from zpolicy.errors import MissingOccupation
+from zpolicy.errors import InvalidSetPoint, MissingOccupation
 from zpolicy.model import MarkovEnvironment
 
 from conftest import GAMMA_REF
@@ -154,3 +154,16 @@ def test_ensemble_cost_matches_continuum_at_n100(ref_env, ref_params, ref_curves
                            distribution=u_star)
     emp = simulate(cfg, ref_env, ref_params, GAMMA_REF).empirical_cost.total
     assert abs(emp - j_star) / j_star <= 0.05
+
+
+def test_config_rejects_no_loads():
+    with pytest.raises(ValueError):
+        SimulationConfig(n_loads=0, horizon_jumps=100, seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 150.0])
+def test_simulate_rejects_set_points_outside_comfort_range(bad, ref_env, ref_params):
+    cfg = SimulationConfig(n_loads=2, horizon_jumps=100, seed=0,
+                           set_points=np.array([60.0, bad]))
+    with pytest.raises(InvalidSetPoint):
+        simulate(cfg, ref_env, ref_params, gamma=0.0)

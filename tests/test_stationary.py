@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zpolicy import (
-    LoadParams, build_environment, point_mass_curves, simulate,
+    LoadParams, build_environment, default_z_grid, phi, point_mass_curves, simulate,
     SimulationConfig, solve_stationary, verify_conservation,
 )
 from zpolicy.errors import InvalidSetPoint
@@ -170,3 +170,82 @@ def test_analytic_cdf_matches_long_simulation(ref_env, ref_params):
     res = simulate(cfg, ref_env, ref_params, gamma=0.0)
     edges = res.occupation_edges
     assert np.abs(res.occupation_cdf[0] - dist.cdf(edges)).max() <= 0.02
+
+
+def test_cdf_scalar_in_float_out(ref_env, ref_params):
+    dist = solve_stationary(100.0, ref_env, ref_params)
+    value = dist.cdf(50.0)
+    assert type(value) is float
+    arr = dist.cdf(np.array([50.0]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (1,)
+    assert arr[0] == value
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 5.0])
+def test_fast_switching_solves(rate, ref_params):
+    # growing modes anchored at the right end of each interval cannot
+    # overflow, however fast the environment switches
+    env = build_environment((rate, rate), (rate / 2, rate / 2))
+    dist = solve_stationary(100.0, env, ref_params)
+    assert verify_conservation(dist) <= 1e-8
+    assert abs(dist.total_mass() - 1.0) <= 1e-8
+    curves = point_mass_curves(env, ref_params, default_z_grid(ref_params))
+    for curve in (curves.tail, curves.tail_wind_off, curves.phi):
+        assert curve.min() >= 0.0
+    assert np.all(curves.delta_z_plus_theta <= 1.0 + 1e-9)
+
+
+def _trapezoid_phi(dist, env, params):
+    tot = 0.0
+    for seg in dist.segments:
+        for j, theta in enumerate(params.comfort_levels):
+            dens = seg.densities[[env.state_index(i, j) for i in range(env.n_wind)]].sum(axis=0)
+            excess = np.clip(seg.x - theta, 0.0, None)
+            tot += float(np.trapezoid(excess * excess * dens, seg.x))
+    return tot
+
+
+@pytest.mark.parametrize("instance", ["ref", "c3", "w3"])
+def test_sweep_matches_single_solves(instance, ref_env, ref_params, env3, params3, env_w3):
+    env, params = {"ref": (ref_env, ref_params), "c3": (env3, params3),
+                   "w3": (env_w3, ref_params)}[instance]
+    zs = np.array([20.0, 45.0, 50.0, 65.0, 80.0, 100.0])
+    curves = point_mass_curves(env, params, zs)
+    for k, z in enumerate(zs):
+        dist = solve_stationary(z, env, params)
+        wind_off = [env.state_index(0, j) for j in range(env.n_comfort)]
+        assert abs(curves.delta_z[k] - sum(dist.mass_at(z, state=s) for s in wind_off)) <= 1e-12
+        for j, theta in enumerate(params.comfort_levels):
+            expected = dist.mass_at(theta, state=wind_off[j]) if theta < z else 0.0
+            assert abs(curves.delta_theta[j, k] - expected) <= 1e-12
+        # whole-interval integrals of the single solve above Theta_1, and
+        # above the active level with wind off
+        tail = sum(float(seg.integral.sum()) for seg in dist.segments
+                   if seg.x[0] >= params.comfort_levels[0])
+        off = sum(float(seg.integral[wind_off[j]]) for seg in dist.segments
+                  for j, theta in enumerate(params.comfort_levels) if seg.x[0] >= theta)
+        assert abs(curves.tail[k] - tail) <= 1e-10
+        assert abs(curves.tail_wind_off[k] - off) <= 1e-10
+        # a batch of one against the batch of the whole grid
+        assert abs(curves.phi[k] - phi(z, env, params)) <= 1e-10
+
+
+def test_sweep_tails_and_phi_match_trapezoid(ref_env, ref_params, env3, params3, env_w3):
+    # the closed-form integrals against the trapezoid rule on the solver
+    # grid, Richardson-extrapolated from steps 0.1 and 0.05 (the rule alone
+    # is off by up to 6e-6 relative at step 0.05)
+    def trapezoid(env, params, z, step):
+        dist = solve_stationary(z, env, params, grid_step=step)
+        off = sum(dist.tail_above(theta, states=[env.state_index(0, j)])
+                  for j, theta in enumerate(params.comfort_levels))
+        return np.array([dist.tail_above(params.comfort_levels[0]), off,
+                         _trapezoid_phi(dist, env, params)])
+
+    for env, params in ((ref_env, ref_params), (env3, params3), (env_w3, ref_params)):
+        zs = np.array([60.0, 80.0, 100.0])
+        curves = point_mass_curves(env, params, zs)
+        for k, z in enumerate(zs):
+            coarse, fine = trapezoid(env, params, z, 0.1), trapezoid(env, params, z, 0.05)
+            expected = fine + (fine - coarse) / 3.0
+            got = np.array([curves.tail[k], curves.tail_wind_off[k], curves.phi[k]])
+            assert got == pytest.approx(expected, rel=1e-6)
