@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _NEG_DENSITY_TOL = 1e-10
-_BATCH = 256          # set-points per stacked system
 # j_n(u) = int_0^1 s^n e^{-us} ds = sum_k (-u)^k / (k! (n + k + 1)) for n = 0, 1, 2;
 # the series is used for |u| < 1, where the closed forms cancel
 _SERIES = np.array([[(-1.0) ** k / (math.factorial(k) * (n + k + 1)) for n in range(3)]
@@ -164,10 +163,11 @@ class StationaryDistribution:
         return tot
 
 
-def _drift_diagonal(env: MarkovEnvironment, params: LoadParams, k: int) -> np.ndarray:
-    """Diagonal of D(x) on the k-th comfort interval, (Theta_k, Theta_{k+1}),
-    the first one starting at 0."""
+def _drift_diagonals(env: MarkovEnvironment, params: LoadParams) -> np.ndarray:
+    """Diagonal of D(x) on each comfort interval (Theta_k, Theta_{k+1}), the
+    first one starting at 0: shape (n_intervals, n_states)."""
     wind, comfort = np.divmod(np.arange(env.n_states), env.n_comfort)
+    k = np.arange(len(params.comfort_levels))[:, None]
     return np.where(comfort < k, -params.c,          # forced cooling above the active level
                     np.where(wind == 0, params.h, -params.wind_cooling_rates(env.n_wind)[wind]))
 
@@ -175,8 +175,9 @@ def _drift_diagonal(env: MarkovEnvironment, params: LoadParams, k: int) -> np.nd
 def _modes(lam: np.ndarray, length: np.ndarray):
     """Each anchored mode (e^{lam t} decaying, e^{lam (t - L)} growing, t the
     offset from the interval's left end) at t = 0, at t = L, and its
-    integrals of t^n over [0, L] for n = 0, 1, 2.  ``length`` has shape
-    (..., 1); the ends have shape (..., n_sup), the moments (..., n_sup, 3)."""
+    integrals of t^n over [0, L] for n = 0, 1, 2.  ``lam`` has shape
+    (..., n_sup) and ``length`` (..., 1); the ends have their broadcast
+    shape, the moments that shape plus a last axis of 3."""
     grow = lam.real > 0
     lam_l = lam * length
     left = np.exp(np.where(grow, -lam_l, 0.0))
@@ -190,49 +191,28 @@ def _modes(lam: np.ndarray, length: np.ndarray):
     j1 = (j0 - e) / ul
     j = np.where(small[..., None], (us[..., None] ** np.arange(len(_SERIES))) @ _SERIES,
                  np.stack([j0, j1, (2.0 * j1 - e) / ul], axis=-1))
-    j = np.where(grow[:, None], j @ _REVERSE, j)
+    j = np.where(grow[..., None], j @ _REVERSE, j)
     return left, right, j * length[..., None] ** np.arange(1, 4)
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """Eigenbasis of D^-1 Q on one comfort interval, on the support."""
-
-    lo: float                # left end of the interval
-    length: np.ndarray       # (1,): its length up to the next comfort level
-    drift: np.ndarray        # diagonal of D, every state
-    lam: np.ndarray          # eigenvalues
-    vec: np.ndarray          # eigenvectors V, one per column
-    dvec: np.ndarray         # D V
-    by_comfort: np.ndarray   # (n_comfort, n_sup): rows of V summed per comfort level
-    whole: tuple             # _modes over that whole length
-
-
-@dataclass(frozen=True)
 class _Model:
-    """What every set-point of one (environment, load) pair shares."""
+    """What every set-point of one (environment, load) pair shares: the
+    eigenbasis of D^-1 Q on each of the K comfort intervals, restricted to
+    the support of the environment chain."""
 
     env: MarkovEnvironment
     params: LoadParams
     support: np.ndarray
     mass_states: np.ndarray  # floor (wind-on) states, then parking (wind-off) states
     mass_q: np.ndarray       # (n_sup, n_masses): column Q[:, s] of each mass
-    bases: tuple             # one _Basis per comfort interval
-
-
-_MODELS: dict = {}
-
-
-def _model(env: MarkovEnvironment, params: LoadParams) -> _Model:
-    """The eigenbases of (env, params), built once per distinct pair."""
-    key = (env.wind_generator.shape, env.wind_generator.tobytes(),
-           env.comfort_generator.shape, env.comfort_generator.tobytes(), params)
-    model = _MODELS.get(key)
-    if model is None:
-        if len(_MODELS) >= 64:
-            _MODELS.clear()
-        model = _MODELS[key] = _build_model(env, params)
-    return model
+    lows: np.ndarray         # (K,) left end of each interval
+    lengths: np.ndarray      # (K,) its length up to the next comfort level
+    drift: np.ndarray        # (K, n_states) diagonal of D, every state
+    lam: np.ndarray          # (K, n_sup) eigenvalues
+    vec: np.ndarray          # (K, n_sup, n_sup) eigenvectors V, one per column
+    dvec: np.ndarray         # (K, n_sup, n_sup) D V
+    by_comfort: np.ndarray   # (K, n_comfort, n_sup) rows of V summed per comfort level
 
 
 def _build_model(env: MarkovEnvironment, params: LoadParams) -> _Model:
@@ -243,19 +223,15 @@ def _build_model(env: MarkovEnvironment, params: LoadParams) -> _Model:
     q_sup = env.generator[np.ix_(support, support)]
     wind, comfort = np.divmod(support, env.n_comfort)
     order = np.argsort(wind == 0, kind="stable")
-    lows = (0.0,) + params.comfort_levels[:-1]
-    bases = []
-    for k, lo in enumerate(lows):
-        drift = _drift_diagonal(env, params, k)
-        lam, vec = np.linalg.eig(q_sup / drift[support, None])
-        length = np.array([params.comfort_levels[k] - lo])
-        bases.append(_Basis(
-            lo=lo, length=length, drift=drift, lam=lam, vec=vec,
-            dvec=drift[support, None] * vec,
-            by_comfort=(comfort == np.arange(env.n_comfort)[:, None]) @ vec,
-            whole=_modes(lam, length)))
+    levels = np.array(params.comfort_levels)
+    lows = np.concatenate([[0.0], levels[:-1]])
+    drift = _drift_diagonals(env, params)
+    d_sup = drift[:, support, None]
+    lam, vec = np.linalg.eig(q_sup / d_sup)
     return _Model(env=env, params=params, support=support, mass_states=support[order],
-                  mass_q=q_sup[:, order], bases=tuple(bases))
+                  mass_q=q_sup[:, order], lows=lows, lengths=levels - lows, drift=drift,
+                  lam=lam, vec=vec, dvec=d_sup * vec,
+                  by_comfort=(comfort == np.arange(env.n_comfort)[:, None]) @ vec)
 
 
 @dataclass(frozen=True)
@@ -264,7 +240,7 @@ class _Solution:
     levels below them, renormalized; K intervals of n_sup modes."""
 
     coef: np.ndarray         # (B, K, n_sup) mode coefficients
-    moments: list            # per interval, (..., n_sup, 3) from _modes
+    moments: np.ndarray      # (B, K, n_sup, 3) from _modes
     integrals: np.ndarray    # (B, K, n_states) density mass per interval and state
     masses: np.ndarray       # (B, n_masses), in the order of _Model.mass_states
     grids: list              # per interval, (..., n_pts) local solver grid
@@ -292,21 +268,21 @@ def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
     """
     env = model.env
     n_int = int(np.searchsorted(model.params.comfort_levels, z[0])) + 1
-    bases = model.bases[:n_int]
+    lam, vec, dvec = model.lam[:n_int], model.vec[:n_int], model.dvec[:n_int]
     n_sup, n_b, n_m = len(model.support), len(z), len(model.mass_states)
     n_unknowns = n_int * n_sup + n_m
-    a = np.zeros((n_b, (n_int + 1) * n_sup + 1, n_unknowns),
-                 dtype=np.result_type(*(b.vec for b in bases)))
+    a = np.zeros((n_b, (n_int + 1) * n_sup + 1, n_unknowns), dtype=vec.dtype)
 
     # the last interval ends at the set-point, the others at the next level
-    lengths = [b.length for b in bases[:-1]] + [(z - bases[-1].lo)[:, None]]
-    modes = [b.whole for b in bases[:-1]] + [_modes(bases[-1].lam, lengths[-1])]
-    for k, (basis, (left, right, mom)) in enumerate(zip(bases, modes)):
+    lengths = np.repeat(model.lengths[None, :n_int, None], n_b, axis=0)
+    lengths[:, -1, 0] = z - model.lows[n_int - 1]
+    left, right, mom = _modes(lam, lengths)
+    for k in range(n_int):
         cols = slice(k * n_sup, (k + 1) * n_sup)
         # flux jumps D(b+) p(b+) - D(b-) p(b-) at the interval's two ends
-        a[:, k * n_sup:(k + 1) * n_sup, cols] = -basis.dvec * left[..., None, :]
-        a[:, (k + 1) * n_sup:(k + 2) * n_sup, cols] = basis.dvec * right[..., None, :]
-        a[:, -1, cols] = basis.by_comfort.sum(axis=0) * mom[..., 0]
+        a[:, cols, cols] = -dvec[k] * left[:, k, None, :]
+        a[:, (k + 1) * n_sup:(k + 2) * n_sup, cols] = dvec[k] * right[:, k, None, :]
+    a[:, -1, :n_int * n_sup] = (model.by_comfort[:n_int].sum(axis=1) * mom[..., 0]).reshape(n_b, -1)
     # floor masses balance the flux at 0; parking masses at Theta_j, or at
     # the set-point once it binds first
     wind, comfort = np.divmod(model.mass_states, env.n_comfort)
@@ -320,8 +296,9 @@ def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
     rank = np.sum(sv > sv[:, :1] * np.finfo(float).eps * max(a.shape[1:]), axis=1)
     _fail(z, rank < n_unknowns,
           lambda b: f"rank {rank[b]} < {n_unknowns} unknowns (system {a.shape[1:]})")
-    # the flux rows sum to zero (1^T Q = 0, and 1^T D v = 0 for every mode
-    # with lam != 0), so without the first one the system is square
+    # the flux rows sum to zero (1^T Q = 0, 1^T D v = 0 for every mode with
+    # lam != 0, and a mode with lam = 0 is the same at both ends), so
+    # without the first one the system is square
     rhs = np.zeros((n_b, n_unknowns, 1))
     rhs[:, -1] = 1.0
     x = np.linalg.solve(a[:, 1:], rhs)[..., 0]
@@ -338,19 +315,20 @@ def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
     coef = x[:, :n_int * n_sup].reshape(n_b, n_int, n_sup)
 
     integrals = np.zeros((n_b, n_int, env.n_states))
+    integrals[..., model.support] = (vec @ (mom[..., 0] * coef)[..., None])[..., 0].real
     grids, densities = [], []
-    for k, (basis, (_, _, mom)) in enumerate(zip(bases, modes)):
-        integrals[:, k, model.support] = ((mom[..., 0] * coef[:, k]) @ basis.vec.T).real
-        # the solver grid: linspace(0, L, n_pts) for each set-point, padded with L
-        length = lengths[k]
+    for k in range(n_int):
+        # the solver grid: linspace(0, L, n_pts) for each set-point, padded
+        # with L; one grid for every z but on the last interval
+        length = lengths[:, k] if k == n_int - 1 else model.lengths[k:k + 1]
         n_pts = np.maximum(np.ceil(length / grid_step).astype(int) + 1, 2)
         p = np.arange(n_pts.max())
         t = np.where(p >= n_pts - 1, length, p * (length / (n_pts - 1)))
-        shift = t[..., None, :] - np.where(basis.lam.real > 0, length, 0.0)[..., :, None]
-        dens = ((basis.vec * coef[:, k, None, :]) @ np.exp(basis.lam[:, None] * shift)).real
-        hi = basis.lo + np.broadcast_to(length[..., 0], (n_b,))
+        shift = t[..., None, :] - np.where(lam[k].real > 0, length, 0.0)[..., :, None]
+        dens = ((vec[k] * coef[:, k, None, :]) @ np.exp(lam[k][:, None] * shift)).real
+        lo, hi = model.lows[k], model.lows[k] + lengths[:, k, 0]
         _fail(z, dens.min(axis=(1, 2)) < -_NEG_DENSITY_TOL,
-              lambda b: f"negative density {dens[b].min():.2e} on interval [{basis.lo}, {hi[b]}]")
+              lambda b: f"negative density {dens[b].min():.2e} on interval [{lo}, {hi[b]}]")
         grids.append(t)
         densities.append(dens)
 
@@ -359,7 +337,7 @@ def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
     # round-off from the clamps above is renormalized away
     scale = np.where(np.abs(total - 1.0) > 1e-12, 1.0 / total, 1.0)
     return _Solution(
-        coef=coef * scale[:, None, None], moments=[m[2] for m in modes],
+        coef=coef * scale[:, None, None], moments=mom,
         integrals=integrals * scale[:, None, None], masses=masses * scale[:, None],
         grids=grids, densities=densities, scale=scale, rank=rank, shape=a.shape[1:])
 
@@ -386,15 +364,14 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                                       system_shape=(n_states + 1, n_states),
                                       system_rank=n_states)
 
-    model = _model(env, params)
+    model = _build_model(env, params)
     sol = _solve_batch(model, np.array([float(z)]), grid_step)
     segments = []
-    for basis, t, dens_sup, integ in zip(model.bases, sol.grids, sol.densities,
-                                         sol.integrals[0]):
+    for k, (t, dens_sup, integ) in enumerate(zip(sol.grids, sol.densities, sol.integrals[0])):
         dens = np.zeros((n_states, t.shape[-1]))
         dens[model.support] = np.clip(dens_sup[0], 0.0, None) * sol.scale[0]
-        segments.append(Segment(x=basis.lo + t.reshape(-1), densities=dens,
-                                drift=basis.drift, integral=integ))
+        segments.append(Segment(x=model.lows[k] + t.reshape(-1), densities=dens,
+                                drift=model.drift[k], integral=integ))
     masses = {}
     for s, m in zip(model.mass_states.tolist(), sol.masses[0].tolist()):
         wind, j = env.split_index(s)
@@ -448,11 +425,10 @@ def _phi(model: _Model, sol: _Solution) -> np.ndarray:
     levels = model.params.comfort_levels
     phi = np.zeros(len(sol.coef))
     for k in range(1, sol.coef.shape[1]):
-        basis = model.bases[k]
         for j in range(k):
-            delta = basis.lo - levels[j]
-            weight = sol.moments[k] @ np.array([delta * delta, 2.0 * delta, 1.0])
-            phi = phi + (basis.by_comfort[j] * sol.coef[:, k] * weight).sum(axis=-1).real
+            delta = model.lows[k] - levels[j]
+            weight = sol.moments[:, k] @ np.array([delta * delta, 2.0 * delta, 1.0])
+            phi = phi + (model.by_comfort[k, j] * sol.coef[:, k] * weight).sum(axis=-1).real
     return phi
 
 
@@ -484,26 +460,27 @@ def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
     delta_z[z_grid == 0.0] = env.stationary()[:n_c].sum()
 
     n_below = np.searchsorted(levels, z_grid)
-    model = _model(env, params)
+    model = _build_model(env, params)
     for n in np.unique(n_below):
-        group = np.nonzero((n_below == n) & (z_grid > 0.0))[0]
-        for sel in (group[i:i + _BATCH] for i in range(0, len(group), _BATCH)):
-            z = z_grid[sel]
-            sol = _solve_batch(model, z, grid_step)
-            for col, s in enumerate(model.mass_states.tolist()):
-                wind, j = env.split_index(s)
-                if wind:
-                    continue
-                # parked exactly at the set-point: wind-off states only
-                # (under wind the load is held at the floor, not at z)
-                m = sol.masses[:, col]
-                delta_z[sel] += np.where(np.abs(np.minimum(z, levels[j]) - z) <= 1e-9, m, 0.0)
-                delta_theta[j, sel] = np.where(levels[j] < z - 1e-12, m, 0.0)
-            tail[sel] = sol.integrals[:, 1:].sum(axis=(1, 2))
-            for j in range(n_c):
-                states = [env.state_index(i, j) for i in range(n_w)]
-                tail_wind[:, sel] += sol.integrals[:, j + 1:, states].sum(axis=1).T
-            phi[sel] = _phi(model, sol)
+        sel = np.nonzero((n_below == n) & (z_grid > 0.0))[0]
+        if not len(sel):
+            continue
+        z = z_grid[sel]
+        sol = _solve_batch(model, z, grid_step)
+        for col, s in enumerate(model.mass_states.tolist()):
+            wind, j = env.split_index(s)
+            if wind:
+                continue
+            # parked exactly at the set-point: wind-off states only
+            # (under wind the load is held at the floor, not at z)
+            m = sol.masses[:, col]
+            delta_z[sel] += np.where(np.abs(np.minimum(z, levels[j]) - z) <= 1e-9, m, 0.0)
+            delta_theta[j, sel] = np.where(levels[j] < z - 1e-12, m, 0.0)
+        tail[sel] = sol.integrals[:, 1:].sum(axis=(1, 2))
+        for j in range(n_c):
+            states = [env.state_index(i, j) for i in range(n_w)]
+            tail_wind[:, sel] += sol.integrals[:, j + 1:, states].sum(axis=1).T
+        phi[sel] = _phi(model, sol)
 
     tail, tail_wind, phi = (np.maximum(v, 0.0) for v in (tail, tail_wind, phi))
     return PointMassCurves(

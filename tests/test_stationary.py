@@ -249,3 +249,72 @@ def test_sweep_tails_and_phi_match_trapezoid(ref_env, ref_params, env3, params3,
             expected = fine + (fine - coarse) / 3.0
             got = np.array([curves.tail[k], curves.tail_wind_off[k], curves.phi[k]])
             assert got == pytest.approx(expected, rel=1e-6)
+
+
+def _expm_reference(z, env, params):
+    """The stationary law at z from an independent system: the unknowns are
+    the densities p(lo+) at the left end of each interval and one mass per
+    state, and expm(D^-1 Q L) carries p(lo+) to p(hi-).  Returns the
+    masses (wind-on states at the floor, wind-off states at their comfort
+    level or at z, whichever is lower), the densities at both ends of each
+    interval, and the density mass."""
+    from scipy.linalg import expm
+    n, q = env.n_states, env.generator
+    wind, comfort = np.divmod(np.arange(n), env.n_comfort)
+    cooling = params.wind_cooling_rates(env.n_wind)[wind]
+    ends = [0.0] + [theta for theta in params.comfort_levels if theta < z] + [z]
+    n_int = len(ends) - 1
+    at = np.where(wind > 0, 0, np.minimum(comfort + 1, n_int))
+    a = np.zeros(((n_int + 1) * n + 1, (n_int + 1) * n))
+    transfers = []
+    for k in range(n_int):
+        drift = np.where(comfort < k, -params.c, np.where(wind == 0, params.h, -cooling))
+        generator = np.block([[q / drift[:, None], np.eye(n)], [np.zeros((n, 2 * n))]])
+        aug = expm(generator * (ends[k + 1] - ends[k]))
+        transfers.append(aug[:n, :n])
+        cols = slice(k * n, (k + 1) * n)
+        # Q[:, s] m_s = D(x+) p(x+) - D(x-) p(x-) at every breakpoint
+        a[cols, cols] = -np.diag(drift)
+        a[(k + 1) * n:(k + 2) * n, cols] = drift[:, None] * aug[:n, :n]
+        a[-1, cols] = aug[:n, n:].sum(axis=0)
+    a[at[:, None] * n + np.arange(n), n_int * n + np.arange(n)[:, None]] = q.T
+    a[-1, n_int * n:] = 1.0
+    rhs = np.zeros(len(a))
+    rhs[-1] = 1.0
+    x = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    starts = x[:n_int * n].reshape(n_int, n)
+    masses = x[n_int * n:]
+    return masses, starts, np.array([t @ p for t, p in zip(transfers, starts)]), 1.0 - masses.sum()
+
+
+@pytest.mark.parametrize("c", [1.0, 1.0 - 1e-6, 1.0 + 1e-6])
+def test_zero_mean_drift_matches_expm_reference(c, ref_env):
+    # with h = c and symmetric wind the mean drift below Theta_1 is zero, or
+    # within 1e-6 of it: D^-1 Q there is defective or nearly so, and its
+    # eigenvectors are close to parallel
+    params = LoadParams(h=1.0, c=c, comfort_levels=(50.0, 100.0))
+    wind = np.arange(ref_env.n_states) // ref_env.n_comfort
+    below = ref_env.generator / np.where(wind == 0, params.h, -c)[:, None]
+    assert np.linalg.cond(np.linalg.eig(below)[1]) > 1e6
+
+    zs = np.array([30.0, 75.0, 100.0])
+    curves = point_mass_curves(ref_env, params, zs)
+    for k, z in enumerate(zs):
+        dist = solve_stationary(z, ref_env, params)
+        assert verify_conservation(dist) <= 1e-8
+        assert abs(dist.total_mass() - 1.0) <= 1e-8
+        masses, starts, ends, density_mass = _expm_reference(z, ref_env, params)
+        parked_at_z = 0.0
+        for s, m in enumerate(masses):
+            w, j = ref_env.split_index(s)
+            loc = 0.0 if w else min(z, params.comfort_levels[j])
+            assert abs(dist.mass_at(loc, state=s) - m) <= 1e-9
+            if not w:
+                parked_at_z += m if loc == z else 0.0
+                expected = m if params.comfort_levels[j] < z else 0.0
+                assert abs(curves.delta_theta[j, k] - expected) <= 1e-9
+        assert abs(curves.delta_z[k] - parked_at_z) <= 1e-9
+        assert abs(dist.density_mass() - density_mass) <= 1e-9
+        for seg, start, end in zip(dist.segments, starts, ends):
+            assert np.abs(seg.densities[:, 0] - start).max() <= 1e-9
+            assert np.abs(seg.densities[:, -1] - end).max() <= 1e-9
