@@ -87,6 +87,15 @@ def _write_csv(path: Path, header: list[str], rows):
                          else v for v in row])
 
 
+def _write_columns(path: Path, header: list[str], columns):
+    """The CSV that _write_csv writes for the rows of the flattened
+    columns: tolist() gives Python numbers, and csv writes floats as repr."""
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(header)
+        wr.writerows(zip(*(np.ravel(col).tolist() for col in columns)))
+
+
 def _write_json(path: Path, payload: dict):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -315,17 +324,15 @@ def cmd_hjb(cfg, out: Path, seed) -> int:
                           0.9 * (params.theta_max / 50.0) / (params.h + 2 * params.c + params.h)),
         wind_power=blk.get("wind_power"), forced_power=blk.get("forced_power"))
     labels = classify_policy(policy, values, params, env)
-    rows = []
-    for e in range(env.n_states):
-        for i, x1 in enumerate(values.x):
-            for j, x2 in enumerate(values.x):
-                rows.append((e, x1, x2, values.values[e, i, j],
-                             policy.wind[e, i, j, 0], policy.wind[e, i, j, 1],
-                             policy.grid[e, i, j, 0], policy.grid[e, i, j, 1],
-                             int(labels[e, i, j])))
-    _write_csv(out / "hjb_surfaces.csv",
-               ["env_state", "x1", "x2", "value", "wind1", "wind2",
-                "grid1", "grid2", "label"], rows)
+    n_env, nx = env.n_states, len(values.x)
+    _write_columns(out / "hjb_surfaces.csv",
+                   ["env_state", "x1", "x2", "value", "wind1", "wind2",
+                    "grid1", "grid2", "label"],
+                   [np.repeat(np.arange(n_env), nx * nx),
+                    np.tile(np.repeat(values.x, nx), n_env),
+                    np.tile(values.x, n_env * nx), values.values,
+                    policy.wind[..., 0], policy.wind[..., 1],
+                    policy.grid[..., 0], policy.grid[..., 1], labels])
     _write_json(out / "hjb.json", {
         **_meta(cfg, seed), "horizon": values.horizon,
         "desynchronizing_cells": int((labels == 1).sum()),

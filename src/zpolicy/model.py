@@ -167,8 +167,11 @@ class LoadParams:
             raise InvalidSetPoint(f"z={z[bad][0]} outside [0, {self.theta_max}]")
 
     def wind_cooling_rates(self, n_wind: int) -> np.ndarray:
-        """Net cooling rate per wind state: i*c/(W-1), so 0 when off and c at full wind."""
+        """Net cooling rate per wind state: i*c/(W-1), so 0 when off and c at
+        full wind.  A one-state wind chain has only the off state."""
         i = np.arange(n_wind, dtype=float)
+        if n_wind == 1:
+            return i
         return i * self.c / (n_wind - 1)
 
 

@@ -154,6 +154,47 @@ def test_hjb_command(tmp_path):
     assert (out / "hjb_surfaces.csv").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"horizon": 0.0}, {"horizon": -1.0}, {"time_step": -1.0},
+    {"time_step": 0.0}, {"grid_step": 0.0}, {"wind_power": -1.0},
+    {"forced_power": -1.0},
+])
+def test_hjb_bad_config_is_usage_error(tmp_path, bad):
+    cfg = _write_config(tmp_path, hjb={
+        "horizon": 10.0, "grid_step": 10.0, "time_step": 2.0, **bad})
+    assert main(["hjb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
+    from zpolicy import classify_policy, solve_hjb
+    from zpolicy.cli import _build, _write_csv, load_config
+
+    cfg = _write_config(tmp_path, model={
+        "h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
+        "wind_rates": [[0.04, 0.04], [0.04, 0.04]],
+        "comfort_rates": [0.02, 0.02]},
+        hjb={"horizon": 10.0, "grid_step": 5.0, "time_step": 1.0})
+    out = tmp_path / "out"
+    assert main(["hjb", "--config", str(cfg), "--out", str(out)]) == 0
+
+    env, params = _build(load_config(str(cfg)))
+    values, policy = solve_hjb(env, params, horizon=10.0, grid_step=5.0,
+                               time_step=1.0)
+    labels = classify_policy(policy, values, params, env)
+    rows = []
+    for e in range(env.n_states):
+        for i, x1 in enumerate(values.x):
+            for j, x2 in enumerate(values.x):
+                rows.append((e, x1, x2, values.values[e, i, j],
+                             policy.wind[e, i, j, 0], policy.wind[e, i, j, 1],
+                             policy.grid[e, i, j, 0], policy.grid[e, i, j, 1],
+                             int(labels[e, i, j])))
+    _write_csv(tmp_path / "rows.csv",
+               ["env_state", "x1", "x2", "value", "wind1", "wind2",
+                "grid1", "grid2", "label"], rows)
+    assert (out / "hjb_surfaces.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_console_entry_point(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"

@@ -45,6 +45,7 @@ def test_wind_cooling_rates(ref_params):
     assert rates[0] == 0.0
     assert rates[-1] == ref_params.c
     assert np.allclose(rates, [0.0, 0.55, 1.1])
+    assert ref_params.wind_cooling_rates(1).tolist() == [0.0]
 
 
 def test_drift_interior_heating(ref_params):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,14 @@ def test_zero_mean_drift_matches_expm_reference(c, ref_env):
         for seg, start, end in zip(dist.segments, starts, ends):
             assert np.abs(seg.densities[:, 0] - start).max() <= 1e-9
             assert np.abs(seg.densities[:, -1] - end).max() <= 1e-9
+
+
+def test_one_state_wind_chain_solves_without_warnings(ref_params):
+    # wind permanently off: the cooling rate of the only wind state is 0,
+    # not the 0/0 of i*c/(W-1)
+    env = build_environment((), (0.02, 0.02))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = solve_stationary(80.0, env, ref_params)
+    assert abs(dist.total_mass() - 1.0) <= 1e-8
+    assert verify_conservation(dist) <= 1e-8
