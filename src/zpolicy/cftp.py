@@ -1,32 +1,40 @@
 """Perfect sampling of the joint stationary state for heterogeneous loads
 by monotone coupling from the past.
 
-Loads share the wind process but own independent comfort-level chains and
-physical parameters.  Given the environment path, each temperature
-evolves by a deterministic monotone flow, so the coupling needs no
-per-load randomness: the top chain starts every load at its highest
-comfort level, the bottom chain at zero, and both replay the identical
-environment from time -T, doubling T until the two flows meet at time 0.
+Loads share the wind process, which may be any birth-death chain (in wind
+state i of W a load cools at i*c/(W-1), with the grid topping up forced
+cooling), and own independent comfort-level chains and physical
+parameters.  Given the environment path, each temperature evolves by the
+model's deterministic monotone flow, so the coupling needs no per-load
+randomness: the top chain starts every load at its highest comfort level,
+the bottom chain at zero, and both replay the identical environment from
+time -T, doubling T until the two flows meet at time 0.  Each segment of
+the path advances the stacked (top, bottom) vector of all loads with one
+call to ``model.exact_flow``.
 
 The environment chains are birth-death and hence reversible, so the path
 seen backward from a stationary time is again a chain with the same
 generator: the state at time 0 is drawn from the stationary law and the
-path is extended into the past by ordinary forward simulation in reversed
-time.  Doubling the horizon prepends to the cached path and never alters
-the randomness already used, which is exactly the replay discipline
-coupling from the past requires.
+path is extended into the past by the simulator's factor-chain sampler
+run in reversed time.  Doubling the horizon appends older jumps to the
+cached path and never alters the randomness already used, which is
+exactly the replay discipline coupling from the past requires.
+CftpConfig validates itself on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
-from .model import LoadParams
+from .model import (
+    LoadParams, _birth_death_generator, exact_flow, power_split, stationary_law,
+)
+from .simulate import _factor_path, child_seed
 
 __all__ = [
     "CftpConfig",
@@ -38,11 +46,22 @@ __all__ = [
 ]
 
 _COALESCE_TOL = 1e-9
+_CHUNK = 64          # backward jumps drawn per chain extension
 
 
 @dataclass(frozen=True)
 class CftpConfig:
-    wind_rates: tuple[float, float]              # (q0 off->on, q1 on->off)
+    """Perfect-sampling experiment: loads share the wind chain and own one
+    comfort chain each (or all share the first, with shared_comfort).
+
+    Raises ValueError unless there is at least one load, set_points and
+    comfort_rates give one entry per load, each comfort chain has as many
+    states as its load has comfort levels, initial_horizon is None or
+    finite and positive, and max_doublings is at least 1; raises
+    InvalidSetPoint unless every set-point lies in [0, Theta_C] of its load.
+    """
+
+    wind_rates: tuple                            # (q_up, q_down) or (up, down) pairs
     load_params: tuple[LoadParams, ...]          # one per load
     comfort_rates: tuple                         # one rate spec per load
     set_points: tuple[float, ...]
@@ -51,9 +70,42 @@ class CftpConfig:
     max_doublings: int = 24
     shared_comfort: bool = False                 # one comfort chain drives all
 
+    def __post_init__(self):
+        n = self.n_loads
+        if n < 1:
+            raise ValueError("CftpConfig needs at least one load")
+        if len(self.set_points) != n or len(self.comfort_rates) != n:
+            raise ValueError(f"set_points and comfort_rates need one entry per load ({n}), "
+                             f"got {len(self.set_points)} and {len(self.comfort_rates)}")
+        for p, rates in zip(self.load_params, self.comfort_rates):
+            if _birth_death_generator(rates).shape[0] != len(p.comfort_levels):
+                raise ValueError(f"comfort rates {rates} do not give one state per "
+                                 f"comfort level {p.comfort_levels}")
+        if self.initial_horizon is not None and \
+                not (np.isfinite(self.initial_horizon) and self.initial_horizon > 0):
+            raise ValueError(f"initial_horizon must be finite and positive, "
+                             f"got {self.initial_horizon}")
+        if self.max_doublings < 1:
+            raise ValueError(f"max_doublings must be at least 1, got {self.max_doublings}")
+        for p, z in zip(self.load_params, self.set_points):
+            p.check_set_points(z)
+
     @property
     def n_loads(self) -> int:
         return len(self.load_params)
+
+    def _tables(self):
+        """Per-load h, c, set-point, comfort levels (padded with nan) and
+        wind cooling rates, as arrays indexed by load."""
+        params = self.load_params
+        n_wind = _birth_death_generator(self.wind_rates).shape[0]
+        n_levels = max(len(p.comfort_levels) for p in params)
+        levels = np.full((len(params), n_levels), np.nan)
+        for i, p in enumerate(params):
+            levels[i, :len(p.comfort_levels)] = p.comfort_levels
+        return (np.array([p.h for p in params]), np.array([p.c for p in params]),
+                np.array(self.set_points, dtype=float), levels,
+                np.array([p.wind_cooling_rates(n_wind) for p in params]))
 
 
 @dataclass(frozen=True)
@@ -64,75 +116,16 @@ class JointSample:
     horizon: float               # past horizon that achieved coalescence
 
 
-class _BackwardChain:
-    """Stationary chain extended lazily into the past.
-
-    jump_ages[k] is the age (time before 0) of the k-th jump looking
-    backward; states[k] is the state on the age interval
-    (jump_ages[k-1], jump_ages[k]], with states[0] the state at time 0.
-    """
-
-    def __init__(self, generator: np.ndarray, rng: np.random.Generator):
-        self.gen = generator
-        self.rng = rng
-        n = generator.shape[0]
-        a = np.vstack([generator, np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        self.states = [int(rng.choice(n, p=pi))]
-        self.jump_ages = [0.0]
-
-    def extend(self, age: float):
-        while self.jump_ages[-1] < age:
-            s = self.states[-1]
-            rate = -self.gen[s, s]
-            if rate <= 0:
-                self.jump_ages.append(np.inf)
-                self.states.append(s)
-                break
-            self.jump_ages.append(self.jump_ages[-1] + self.rng.exponential(1.0 / rate))
-            probs = np.clip(self.gen[:, s], 0.0, None)
-            probs[s] = 0.0
-            probs /= probs.sum()
-            self.states.append(int(self.rng.choice(len(probs), p=probs)))
-
-    def state_at_age(self, age: float) -> int:
-        """State on the age interval [jump_ages[k], jump_ages[k+1]).
-
-        states[k] holds from the k-th backward jump (age jump_ages[k])
-        until the next one further in the past.
-        """
-        idx = int(np.searchsorted(self.jump_ages, age, side="left")) - 1
-        return self.states[max(min(idx, len(self.states) - 1), 0)]
-
-    def ages_in(self, horizon: float) -> list[float]:
-        return [a for a in self.jump_ages[1:] if a < horizon and np.isfinite(a)]
-
-
-def _advance_scalar(x: float, z: float, wind: int, theta: float,
-                    params: LoadParams, dt: float) -> float:
-    """Exact single-load flow over one constant-environment window.
-
-    Monotone in x: cooling targets the hold point min(z, theta) from above
-    (so extremal chains contract onto it), heating parks there from below.
-    """
-    h, c = params.h, params.c
-    park = min(z, theta)
-    if wind == 0:
-        if x > park:
-            return max(park, x - c * dt)
-        if x < park:
-            return min(park, x + h * dt)
-        return x
-    if x > theta:
-        t_hit = (x - theta) / c
-        if dt <= t_hit:
-            return x - c * dt
-        return max(0.0, theta - c * (dt - t_hit))
-    return max(0.0, x - c * dt)
+def _extend(chain: tuple, generator: np.ndarray, age: float,
+            rng: np.random.Generator) -> tuple:
+    """Jump ages and states of a backward chain, extended with fresh jumps
+    until it covers ``age``; the jumps already drawn are kept."""
+    ages, states = chain
+    while ages[-1] < age:
+        more, new = _factor_path(generator, int(states[-1]), _CHUNK, rng)
+        ages = np.concatenate([ages, ages[-1] + more])
+        states = np.concatenate([states, new[1:]])
+    return ages, states
 
 
 def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> JointSample:
@@ -140,58 +133,43 @@ def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> J
 
     Raises NoCoalescence if max_doublings horizons are exhausted.
     """
-    from .model import _birth_death_generator
-
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = config.n_loads
-    qw = _birth_death_generator(config.wind_rates)
-    wind_chain = _BackwardChain(qw, rng)
-    if config.shared_comfort:
-        shared = _BackwardChain(_birth_death_generator(config.comfort_rates[0]), rng)
-        comfort_chains = [shared] * n
-    else:
-        comfort_chains = [_BackwardChain(_birth_death_generator(config.comfort_rates[i]), rng)
-                          for i in range(n)]
+    comfort_rates = config.comfort_rates[:1] if config.shared_comfort else config.comfort_rates
+    generators = [_birth_death_generator(r) for r in (config.wind_rates, *comfort_rates)]
+    # each chain: (ages of its backward jumps, with 0 first; its states)
+    chains = [(np.zeros(1), np.array([rng.choice(len(q), p=stationary_law(q))]))
+              for q in generators]
+    h, c, z, levels, rates = config._tables()
+    loads = np.arange(n)
+    owner = 1 + (np.zeros_like(loads) if config.shared_comfort else loads)  # comfort chain per load
+    h2, c2, z2 = (np.concatenate([v, v]) for v in (h, c, z))
+    top = np.array([p.theta_max for p in config.load_params])
 
     if config.initial_horizon is not None:
         horizon = float(config.initial_horizon)
     else:
-        slowest = max(p.theta_max / min(p.c, p.h) for p in config.load_params)
-        horizon = 4.0 * slowest
+        horizon = 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
 
     for _ in range(config.max_doublings):
-        wind_chain.extend(horizon)
-        for ch in comfort_chains:
-            ch.extend(horizon)
-        ages = sorted(set(wind_chain.ages_in(horizon)) |
-                      set(a for ch in comfort_chains for a in ch.ages_in(horizon)),
-                      reverse=True)
-        boundaries = [horizon] + ages + [0.0]
-
-        top = np.array([p.theta_max for p in config.load_params])
-        bottom = np.zeros(n)
-        for b0, b1 in zip(boundaries[:-1], boundaries[1:]):
-            dt = b0 - b1
-            if dt <= 0:
-                continue
-            mid_age = 0.5 * (b0 + b1)
-            wind = wind_chain.state_at_age(mid_age)
-            for i in range(n):
-                ci = comfort_chains[i].state_at_age(mid_age)
-                theta = config.load_params[i].comfort_levels[ci]
-                zi = config.set_points[i]
-                top[i] = _advance_scalar(top[i], zi, wind, theta,
-                                         config.load_params[i], dt)
-                bottom[i] = _advance_scalar(bottom[i], zi, wind, theta,
-                                            config.load_params[i], dt)
-                if bottom[i] > top[i] + 1e-12:
-                    raise AssertionError("sandwich violated; flow is not monotone")
-        if np.all(top - bottom <= _COALESCE_TOL):
-            comfort0 = np.array([ch.state_at_age(0.0) for ch in comfort_chains])
-            return JointSample(temperatures=top.copy(),
-                               wind=wind_chain.state_at_age(0.0),
-                               comfort=comfort0, horizon=horizon)
+        chains = [_extend(ch, q, horizon, rng) for ch, q in zip(chains, generators)]
+        bounds = np.unique(np.concatenate([[horizon]] + [a[a < horizon] for a, _ in chains]))
+        mid = 0.5 * (bounds[:-1] + bounds[1:])
+        # state of every chain on every segment, oldest segment last
+        seg = np.array([s[np.searchsorted(a, mid) - 1] for a, s in chains]).T[::-1]
+        wind = seg[:, 0]
+        theta = np.tile(levels[loads, seg[:, owner]], 2)
+        ci = np.tile(rates[loads, wind[:, None]], 2)
+        x = np.concatenate([top, np.zeros(n)])
+        for k, (w, dt) in enumerate(zip(wind.tolist(), np.diff(bounds)[::-1].tolist())):
+            x = exact_flow(x, z2, theta[k], h2, c2, ci[k], dt, w)
+            if (x[n:] > x[:n] + 1e-12).any():
+                raise AssertionError("sandwich violated; flow is not monotone")
+        if np.all(x[:n] - x[n:] <= _COALESCE_TOL):
+            now = np.array([s[0] for _, s in chains])
+            return JointSample(temperatures=x[:n].copy(), wind=int(now[0]),
+                               comfort=now[owner], horizon=horizon)
         horizon *= 2.0
     raise NoCoalescence(f"no coalescence by horizon {horizon}")
 
@@ -200,30 +178,20 @@ def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
                         gamma: float) -> CostReport:
     """Monte Carlo normalized cost from perfect samples.
 
-    Each sample classifies loads into parked at the hold point (draws h),
-    above the active comfort level with wind off (draws h+c) and free; the
-    standard error of the combined cost is reported.
+    Each sample's grid power is classified per load by the model's
+    power_split; the standard error of the combined cost is reported.
     """
     if not samples:
         raise EmptySamples("need at least one sample")
     n = config.n_loads
-    power = np.empty(len(samples))
-    disc = np.empty(len(samples))
-    for k, smp in enumerate(samples):
-        draw = 0.0
-        pen = 0.0
-        for i in range(n):
-            p = config.load_params[i]
-            theta = p.comfort_levels[int(smp.comfort[i])]
-            xi = float(smp.temperatures[i])
-            if xi > theta + 1e-9:
-                pen += (xi - theta) ** 2
-                if smp.wind == 0:
-                    draw += p.h + p.c
-            elif smp.wind == 0 and abs(xi - min(config.set_points[i], theta)) <= 1e-7:
-                draw += p.h
-        power[k] = (draw / n) ** 2
-        disc[k] = pen / n
+    x = np.array([s.temperatures for s in samples], dtype=float)
+    wind = np.array([s.wind for s in samples])[:, None]
+    loads = np.arange(n)
+    h, c, z, levels, rates = config._tables()
+    theta = levels[loads, np.array([s.comfort for s in samples])]
+    _, grid = power_split(x, z, theta, h, c, rates[loads, wind], wind)
+    power = (grid.sum(axis=1) / n) ** 2
+    disc = (np.maximum(x - theta, 0.0) ** 2).sum(axis=1) / n
     totals = power + gamma * disc
     se = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) if len(totals) > 1 else float("inf")
     return CostReport(power_cost=float(power.mean()),
@@ -277,18 +245,13 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
     z = np.array(config.set_points, dtype=float)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
 
-    def evaluate(zv: np.ndarray) -> float:
-        cfg = CftpConfig(wind_rates=config.wind_rates, load_params=config.load_params,
-                         comfort_rates=config.comfort_rates,
-                         set_points=tuple(float(v) for v in zv), seed=config.seed,
-                         initial_horizon=config.initial_horizon,
-                         max_doublings=config.max_doublings)
-        samples = [cftp_sample(cfg, np.random.default_rng(
-            np.random.SeedSequence([config.seed, k]).generate_state(1)[0]))
-            for k in range(n_samples)]
-        return estimate_joint_cost(samples, cfg, gamma).total
+    def report(zv: np.ndarray) -> CostReport:
+        cfg = replace(config, set_points=tuple(float(v) for v in zv))
+        samples = [cftp_sample(cfg, np.random.default_rng(child_seed(config.seed, k)))
+                   for k in range(n_samples)]
+        return estimate_joint_cost(samples, cfg, gamma)
 
-    best = evaluate(z)
+    best = report(z).total
     for _ in range(sweeps):
         for i in range(len(z)):
             theta_top = config.load_params[i].theta_max
@@ -298,7 +261,7 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
             x2 = a + invphi * (bnd - a)
             z1, z2 = z.copy(), z.copy()
             z1[i], z2[i] = x1, x2
-            f1, f2 = evaluate(z1), evaluate(z2)
+            f1, f2 = report(z1).total, report(z2).total
             for _ in range(golden_iters):
                 if bnd - a <= tol:
                     break
@@ -307,24 +270,16 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
                     x1 = bnd - invphi * (bnd - a)
                     z1 = z.copy()
                     z1[i] = x1
-                    f1 = evaluate(z1)
+                    f1 = report(z1).total
                 else:
                     a, x1, f1 = x1, x2, f2
                     x2 = a + invphi * (bnd - a)
                     z2 = z.copy()
                     z2[i] = x2
-                    f2 = evaluate(z2)
+                    f2 = report(z2).total
             zi = x1 if f1 <= f2 else x2
             fi = min(f1, f2)
             if fi < best:
                 z[i] = zi
                 best = fi
-    final_cfg = CftpConfig(wind_rates=config.wind_rates, load_params=config.load_params,
-                           comfort_rates=config.comfort_rates,
-                           set_points=tuple(float(v) for v in z), seed=config.seed,
-                           initial_horizon=config.initial_horizon,
-                           max_doublings=config.max_doublings)
-    samples = [cftp_sample(final_cfg, np.random.default_rng(
-        np.random.SeedSequence([config.seed, k]).generate_state(1)[0]))
-        for k in range(n_samples)]
-    return z, estimate_joint_cost(samples, final_cfg, gamma)
+    return z, report(z)

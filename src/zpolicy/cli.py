@@ -25,8 +25,8 @@ from .costs import continuum_cost, default_z_grid, sensitivity_curves
 from .distributions import ThresholdDistribution
 from .heuristic import make_simulation_cost_fn, successive_refinement
 from .hjb import classify_policy, solve_hjb
-from .model import LoadParams, build_environment
-from .simulate import SimulationConfig, empirical_cdf, simulate
+from .model import LoadParams, build_environment, power_split
+from .simulate import SimulationConfig, child_seed, empirical_cdf, simulate
 from .stationary import solve_stationary, verify_conservation
 from .variational import euler_lagrange, fixed_point, project_detailed
 
@@ -205,21 +205,18 @@ def cmd_simulate(cfg, out: Path, seed) -> int:
         "total_time": result.total_time, "n_segments": result.n_segments,
     })
     if result.trace_x is not None:
-        from .model import LoadState, power_draw
-        rows = []
-        for k in range(len(result.trace_times)):
-            wind = int(result.trace_wind[k])
-            comfort = int(result.trace_comfort[k])
-            for i in range(config.n_loads):
-                state = LoadState(float(result.trace_x[k, i]),
-                                  float(result.set_points[i]))
-                draw = power_draw(state, wind, comfort, params,
-                                  n_wind=env.n_wind)
-                rows.append((result.trace_times[k], i, result.trace_x[k, i],
-                             wind, comfort, draw.grid_power, draw.wind_power))
-        _write_csv(out / "trace.csv",
-                   ["t", "load", "x", "wind", "comfort",
-                    "grid_power", "wind_power"], rows)
+        n_rows, n = len(result.trace_times), config.n_loads
+        x = result.trace_x.reshape(n_rows, n)
+        wind = result.trace_wind.astype(np.int64)
+        comfort = result.trace_comfort.astype(np.int64)
+        wind_power, grid_power = power_split(
+            x, result.set_points, np.asarray(params.comfort_levels)[comfort][:, None],
+            params.h, params.c, params.wind_cooling_rates(env.n_wind)[wind][:, None],
+            wind[:, None])
+        _write_columns(out / "trace.csv",
+                       ["t", "load", "x", "wind", "comfort", "grid_power", "wind_power"],
+                       [np.repeat(result.trace_times, n), np.tile(np.arange(n), n_rows), x,
+                        np.repeat(wind, n), np.repeat(comfort, n), grid_power, wind_power])
     if result.occupation_cdf is not None:
         rows = []
         for i in range(config.n_loads):
@@ -266,9 +263,8 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
         set_points=tuple(float(z) for z in set_points),
         seed=eff_seed, max_doublings=blk.get("max_doublings", 24))
     n_samples = blk.get("n_samples", 1000)
-    samples = [cftp_sample(config, np.random.default_rng(
-        np.random.SeedSequence([eff_seed, k]).generate_state(1)[0]))
-        for k in range(n_samples)]
+    samples = [cftp_sample(config, np.random.default_rng(child_seed(eff_seed, k)))
+               for k in range(n_samples)]
     report = estimate_joint_cost(samples, config, gamma)
     _write_csv(out / "samples.csv",
                ["sample", "load", "temperature", "wind", "comfort"],
@@ -317,12 +313,16 @@ def cmd_heuristic(cfg, out: Path, seed) -> int:
 def cmd_hjb(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("hjb", {})
+    grid_step = blk.get("grid_step", params.theta_max / 50.0)
+    wind_power = blk.get("wind_power")
+    # 0.9 of the stability bound grid_step / (h + c + W), W = h + c by default
+    # (a negative W is left for solve_hjb to reject)
+    rate = params.h + 2 * params.c + params.h if wind_power is None else \
+        params.h + params.c + max(wind_power, 0.0)
     values, policy = solve_hjb(
-        env, params, horizon=blk.get("horizon", 40.0),
-        grid_step=blk.get("grid_step", params.theta_max / 50.0),
-        time_step=blk.get("time_step",
-                          0.9 * (params.theta_max / 50.0) / (params.h + 2 * params.c + params.h)),
-        wind_power=blk.get("wind_power"), forced_power=blk.get("forced_power"))
+        env, params, horizon=blk.get("horizon", 40.0), grid_step=grid_step,
+        time_step=blk.get("time_step", 0.9 * grid_step / rate),
+        wind_power=wind_power, forced_power=blk.get("forced_power"))
     labels = classify_policy(policy, values, params, env)
     n_env, nx = env.n_states, len(values.x)
     _write_columns(out / "hjb_surfaces.csv",

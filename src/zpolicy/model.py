@@ -16,6 +16,9 @@ Q[k, l] is the rate l -> k, and every column sums to zero.
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
 level and the hold point are closed-form and no Euler stepping is used.
+The flow (exact_flow) and the power classification (power_split) are
+elementwise kernels in which the load parameters broadcast per load; the
+per-load functions below, the perfect sampler and the CLI all call them.
 """
 
 from __future__ import annotations
@@ -105,13 +108,17 @@ class MarkovEnvironment:
 
     def stationary(self) -> np.ndarray:
         """Stationary probability vector of the joint chain (Q pi = 0)."""
-        q = self.generator
-        n = q.shape[0]
-        a = np.vstack([q, np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+        return stationary_law(self.generator)
+
+
+def stationary_law(generator: np.ndarray) -> np.ndarray:
+    """Stationary probability vector of one generator (column convention)."""
+    n = generator.shape[0]
+    a = np.vstack([generator, np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
 def build_environment(wind_rates, comfort_rates) -> MarkovEnvironment:
@@ -187,9 +194,53 @@ class PowerDraw:
     grid_power: float
 
 
+def exact_flow(x, z, theta, h, c, ci, dt: float, wind: int):
+    """Exact temperature after dt in one environment state, elementwise.
+
+    x, z, theta, h, c and the wind cooling rate ci broadcast per load; the
+    wind state is common.  The drift is piecewise constant with at most one
+    rate switch per load (crossing the comfort level downward), so the flow
+    is closed-form; hold points are hit exactly via min/max, never overshot.
+    """
+    if wind == 0:
+        park = np.minimum(z, theta)
+        heated = np.minimum(park, x + h * dt)
+        cooled = np.maximum(park, x - c * dt)
+        return np.where(x > park, cooled, np.where(x < park, heated, x))
+    # above theta: cool at c until theta, then continue at ci down to the floor
+    t_hit = np.where(x > theta, (x - theta) / c, 0.0)
+    above = np.where(dt <= t_hit, x - c * dt,
+                     np.maximum(0.0, theta - ci * np.maximum(dt - t_hit, 0.0)))
+    below = np.maximum(0.0, x - ci * dt)
+    return np.where(x > theta, above, below)
+
+
+def power_split(x, z, theta, h, c, ci, wind):
+    """(wind power, grid power) under the threshold policy, elementwise;
+    every argument broadcasts, the wind state included.
+
+    Grid power is h+c during a comfort violation with wind off, the
+    difference c - ci when an intermediate wind state cannot supply the
+    full forced-cooling rate, and h while parked at the hold point with
+    wind off; all other situations draw no grid power.  Under wind, the
+    wind supplies h + ci (h alone at the floor x = 0).
+    """
+    on = np.asarray(wind) >= 1
+    wind_power = np.where(on, np.where(x <= 0.0, h, h + ci), 0.0)
+    grid_on = np.where(x > theta, c - ci, 0.0)
+    park = np.minimum(z, theta)
+    grid_off = np.where(x > park, h + c, np.where(x == park, h, 0.0))
+    return wind_power, np.where(on, grid_on, grid_off)
+
+
+def _cooling_rate(params: LoadParams, wind: int, n_wind: int) -> float:
+    return float(params.wind_cooling_rates(n_wind)[wind]) if wind else 0.0
+
+
 def z_policy_drift(state: LoadState, wind: int, comfort: int,
                    params: LoadParams, n_wind: int = 2) -> float:
-    """Temperature rate dx/dt under the threshold policy.
+    """Temperature rate dx/dt under the threshold policy: h less the power
+    that power_draw applies.
 
     Above the active comfort level the load is force-cooled at -c no matter
     the wind state; under wind it cools at the wind-supported rate (held at
@@ -197,74 +248,26 @@ def z_policy_drift(state: LoadState, wind: int, comfort: int,
     min(Z, Theta_M), parks there, and cools at -c back toward it if it ever
     finds itself above (only reachable from out-of-band initial states).
     """
-    x, z = state.temperature, state.set_point
-    theta = params.comfort_levels[comfort]
-    if x > theta:
-        return -params.c
-    if wind >= 1:
-        if x <= 0.0:
-            return 0.0
-        return -float(params.wind_cooling_rates(n_wind)[wind])
-    park = min(z, theta)
-    if x < park:
-        return params.h
-    if x > park:
-        return -params.c
-    return 0.0
+    draw = power_draw(state, wind, comfort, params, n_wind=n_wind)
+    return params.h - draw.wind_power - draw.grid_power
 
 
 def power_draw(state: LoadState, wind: int, comfort: int,
                params: LoadParams, n_wind: int = 2) -> PowerDraw:
-    """Instantaneous (wind, grid) power for one load.
-
-    Grid power is h+c during a comfort violation with wind off, the
-    difference c - i*c/(W-1) when an intermediate wind state cannot supply
-    the full forced-cooling rate, and h while parked at the hold point with
-    wind off; all other situations draw no grid power.
-    """
-    h, c = params.h, params.c
-    x, z = state.temperature, state.set_point
-    theta = params.comfort_levels[comfort]
-    if wind >= 1:
-        ci = float(params.wind_cooling_rates(n_wind)[wind])
-        if x > theta:
-            # forced cooling at c; wind supplies h + ci, grid tops up
-            return PowerDraw(wind_power=h + ci, grid_power=c - ci)
-        if x <= 0.0:
-            return PowerDraw(wind_power=h, grid_power=0.0)
-        return PowerDraw(wind_power=h + ci, grid_power=0.0)
-    park = min(z, theta)
-    if x > park:
-        return PowerDraw(wind_power=0.0, grid_power=h + c)
-    if x == park:
-        return PowerDraw(wind_power=0.0, grid_power=h)
-    return PowerDraw(wind_power=0.0, grid_power=0.0)
+    """Instantaneous (wind, grid) power for one load (see power_split)."""
+    wind_power, grid_power = power_split(
+        state.temperature, state.set_point, params.comfort_levels[comfort],
+        params.h, params.c, _cooling_rate(params, wind, n_wind), wind)
+    return PowerDraw(wind_power=float(wind_power), grid_power=float(grid_power))
 
 
 def advance_temperatures(x: np.ndarray, z: np.ndarray, wind: int, comfort: int,
                          dt: float, params: LoadParams, n_wind: int = 2) -> np.ndarray:
-    """Exact temperature update over a window with a constant environment.
-
-    Vectorized over loads.  The drift is piecewise constant with at most one
-    rate switch per load (crossing the comfort level downward), so the flow
-    is closed-form; hold points are hit exactly via min/max, never overshot.
-    """
-    h, c = params.h, params.c
-    theta = params.comfort_levels[comfort]
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if wind == 0:
-        park = np.minimum(z, theta)
-        heated = np.minimum(park, x + h * dt)
-        cooled = np.maximum(park, x - c * dt)
-        return np.where(x > park, cooled, np.where(x < park, heated, x))
-    ci = float(params.wind_cooling_rates(n_wind)[wind])
-    # above theta: cool at c until theta, then continue at ci down to the floor
-    t_hit = np.where(x > theta, (x - theta) / c, 0.0)
-    above = np.where(dt <= t_hit, x - c * dt,
-                     np.maximum(0.0, theta - ci * np.maximum(dt - t_hit, 0.0)))
-    below = np.maximum(0.0, x - ci * dt)
-    return np.where(x > theta, above, below)
+    """Exact temperature update over a window with a constant environment,
+    vectorized over loads (see exact_flow)."""
+    return exact_flow(np.asarray(x, dtype=float), np.asarray(z, dtype=float),
+                      params.comfort_levels[comfort], params.h, params.c,
+                      _cooling_rate(params, wind, n_wind), dt, wind)
 
 
 def step_ensemble(states: list[LoadState], wind: int, comfort: int, dt: float,

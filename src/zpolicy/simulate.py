@@ -83,68 +83,77 @@ class EnvironmentPath:
         return float(self.start_times[-1] + self.durations[-1])
 
 
-def _alternating_jump_times(rate_a: float, rate_b: float, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Jump times of a 2-state chain starting in the state with exit rate rate_a."""
-    rates = np.where(np.arange(n) % 2 == 0, rate_a, rate_b)
-    with np.errstate(divide="ignore"):
-        scales = np.where(rates > 0, 1.0 / np.where(rates > 0, rates, 1.0), np.inf)
-    return np.cumsum(rng.exponential(scales))
+def _factor_path(generator: np.ndarray, state: int, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` jumps of one factor chain started in ``state``: the jump times
+    (inf once an absorbing state is reached) and the ``n + 1`` states.
+
+    Each jump's exponential variate is drawn up front, followed by one
+    uniform per jump only when some state has more than one possible next
+    state; a 2-state chain therefore draws exactly ``n`` exponentials.
+    """
+    rates = -np.diag(generator)
+    exits = np.clip(generator, 0.0, None)
+    np.fill_diagonal(exits, 0.0)
+    variates = rng.standard_exponential(n)
+    branching = bool(((exits > 0).sum(axis=0) > 1).any())
+    u = rng.random(n) if branching else np.zeros(1)
+    # step[k, s]: the state after jump k from state s (one row if none branches)
+    step = np.empty((len(u), len(rates)), dtype=np.int64)
+    for s in range(len(rates)):
+        t = np.flatnonzero(exits[:, s])
+        if len(t) == 0:
+            step[:, s] = s
+            continue
+        cum = np.cumsum(exits[t, s]) / exits[t, s].sum()
+        step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
+    states = np.empty(n + 1, dtype=np.int64)
+    states[0] = state
+    if branching:
+        # prefix doubling: row k becomes the map from the start through jump k
+        span = 1
+        while span < n:
+            step[span:] = np.take_along_axis(step[span:], step[:-span], axis=1)
+            span *= 2
+        states[1:] = step[:, state]
+    else:
+        # one successor map f: states[k] = f^k(state), doubling k
+        f, m = step[0], 1
+        while m <= n:
+            states[m:2 * m] = f[states[:min(m, n + 1 - m)]]
+            f, m = f[f], 2 * m
+    scales = np.full(len(rates), np.inf)     # an absorbing state never leaves
+    np.divide(1.0, rates, out=scales, where=rates > 0)
+    return np.cumsum(variates * scales[states[:-1]]), states
 
 
 def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
                             rng: np.random.Generator,
                             initial_state: int | None = None) -> EnvironmentPath:
     """Sample ``n_jumps`` transitions of the joint chain, starting from its
-    stationary distribution unless an initial state is given."""
+    stationary distribution unless an initial state is given.
+
+    The wind and comfort factors are independent chains: each is sampled
+    for ``n_jumps`` jumps of its own and the sorted jump times are merged,
+    which leaves at least ``n_jumps`` joint transitions.  The path ends
+    early if both factors reach absorbing states.
+    """
     if initial_state is None:
         pi = env.stationary()
         initial_state = int(rng.choice(env.n_states, p=pi))
     w0, c0 = env.split_index(initial_state)
-
-    if env.n_wind == 2 and env.n_comfort == 2:
-        qw, qc = env.wind_generator, env.comfort_generator
-        wt = _alternating_jump_times(-qw[w0, w0], -qw[1 - w0, 1 - w0], n_jumps, rng)
-        ct = _alternating_jump_times(-qc[c0, c0], -qc[1 - c0, 1 - c0], n_jumps, rng)
-        merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
-        t_end = merged[-1] if len(merged) else 0.0
-        starts = np.concatenate([[0.0], merged])
-        wind = (w0 + np.searchsorted(wt, starts, side="right")) % 2
-        comfort = (c0 + np.searchsorted(ct, starts, side="right")) % 2
-        durs = np.diff(np.concatenate([starts, [t_end + (starts[-1] - starts[-2] if len(starts) > 1 else 1.0)]]))
-        # last segment: extend by one more exponential of the current state
-        rate = -env.generator[int(wind[-1] * env.n_comfort + comfort[-1]),
-                              int(wind[-1] * env.n_comfort + comfort[-1])]
-        durs[-1] = rng.exponential(1.0 / rate) if rate > 0 else durs[:-1].mean()
-        return EnvironmentPath(start_times=starts, wind=wind.astype(np.int64),
-                               comfort=comfort.astype(np.int64), durations=durs)
-
-    # general small chain: loop the embedded joint chain
-    q = env.generator
-    state = initial_state
-    starts, winds, comforts, durs = [], [], [], []
-    t = 0.0
-    for _ in range(n_jumps + 1):
-        i, j = env.split_index(state)
-        starts.append(t)
-        winds.append(i)
-        comforts.append(j)
-        rate = -q[state, state]
-        if rate <= 0:
-            # absorbing joint state: one long final segment
-            durs.append(max(t, 1.0) * 10.0)
-            break
-        hold = rng.exponential(1.0 / rate)
-        durs.append(hold)
-        t += hold
-        probs = q[:, state].copy()
-        probs[state] = 0.0
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        state = int(rng.choice(env.n_states, p=probs))
-    return EnvironmentPath(start_times=np.array(starts), wind=np.array(winds, dtype=np.int64),
-                           comfort=np.array(comforts, dtype=np.int64),
-                           durations=np.array(durs))
+    wt, ws = _factor_path(env.wind_generator, w0, n_jumps, rng)
+    ct, cs = _factor_path(env.comfort_generator, c0, n_jumps, rng)
+    merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
+    starts = np.concatenate([[0.0], merged[np.isfinite(merged)]])
+    wind = ws[np.searchsorted(wt, starts, side="right")]
+    comfort = cs[np.searchsorted(ct, starts, side="right")]
+    # last segment: one more exponential of the final state
+    last = env.state_index(int(wind[-1]), int(comfort[-1]))
+    rate = -env.generator[last, last]
+    final = rng.exponential(1.0 / rate) if rate > 0 else 10.0 * max(starts[-1], 1.0)
+    return EnvironmentPath(start_times=starts, wind=wind, comfort=comfort,
+                           durations=np.append(np.diff(starts), final))
 
 
 class _Occupation:

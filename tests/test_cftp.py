@@ -61,7 +61,8 @@ def test_identical_loads_equal_set_points_coincide():
 
 def test_coupled_homogeneous_cost_matches_analytic(ref_env, ref_params, ref_curves):
     # shared comfort reproduces the homogeneous model, so the perfect-sample
-    # cost estimate must agree with the dominance-based finite cost
+    # cost estimate must agree with the dominance-based finite cost; the
+    # discomfort term is heavy-tailed, so the estimate needs many draws
     from zpolicy import finite_cost
     z = (60.0, 80.0)
     base = _ref_cftp_config(set_points=z)
@@ -70,7 +71,7 @@ def test_coupled_homogeneous_cost_matches_analytic(ref_env, ref_params, ref_curv
                      seed=base.seed, shared_comfort=True)
     samples = [cftp_sample(cfg, np.random.default_rng(
         np.random.SeedSequence([31, k]).generate_state(1)[0]))
-        for k in range(3000)]
+        for k in range(6000)]
     rep = estimate_joint_cost(samples, cfg, gamma=0.1)
     analytic = finite_cost(list(z), ref_env, ref_params, 0.1, curves=ref_curves)
     assert abs(rep.total - analytic.total) <= \
@@ -122,6 +123,35 @@ def test_estimate_joint_cost_free_samples_zero_power():
     rep = estimate_joint_cost(samples, cfg, gamma=0.1)
     assert rep.power_cost == 0.0
     assert rep.discomfort_cost == 0.0
+
+
+def _per_load_cost(samples, cfg, gamma):
+    # frozen copy of the earlier per-load loop, exact for two wind states:
+    # parked with wind off draws h, a violation with wind off draws h + c
+    power, disc = [], []
+    for smp in samples:
+        draw = pen = 0.0
+        for i, p in enumerate(cfg.load_params):
+            theta = p.comfort_levels[int(smp.comfort[i])]
+            xi = float(smp.temperatures[i])
+            if xi > theta + 1e-9:
+                pen += (xi - theta) ** 2
+                if smp.wind == 0:
+                    draw += p.h + p.c
+            elif smp.wind == 0 and abs(xi - min(cfg.set_points[i], theta)) <= 1e-7:
+                draw += p.h
+        power.append((draw / cfg.n_loads) ** 2)
+        disc.append(pen / cfg.n_loads)
+    return np.mean(power), np.mean(disc)
+
+
+def test_estimate_joint_cost_matches_per_load_loop():
+    cfg = _ref_cftp_config(set_points=(55.0, 65.0, 75.0, 85.0, 95.0))
+    samples = [cftp_sample(cfg, np.random.default_rng([8, k])) for k in range(300)]
+    rep = estimate_joint_cost(samples, cfg, gamma=0.1)
+    power, disc = _per_load_cost(samples, cfg, 0.1)
+    assert rep.power_cost == pytest.approx(power, rel=1e-12)
+    assert rep.discomfort_cost == pytest.approx(disc, rel=1e-12)
 
 
 def test_estimate_joint_cost_se_shrinks():
@@ -179,3 +209,88 @@ def test_sandwich_never_violated():
     for k in range(50):
         cftp_sample(cfg, np.random.default_rng(
             np.random.SeedSequence([77, k]).generate_state(1)[0]))
+
+
+def _dkw_bound(n, alpha=1e-6, tests=1):
+    # the Dvoretzky-Kiefer-Wolfowitz bound the benchmark's CFTP check uses
+    return np.sqrt(np.log(2.0 * tests / alpha) / (2.0 * n))
+
+
+def _ks_distance(samples, dist):
+    # sup |F_n - F| for a law with atoms: compare left limits as well
+    values, counts = np.unique(samples, return_counts=True)
+    fn = np.cumsum(counts) / len(samples)
+    fn_left = np.concatenate([[0.0], fn[:-1]])
+    return max(np.abs(fn - dist.cdf(values)).max(),
+               np.abs(fn_left - dist.cdf(values - 1e-7)).max())
+
+
+def _marginals(cfg, n_samples, seed):
+    return np.array([cftp_sample(cfg, np.random.default_rng(
+        np.random.SeedSequence([seed, k]).generate_state(1)[0])).temperatures
+        for k in range(n_samples)])
+
+
+@pytest.mark.parametrize("wind_rates, comfort_rates, levels", [
+    (((0.04, 0.04), (0.04, 0.04)), (0.02, 0.02), (50.0, 100.0)),          # W3
+    ((0.04, 0.04), ((0.02, 0.02), (0.02, 0.02)), (40.0, 70.0, 100.0)),    # C3
+])
+def test_single_load_marginal_matches_stationary(wind_rates, comfort_rates, levels):
+    params = LoadParams(h=1.0, c=1.1, comfort_levels=levels)
+    cfg = CftpConfig(wind_rates=wind_rates, load_params=(params,),
+                     comfort_rates=(comfort_rates,), set_points=(90.0,), seed=0)
+    temps = _marginals(cfg, 1500, 90)[:, 0]
+    from zpolicy import build_environment
+    dist = solve_stationary(90.0, build_environment(wind_rates, comfort_rates), params)
+    assert _ks_distance(temps, dist) <= _dkw_bound(len(temps))
+
+
+def test_heterogeneous_loads_match_their_own_stationary_laws():
+    from zpolicy import build_environment
+    wind = ((0.04, 0.04), (0.04, 0.04))
+    loads = [(LoadParams(h=1.0, c=1.1, comfort_levels=(50.0, 100.0)), (0.02, 0.02), 80.0),
+             (LoadParams(h=0.8, c=1.5, comfort_levels=(30.0, 60.0, 90.0)),
+              ((0.03, 0.02), (0.02, 0.03)), 70.0)]
+    cfg = CftpConfig(wind_rates=wind, load_params=tuple(p for p, _, _ in loads),
+                     comfort_rates=tuple(r for _, r, _ in loads),
+                     set_points=tuple(z for _, _, z in loads), seed=0)
+    temps = _marginals(cfg, 1500, 17)
+    for i, (params, rates, z) in enumerate(loads):
+        dist = solve_stationary(z, build_environment(wind, rates), params)
+        assert _ks_distance(temps[:, i], dist) <= _dkw_bound(len(temps), tests=2)
+
+
+def test_estimate_joint_cost_tops_up_intermediate_wind():
+    # one load above Theta_1 in the middle of three wind states: the wind
+    # supplies c/2 of the forced cooling and the grid the other c - c/2
+    from zpolicy.cftp import JointSample
+    params = LoadParams(h=1.0, c=1.1, comfort_levels=(50.0, 100.0))
+    cfg = CftpConfig(wind_rates=((0.04, 0.04), (0.04, 0.04)), load_params=(params,),
+                     comfort_rates=((0.02, 0.02),), set_points=(90.0,), seed=0)
+    sample = JointSample(temperatures=np.array([60.0]), wind=1,
+                         comfort=np.array([0]), horizon=1.0)
+    rep = estimate_joint_cost([sample, sample], cfg, gamma=0.1)
+    assert rep.power_cost == pytest.approx((params.c - params.c / 2) ** 2)
+    assert rep.discomfort_cost == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("change", [
+    {"load_params": ()}, {"set_points": ()}, {"comfort_rates": ()},
+    {"set_points": (70.0, 90.0, 80.0)}, {"comfort_rates": ((0.02, 0.02),) * 3},
+    {"comfort_rates": ((0.02, 0.02), ((0.02, 0.02), (0.02, 0.02)))},
+    {"initial_horizon": -1.0}, {"initial_horizon": 0.0},
+    {"initial_horizon": float("nan")}, {"initial_horizon": float("inf")},
+    {"max_doublings": 0},
+])
+def test_config_rejects_bad_shapes_and_horizons(change):
+    from dataclasses import asdict
+    base = _ref_cftp_config()
+    with pytest.raises(ValueError):
+        CftpConfig(**{**asdict(base), "load_params": base.load_params, **change})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 150.0, -5.0, float("inf")])
+def test_config_rejects_set_points_outside_comfort_range(bad):
+    from zpolicy.errors import InvalidSetPoint
+    with pytest.raises(InvalidSetPoint):
+        _ref_cftp_config(set_points=(70.0, bad))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -196,12 +197,16 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    import zpolicy
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
+    # the child imports the package the tests import, installed or not
+    src = str(Path(zpolicy.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "zpolicy.cli", "distribution",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
 
 
@@ -230,3 +235,73 @@ def test_workers_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(["curves", "--config", str(cfg), "--out", str(tmp_path / "o"),
               "--workers", "2"])
+
+
+@pytest.mark.parametrize("cftp, code", [
+    ({"set_points": [150.0]}, 2),
+    ({"set_points": [70.0, -5.0]}, 2),
+    ({"set_points": [float("nan")]}, 2),
+    ({"set_points": [70.0, 90.0], "comfort_rates": [[0.02, 0.02]]}, 1),
+    ({"set_points": [70.0], "comfort_rates": [[[0.02, 0.02], [0.02, 0.02]]]}, 1),
+    ({"set_points": [70.0], "max_doublings": 0}, 1),
+])
+def test_cftp_bad_config_exit_codes(tmp_path, cftp, code):
+    cfg = _write_config(tmp_path, cftp={"n_samples": 2, **cftp})
+    assert main(["cftp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+
+
+@pytest.mark.parametrize("hjb, expected", [
+    # neither set: the old default, bit for bit
+    ({}, 0.9 * (100.0 / 50.0) / (1.0 + 2 * 1.1 + 1.0)),
+    ({"grid_step": 1.0}, 0.9 * 1.0 / (1.0 + 2 * 1.1 + 1.0)),
+    ({"wind_power": 0.7}, 0.9 * 2.0 / (1.0 + 1.1 + 0.7)),
+    ({"grid_step": 1.0, "wind_power": 3.0}, 0.9 * 1.0 / (1.0 + 1.1 + 3.0)),
+])
+def test_hjb_default_time_step_follows_grid_and_wind(tmp_path, monkeypatch, hjb, expected):
+    from zpolicy import cli
+    seen = {}
+    solve = cli.solve_hjb
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_hjb", spy)
+    cfg = _write_config(tmp_path, hjb={"horizon": 1.0, **hjb})
+    assert main(["hjb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert seen["time_step"] == expected
+
+
+def test_trace_matches_row_by_row_power_draw(tmp_path):
+    # three wind states, so the intermediate state's grid top-up appears
+    from zpolicy import LoadState, power_draw
+    from zpolicy.cli import _build, _write_csv, load_config
+
+    cfg = _write_config(tmp_path, model={
+        "h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
+        "wind_rates": [[0.04, 0.04], [0.04, 0.04]],
+        "comfort_rates": [0.02, 0.02]},
+        simulation={"n_loads": 3, "horizon_jumps": 2000, "seed": 5,
+                    "set_points": [60.0, 70.0, 80.0], "record_trace": True})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    from zpolicy import SimulationConfig, simulate
+    env, params = _build(load_config(str(cfg)))
+    res = simulate(SimulationConfig(n_loads=3, horizon_jumps=2000, seed=5,
+                                    set_points=np.array([60.0, 70.0, 80.0]),
+                                    record_occupation=True, record_trace=True),
+                   env, params, 0.1)
+    rows, top_ups = [], 0
+    for k, t in enumerate(res.trace_times):
+        wind, comfort = int(res.trace_wind[k]), int(res.trace_comfort[k])
+        for i in range(3):
+            draw = power_draw(LoadState(float(res.trace_x[k, i]), float(res.set_points[i])),
+                              wind, comfort, params, n_wind=env.n_wind)
+            top_ups += wind == 1 and draw.grid_power > 0
+            rows.append((t, i, res.trace_x[k, i], wind, comfort,
+                         draw.grid_power, draw.wind_power))
+    _write_csv(tmp_path / "rows.csv", ["t", "load", "x", "wind", "comfort",
+                                       "grid_power", "wind_power"], rows)
+    assert top_ups > 0
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -203,3 +203,29 @@ def test_equal_set_points_couple_identically(ref_params):
                                  int(rng.integers(0, 2)),
                                  float(rng.exponential(15.0)), ref_params)
         assert x[0] == x[1]
+
+
+def test_kernels_broadcast_per_load_parameters():
+    # one kernel call over loads with their own h, c, comfort level and
+    # wind cooling rate equals the per-load functions, bit for bit
+    from zpolicy.model import exact_flow, power_split
+    rng = np.random.default_rng(4)
+    params = [LoadParams(1.0, 1.1, (50.0, 100.0)), LoadParams(0.7, 1.6, (30.0, 60.0, 90.0)),
+              LoadParams(1.3, 0.9, (80.0,))]
+    n_wind = 3
+    for _ in range(200):
+        wind = int(rng.integers(n_wind))
+        comfort = [int(rng.integers(len(p.comfort_levels))) for p in params]
+        z = np.array([rng.uniform(0.0, p.theta_max) for p in params])
+        x = np.where(rng.random(3) < 0.3, z, [rng.uniform(0.0, p.theta_max) for p in params])
+        dt = float(rng.exponential(20.0))
+        args = (np.array([p.comfort_levels[j] for p, j in zip(params, comfort)]),
+                np.array([p.h for p in params]), np.array([p.c for p in params]),
+                np.array([p.wind_cooling_rates(n_wind)[wind] for p in params]))
+        flowed = exact_flow(x, z, *args, dt, wind)
+        wind_power, grid_power = power_split(x, z, *args, wind)
+        for i, p in enumerate(params):
+            one = advance_temperatures(x[i:i + 1], z[i:i + 1], wind, comfort[i], dt, p, n_wind)
+            assert flowed[i] == one[0]
+            draw = power_draw(LoadState(x[i], z[i]), wind, comfort[i], p, n_wind)
+            assert (wind_power[i], grid_power[i]) == (draw.wind_power, draw.grid_power)

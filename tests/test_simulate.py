@@ -3,7 +3,8 @@ import pytest
 
 from zpolicy import (
     LoadParams, SimulationConfig, ThresholdDistribution, build_environment,
-    check_dominance, child_seed, empirical_cdf, simulate, solve_stationary,
+    check_dominance, child_seed, empirical_cdf, sample_environment_path, simulate,
+    solve_stationary,
 )
 from zpolicy.errors import InvalidSetPoint, MissingOccupation
 from zpolicy.model import MarkovEnvironment
@@ -167,3 +168,63 @@ def test_simulate_rejects_set_points_outside_comfort_range(bad, ref_env, ref_par
                            set_points=np.array([60.0, bad]))
     with pytest.raises(InvalidSetPoint):
         simulate(cfg, ref_env, ref_params, gamma=0.0)
+
+
+def _reference_2x2_path(env, n_jumps, rng):
+    # frozen copy of the earlier vectorized 2x2 sampler: alternating jump
+    # times per factor, merged and cut to n_jumps transitions
+    def alternating(rate_a, rate_b, n):
+        rates = np.where(np.arange(n) % 2 == 0, rate_a, rate_b)
+        scales = np.where(rates > 0, 1.0 / np.where(rates > 0, rates, 1.0), np.inf)
+        return np.cumsum(rng.exponential(scales))
+
+    initial_state = int(rng.choice(env.n_states, p=env.stationary()))
+    w0, c0 = env.split_index(initial_state)
+    qw, qc = env.wind_generator, env.comfort_generator
+    wt = alternating(-qw[w0, w0], -qw[1 - w0, 1 - w0], n_jumps)
+    ct = alternating(-qc[c0, c0], -qc[1 - c0, 1 - c0], n_jumps)
+    merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
+    t_end = merged[-1] if len(merged) else 0.0
+    starts = np.concatenate([[0.0], merged])
+    wind = (w0 + np.searchsorted(wt, starts, side="right")) % 2
+    comfort = (c0 + np.searchsorted(ct, starts, side="right")) % 2
+    durs = np.diff(np.concatenate([starts, [t_end + (starts[-1] - starts[-2] if len(starts) > 1 else 1.0)]]))
+    state = int(wind[-1] * env.n_comfort + comfort[-1])
+    rate = -env.generator[state, state]
+    durs[-1] = rng.exponential(1.0 / rate) if rate > 0 else durs[:-1].mean()
+    return starts, wind.astype(np.int64), comfort.astype(np.int64), durs
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n_jumps", [1, 2, 7, 20000])
+def test_reference_path_matches_frozen_2x2_sampler(ref_env, seed, n_jumps):
+    path = sample_environment_path(ref_env, n_jumps, np.random.default_rng(seed))
+    expected = _reference_2x2_path(ref_env, n_jumps, np.random.default_rng(seed))
+    for got, want in zip((path.start_times, path.wind, path.comfort, path.durations), expected):
+        assert np.array_equal(got, want)
+
+
+def _non_birth_death_wind():
+    # a cycle 0 -> 1 -> 2 -> 0 with a shortcut 0 -> 2: not reversible
+    q = np.zeros((3, 3))
+    for src, dst, rate in ((0, 1, 0.05), (1, 2, 0.04), (2, 0, 0.03), (0, 2, 0.01)):
+        q[dst, src] += rate
+        q[src, src] -= rate
+    return MarkovEnvironment(wind_generator=q,
+                             comfort_generator=np.array([[-0.02, 0.02], [0.02, -0.02]]))
+
+
+@pytest.mark.parametrize("name", ["w3", "c3", "non_birth_death"])
+def test_path_occupation_and_holding_times(name, env_w3, env3):
+    env = {"w3": env_w3, "c3": env3, "non_birth_death": _non_birth_death_wind()}[name]
+    path = sample_environment_path(env, 200000, np.random.default_rng(11))
+    state = path.wind * env.n_comfort + path.comfort
+    assert len(state) == 200001 and np.all(path.durations > 0)
+    # every transition is one the generator allows
+    q = env.generator
+    assert np.all(q[state[1:], state[:-1]] > 0)
+    share = np.bincount(state, weights=path.durations, minlength=env.n_states)
+    assert np.abs(share / path.durations.sum() - env.stationary()).max() <= 0.008
+    for s in range(env.n_states):
+        mean_hold = path.durations[state == s].mean()
+        assert mean_hold == pytest.approx(-1.0 / q[s, s], rel=0.04)
