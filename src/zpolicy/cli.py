@@ -218,11 +218,10 @@ def cmd_simulate(cfg, out: Path, seed) -> int:
                        [np.repeat(result.trace_times, n), np.tile(np.arange(n), n_rows), x,
                         np.repeat(wind, n), np.repeat(comfort, n), grid_power, wind_power])
     if result.occupation_cdf is not None:
-        rows = []
-        for i in range(config.n_loads):
-            for e, v in zip(result.occupation_edges, result.occupation_cdf[i]):
-                rows.append((e, i, v))
-        _write_csv(out / "occupation_cdf.csv", ["x", "load", "cdf"], rows)
+        edges, n = result.occupation_edges, config.n_loads
+        _write_columns(out / "occupation_cdf.csv", ["x", "load", "cdf"],
+                       [np.tile(edges, n), np.repeat(np.arange(n), len(edges)),
+                        result.occupation_cdf])
     return 0
 
 

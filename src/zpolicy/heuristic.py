@@ -115,8 +115,6 @@ def estimate_cost(dist: PiecewiseDistribution, episode: SimulationConfig,
     time-averaged aggregate cost; no per-load temperature leaves the
     simulator (occupation and trace recording stay off).
     """
-    if episode.horizon_jumps <= 0:
-        raise ValueError("episode horizon must be positive")
     u = dist.to_threshold_distribution()
     totals = []
     for rep in range(n_replications):

@@ -18,7 +18,9 @@ the drift is piecewise constant in x, so hit times at 0, the comfort
 level and the hold point are closed-form and no Euler stepping is used.
 The flow (exact_flow) and the power classification (power_split) are
 elementwise kernels in which the load parameters broadcast per load; the
-per-load functions below, the perfect sampler and the CLI all call them.
+per-load functions below, the perfect sampler, the simulator's accounting
+and the CLI all call them.  flow_path is the same flow as a scalar
+recursion along a whole path of segments, for the simulator.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "power_draw",
     "advance_temperatures",
     "step_ensemble",
+    "flow_path",
 ]
 
 
@@ -213,6 +216,40 @@ def exact_flow(x, z, theta, h, c, ci, dt: float, wind: int):
                      np.maximum(0.0, theta - ci * np.maximum(dt - t_hit, 0.0)))
     below = np.maximum(0.0, x - ci * dt)
     return np.where(x > theta, above, below)
+
+
+def flow_path(x: float, z: float, h: float, c: float,
+              theta: list, ci: list, dt: list, wind: list) -> list[float]:
+    """Temperatures of one load at the boundaries of consecutive environment
+    segments: the entry temperature of each, then the exit of the last.
+
+    theta, ci, dt and wind give each segment's comfort level, wind cooling
+    rate, duration and wind state as Python numbers.  Each step is the
+    scalar form of exact_flow, written with the comparisons np.minimum and
+    np.maximum make, so the result is bitwise exact_flow's.
+    """
+    out = [x]
+    for th, r, d, w in zip(theta, ci, dt, wind):
+        if w == 0:
+            park = z if z <= th else th
+            if x > park:
+                y = x - c * d
+                x = park if park >= y else y
+            elif x < park:
+                y = x + h * d
+                x = park if park <= y else y
+        elif x > th:
+            t_hit = (x - th) / c
+            if d <= t_hit:
+                x = x - c * d
+            else:
+                y = th - r * (d - t_hit)
+                x = 0.0 if 0.0 >= y else y
+        else:
+            y = x - r * d
+            x = 0.0 if 0.0 >= y else y
+        out.append(x)
+    return out
 
 
 def power_split(x, z, theta, h, c, ci, wind):

@@ -1,15 +1,28 @@
 """Event-driven Monte Carlo simulation of threshold-policy ensembles.
 
 The environment path (wind and comfort jump times) is sampled first and
-shared by every load; given the path, each temperature evolves
+shared by every load.  Given the path, each temperature evolves
 deterministically by the exact piecewise-linear flow, so the only
-randomness is the common environment.  Cost accumulation uses exact
-dwell-time accounting: the total grid draw is piecewise constant between
-load events (parking arrivals, comfort-level crossings) whose times are
-closed-form, and the squared draw is integrated segment by segment with
-no sampling bias.  Occupation is likewise accumulated exactly: point
-masses as parked dwell times, moving stretches as their (uniform in x)
-time measure evaluated on a fixed grid of edges.
+randomness is the common environment, and loads with equal set-points
+follow identical trajectories.
+
+A run has two stages.  The recursion is the only sequential step: for each
+distinct set-point, model.flow_path walks the path's segments in a scalar
+loop and records the entry temperature of every segment.  The accounting
+then works on whole (segments x distinct loads) arrays, block by block,
+with each distinct load counted by its multiplicity:
+
+- grid power comes from power_split and changes at most once per load and
+  segment, so sorting each segment's event times gives the aggregate draw
+  as a step function and the integral of its square exactly;
+- discomfort, the integral of (x - Theta)^2 above the comfort level, is
+  closed-form;
+- occupation is exact: parked time per dwell location, and moving
+  stretches (uniform in x) as prefix sums evaluated on a fixed grid of
+  edges.
+
+Blocks carry the temperatures, the sums and the occupation across, so
+memory stays O(block x distinct loads) however long the path.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ import numpy as np
 from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
-from .model import LoadParams, MarkovEnvironment, advance_temperatures
+from .model import LoadParams, MarkovEnvironment, flow_path, power_split
 
 __all__ = [
     "SimulationConfig",
@@ -56,6 +69,15 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_loads < 1:
             raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
+        if self.horizon_jumps < 1:
+            raise ValueError(f"horizon_jumps must be at least 1, got {self.horizon_jumps}")
+        if not 0.0 <= self.burn_in < 1.0:
+            raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in}")
+        if not 0.0 <= self.initial_temperature < np.inf:
+            raise ValueError("initial_temperature must be finite and nonnegative, "
+                             f"got {self.initial_temperature}")
+        if self.occupation_edges < 2:
+            raise ValueError(f"occupation_edges must be at least 2, got {self.occupation_edges}")
 
     def resolve_set_points(self, params: LoadParams) -> np.ndarray:
         """Ascending set-points; InvalidSetPoint unless all lie in [0, Theta_C]."""
@@ -156,61 +178,86 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
                            durations=np.append(np.diff(starts), final))
 
 
+_BLOCK = 4096   # environment segments per accounting block
+
+
 class _Occupation:
-    """Per-load exact occupation: parked dwell dictionary plus the time
-    measure of moving stretches accumulated on a fixed edge grid."""
+    """Exact occupation of the distinct loads, accumulated block by block.
 
-    def __init__(self, n_loads: int, edges: np.ndarray):
-        self.n_loads = n_loads
+    A moving stretch from lo to hi at constant speed spends w*(min(e, hi) -
+    min(e, lo)) time at or below e, with w = duration/(hi - lo).  Summed
+    over the stretches that is e*S(e) - T(e): S sums w over the stretches
+    with lo < e less those with hi < e, and T sums w*lo and w*hi likewise.
+    S and T are binned by the first edge above lo (or hi) and summed up the
+    edges at the end.  Parked time is summed per dwell key (load, location
+    rounded to 1e-9): a load parks at min(z, Theta_k) with wind off and at
+    the floor 0 under wind.
+    """
+
+    def __init__(self, zd: np.ndarray, levels: np.ndarray, edges: np.ndarray):
+        self.zd = zd
         self.edges = edges
-        self.moving_leq = np.zeros((n_loads, len(edges)))   # time with X <= edge
-        self.dwell: dict[tuple[int, float], float] = {}
-        self.time = 0.0
-        cap = 65536
-        self._cap = cap
-        self._load = np.empty(cap, dtype=np.int64)
-        self._lo = np.empty(cap)
-        self._hi = np.empty(cap)
-        self._dur = np.empty(cap)
-        self._n = 0
+        self.n_bins = len(edges) + 1
+        self.s = np.zeros(len(zd) * self.n_bins)
+        self.t = np.zeros(len(zd) * self.n_bins)
+        # dwell slot k < C: parked at comfort level k; slot C: the floor
+        spots = np.column_stack([np.minimum.outer(zd, levels), np.zeros(len(zd))])
+        index: dict[tuple[int, float], int] = {}
+        self.slot_key = np.array([[index.setdefault((j, round(loc, 9)), len(index))
+                                   for loc in row] for j, row in enumerate(spots.tolist())])
+        self.keys = list(index)
+        self.dwell = np.zeros(len(index))
 
-    def add_dwell(self, load: int, location: float, duration: float):
-        key = (load, round(location, 9))
-        self.dwell[key] = self.dwell.get(key, 0.0) + duration
+    def add(self, x, theta, ci, dur, wind, comfort, h: float, c: float):
+        """One block: entry temperatures x (segments x distinct loads) and the
+        segments' comfort level, wind cooling rate, duration, wind and comfort
+        states as columns."""
+        off = wind == 0
+        target = np.where(off, np.minimum(self.zd, theta), theta)
+        down = x > target
+        # first stretch: to the hold point with wind off, down to Theta under wind
+        t1 = np.where(down | off,
+                      np.minimum(np.abs(x - target) / np.where(down, c, h), dur), 0.0)
+        y = np.where(down, x - c * t1, x + h * t1)
+        rem = dur - t1
+        # second stretch: under wind, down toward the floor
+        t2 = np.where(~off & (rem > 0) & (y > 0),
+                      np.minimum(y / np.where(off, np.inf, ci), rem), 0.0)
+        lo = np.stack([np.minimum(x, y), y - ci * t2])
+        hi = np.stack([np.maximum(x, y), y])
+        span, took = hi - lo, np.stack([t1, t2])
+        live = (span >= 1e-14) & (took > 0)
+        lo, hi, w = lo[live], hi[live], took[live] / span[live]
+        col = np.broadcast_to(np.arange(x.shape[1]) * self.n_bins, live.shape)[live]
+        bins = np.concatenate([np.searchsorted(self.edges, lo, side="right") + col,
+                               np.searchsorted(self.edges, hi, side="right") + col])
+        size = len(self.s)
+        self.s += np.bincount(bins, weights=np.concatenate([w, -w]), minlength=size)
+        self.t += np.bincount(bins, weights=np.concatenate([w * lo, -w * hi]), minlength=size)
+        # parked time, added in segment order after the running totals
+        parked = rem - t2
+        keys = self.slot_key.T[np.where(off, comfort, self.slot_key.shape[1] - 1).ravel()]
+        live = parked > 0
+        self.dwell = np.bincount(np.concatenate([np.arange(len(self.dwell)), keys[live]]),
+                                 weights=np.concatenate([self.dwell, parked[live]]),
+                                 minlength=len(self.dwell))
 
-    def add_moving(self, load: int, lo: float, hi: float, duration: float):
-        if hi - lo < 1e-14 or duration <= 0.0:
-            return
-        n = self._n
-        self._load[n] = load
-        self._lo[n] = lo
-        self._hi[n] = hi
-        self._dur[n] = duration
-        self._n = n + 1
-        if self._n == self._cap:
-            self.flush()
+    def cdf(self, time: float) -> np.ndarray:
+        """Occupation CDF of each distinct load at the edges (fractions of time)."""
+        s = np.cumsum(self.s.reshape(-1, self.n_bins), axis=1)[:, :-1]
+        t = np.cumsum(self.t.reshape(-1, self.n_bins), axis=1)[:, :-1]
+        out = self.edges * s - t
+        for (j, loc), v in zip(self.keys, self.dwell.tolist()):
+            out[j, self.edges >= loc - 1e-9] += v
+        return out / max(time, 1e-300)
 
-    def flush(self):
-        n = self._n
-        if n == 0:
-            return
-        load = self._load[:n]
-        lo, hi, dur = self._lo[:n], self._hi[:n], self._dur[:n]
-        frac_scale = dur / (hi - lo)
-        for ie, e in enumerate(self.edges):
-            wgt = np.clip(e - lo, 0.0, None)
-            np.minimum(wgt, hi - lo, out=wgt)
-            self.moving_leq[:, ie] += np.bincount(load, weights=wgt * frac_scale,
-                                                  minlength=self.n_loads)
-        self._n = 0
-
-    def cdf_values(self) -> np.ndarray:
-        """Per-load occupation CDF at the edges (fractions of accounted time)."""
-        self.flush()
-        out = self.moving_leq.copy()
-        for (load, loc), d in self.dwell.items():
-            out[load, self.edges >= loc - 1e-9] += d
-        return out / max(self.time, 1e-300)
+    def fractions(self, inv: np.ndarray, time: float) -> dict:
+        """(load, location) -> parked fraction of time, for every load."""
+        spots: dict[int, list] = {}
+        for (j, loc), v in zip(self.keys, self.dwell.tolist()):
+            if v > 0:
+                spots.setdefault(j, []).append((loc, v / time))
+        return {(i, loc): f for i, j in enumerate(inv.tolist()) for loc, f in spots.get(j, [])}
 
 
 @dataclass(frozen=True)
@@ -230,243 +277,91 @@ class SimulationResult:
     trace_comfort: np.ndarray | None = None
 
 
-def _run_single(path: EnvironmentPath, z0: float, env, params, config,
-                occ: _Occupation | None):
-    """Scalar fast path for one load: identical accounting, no numpy overhead."""
-    h, c = params.h, params.c
-    rates = [float(r) for r in params.wind_cooling_rates(env.n_wind)]
-    levels = params.comfort_levels
-    burn_time = config.burn_in * path.total_time
-    tr_t, tr_x, tr_w, tr_c = [], [], [], []
+def _block_costs(x, zd, weight, theta, ci, dur, wind, h: float, c: float):
+    """(integral of (sum of grid power)^2, summed integral of (x - Theta)_+^2)
+    over one block, for entry temperatures x (segments x distinct loads)
+    counted with the multiplicities ``weight``.
 
-    x = float(config.initial_temperature)
-    int_g2 = 0.0
-    int_disc = 0.0
-    t_acc = 0.0
-    wl = path.wind.tolist()
-    cl = path.comfort.tolist()
-    dl = path.durations.tolist()
-    tl = path.start_times.tolist()
-
-    for k in range(len(tl)):
-        wind = wl[k]
-        comf = cl[k]
-        dur = dl[k]
-        account = tl[k] >= burn_time
-        theta = levels[comf]
-        if account and config.record_trace:
-            tr_t.append(tl[k])
-            tr_x.append([x])
-            tr_w.append(wind)
-            tr_c.append(comf)
-
-        if account:
-            if x > theta:
-                a = x - theta
-                t_cl = a / c if a / c < dur else dur
-                int_disc += (a * a * a - (a - c * t_cl) ** 3) / (3.0 * c)
-            if wind == 0:
-                park = z0 if z0 < theta else theta
-                if x > theta:
-                    t1 = (x - theta) / c
-                    if t1 < dur:
-                        int_g2 += (h + c) ** 2 * t1 + h * h * (dur - t1)
-                    else:
-                        int_g2 += (h + c) ** 2 * dur
-                elif x < park:
-                    t1 = (park - x) / h
-                    if t1 < dur:
-                        int_g2 += h * h * (dur - t1)
-                else:
-                    int_g2 += h * h * dur
-            else:
-                s_i = c - rates[wind]
-                if s_i > 0 and x > theta:
-                    t1 = (x - theta) / c
-                    int_g2 += s_i * s_i * (t1 if t1 < dur else dur)
-            t_acc += dur
-            if occ is not None:
-                occ.time += dur
-                _record_occupation(occ, np.array([x]), np.array([z0]),
-                                   wind, comf, dur, params, rates)
-        # exact scalar flow
-        if wind == 0:
-            park = z0 if z0 < theta else theta
-            if x > park:
-                x = max(park, x - c * dur)
-            elif x < park:
-                x = min(park, x + h * dur)
-        else:
-            ci = rates[wind]
-            if x > theta:
-                t_hit = (x - theta) / c
-                x = x - c * dur if dur <= t_hit else max(0.0, theta - ci * (dur - t_hit))
-            else:
-                x = max(0.0, x - ci * dur)
-    return x, int_g2, int_disc, t_acc, tr_t, tr_x, tr_w, tr_c
+    A load's grid power (power_split) changes at most once in a segment,
+    when it reaches its target: the hold point with wind off, Theta under
+    wind.  Sorting each row's event times makes the aggregate piecewise
+    constant between them.
+    """
+    target = np.where(wind == 0, np.minimum(zd, theta), theta)
+    _, g0 = power_split(x, zd, theta, h, c, ci, wind)
+    _, g1 = power_split(target, zd, theta, h, c, ci, wind)
+    event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
+    order = np.argsort(event, axis=1)
+    steps = np.take_along_axis((g1 - g0) * weight, order, axis=1)
+    level = np.cumsum(np.concatenate([(g0 @ weight)[:, None], steps], axis=1), axis=1)
+    width = np.diff(np.take_along_axis(event, order, axis=1), axis=1, prepend=0.0, append=dur)
+    # above Theta a load cools at c: the integral of (a - c t)^2 in closed form
+    a = np.maximum(x - theta, 0.0)
+    cooled = a - c * np.minimum(a / c, dur)
+    return (float(np.sum(level * level * width)),
+            float(np.sum((a * a * a - cooled * cooled * cooled) @ weight)) / (3.0 * c))
 
 
 def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParams,
              gamma: float) -> SimulationResult:
-    """Run one replication; deterministic given the config seed."""
+    """Run one replication; deterministic given the config seed.
+
+    Loads with equal set-points follow one trajectory, so the recursion and
+    the accounting run once per distinct set-point, counted by multiplicity.
+    """
     rng = np.random.default_rng(config.seed)
     z = config.resolve_set_points(params)
     path = sample_environment_path(env, config.horizon_jumps, rng)
-    n = config.n_loads
+    zd, inv = np.unique(z, return_inverse=True)
+    weight = np.bincount(inv).astype(float)
     h, c = params.h, params.c
-    rates = params.wind_cooling_rates(env.n_wind)
-    levels = params.comfort_levels
-
-    burn_time = config.burn_in * path.total_time
-    occ = _Occupation(n, np.linspace(0.0, params.theta_max, config.occupation_edges)) \
+    levels = np.asarray(params.comfort_levels)
+    theta = levels[path.comfort]
+    ci = params.wind_cooling_rates(env.n_wind)[path.wind]
+    n_seg = len(path.start_times)
+    first = int(np.searchsorted(path.start_times, config.burn_in * path.total_time))
+    occ = _Occupation(zd, levels, np.linspace(0.0, params.theta_max, config.occupation_edges)) \
         if config.record_occupation else None
-    tr_t, tr_x, tr_w, tr_c = [], [], [], []
 
-    if n == 1:
-        _, int_g2, int_disc, t_acc, tr_t, tr_x, tr_w, tr_c = _run_single(
-            path, float(z[0]), env, params, config, occ)
+    x = [float(config.initial_temperature)] * len(zd)
+    int_g2 = int_disc = 0.0
+    trace = [np.empty((0, config.n_loads))]
+    for s in range(0, n_seg, _BLOCK):
+        segs = [a[s:s + _BLOCK].tolist() for a in (theta, ci, path.durations, path.wind)]
+        runs = [flow_path(x0, zj, h, c, *segs) for x0, zj in zip(x, zd.tolist())]
+        x = [run[-1] for run in runs]
+        skip = max(first - s, 0)
+        if skip >= len(segs[0]):
+            continue                                  # burn-in only
+        xs = np.ascontiguousarray(np.array([run[skip:-1] for run in runs]).T)
+        acc = slice(s + skip, s + len(segs[0]))
+        cols = [a[acc, None] for a in (theta, ci, path.durations, path.wind)]
+        g2, disc = _block_costs(xs, zd, weight, *cols, h, c)
+        int_g2 += g2
+        int_disc += disc
         if occ is not None:
-            occ.flush()
-        power = int_g2 / max(t_acc, 1e-300)
-        disc = int_disc / max(t_acc, 1e-300)
-        report = CostReport(power_cost=power, discomfort_cost=disc, gamma=gamma)
-        return SimulationResult(
-            empirical_cost=report, set_points=z, total_time=path.total_time,
-            accounted_time=t_acc, n_segments=len(path.start_times), seed=config.seed,
-            occupation_edges=occ.edges if occ else None,
-            occupation_cdf=occ.cdf_values() if occ else None,
-            dwell_fractions=({k2: v / occ.time for k2, v in occ.dwell.items()}
-                             if occ else None),
-            trace_times=np.array(tr_t) if config.record_trace else None,
-            trace_x=np.array(tr_x) if config.record_trace else None,
-            trace_wind=np.array(tr_w) if config.record_trace else None,
-            trace_comfort=np.array(tr_c) if config.record_trace else None,
-        )
+            occ.add(xs, *cols, path.comfort[acc, None], h, c)
+        if config.record_trace:
+            trace.append(xs[:, inv])
 
-    x = np.full(n, float(config.initial_temperature))
-    int_g2 = 0.0
-    int_disc = 0.0
-    t_acc = 0.0
-
-    wind_arr = path.wind
-    comf_arr = path.comfort
-    dur_arr = path.durations
-    t_arr = path.start_times
-
-    for k in range(len(t_arr)):
-        wind = int(wind_arr[k])
-        comf = int(comf_arr[k])
-        dur = float(dur_arr[k])
-        account = t_arr[k] >= burn_time
-        theta = levels[comf]
-
-        if account and config.record_trace:
-            tr_t.append(t_arr[k])
-            tr_x.append(x.copy())
-            tr_w.append(wind)
-            tr_c.append(comf)
-
-        viol = x > theta
-        if wind == 0:
-            park = np.minimum(z, theta)
-            heating = x < park
-            parked = ~viol & ~heating
-            g0 = (h + c) * int(viol.sum()) + h * int(parked.sum())
-            ev_t = np.concatenate([(park[heating] - x[heating]) / h,
-                                   (x[viol] - theta) / c])
-            ev_d = np.concatenate([np.full(int(heating.sum()), h),
-                                   np.full(int(viol.sum()), -c)])
-        else:
-            ci = float(rates[wind])
-            s_i = c - ci
-            g0 = s_i * int(viol.sum())
-            if s_i > 0:
-                ev_t = (x[viol] - theta) / c
-                ev_d = np.full(int(viol.sum()), -s_i)
-            else:
-                ev_t = np.empty(0)
-                ev_d = np.empty(0)
-
-        if account:
-            live = ev_t < dur
-            if live.any():
-                order = np.argsort(ev_t[live], kind="stable")
-                ts = ev_t[live][order]
-                gs = g0 + np.concatenate([[0.0], np.cumsum(ev_d[live][order])])
-                bounds = np.concatenate([[0.0], ts, [dur]])
-                int_g2 += float(gs @ (np.diff(bounds) * gs))
-            else:
-                int_g2 += g0 * g0 * dur
-            if viol.any():
-                a = x[viol] - theta
-                t_cl = np.minimum(a / c, dur)
-                int_disc += float(np.sum((a**3 - (a - c * t_cl) ** 3) / (3.0 * c)))
-            t_acc += dur
-
-            if occ is not None:
-                occ.time += dur
-                _record_occupation(occ, x, z, wind, comf, dur, params, rates)
-
-        x = advance_temperatures(x, z, wind, comf, dur, params, n_wind=env.n_wind)
-
-    if occ is not None:
-        occ.flush()
-
-    power = int_g2 / max(t_acc, 1e-300) / n**2
-    disc = int_disc / max(t_acc, 1e-300) / n
-    report = CostReport(power_cost=power, discomfort_cost=disc, gamma=gamma)
+    # accounted time, summed in segment order as the parked totals are: a
+    # load that never moves has an occupation CDF of exactly 1
+    t_acc = float(np.cumsum(path.durations[first:])[-1]) if first < n_seg else 0.0
+    n = config.n_loads
+    report = CostReport(power_cost=int_g2 / max(t_acc, 1e-300) / n**2,
+                        discomfort_cost=int_disc / max(t_acc, 1e-300) / n, gamma=gamma)
+    recorded = config.record_trace
     return SimulationResult(
         empirical_cost=report, set_points=z, total_time=path.total_time,
-        accounted_time=t_acc, n_segments=len(t_arr), seed=config.seed,
+        accounted_time=t_acc, n_segments=n_seg, seed=config.seed,
         occupation_edges=occ.edges if occ else None,
-        occupation_cdf=occ.cdf_values() if occ else None,
-        dwell_fractions=({k2: v / occ.time for k2, v in occ.dwell.items()}
-                         if occ else None),
-        trace_times=np.array(tr_t) if config.record_trace else None,
-        trace_x=np.array(tr_x) if config.record_trace else None,
-        trace_wind=np.array(tr_w) if config.record_trace else None,
-        trace_comfort=np.array(tr_c) if config.record_trace else None,
+        occupation_cdf=occ.cdf(t_acc)[inv] if occ else None,
+        dwell_fractions=occ.fractions(inv, t_acc) if occ else None,
+        trace_times=path.start_times[first:] if recorded else None,
+        trace_x=np.concatenate(trace) if recorded else None,
+        trace_wind=path.wind[first:] if recorded else None,
+        trace_comfort=path.comfort[first:] if recorded else None,
     )
-
-
-def _record_occupation(occ: _Occupation, x, z, wind, comf, dur, params, rates):
-    h, c = params.h, params.c
-    theta = params.comfort_levels[comf]
-    for i in range(len(x)):
-        xi = float(x[i])
-        rem = dur
-        if wind == 0:
-            park = min(float(z[i]), theta)
-            if xi > park:
-                t1 = min((xi - park) / c, rem)
-                occ.add_moving(i, xi - c * t1, xi, t1)
-                xi = xi - c * t1 if t1 < rem else park
-                rem -= t1
-            elif xi < park:
-                t1 = min((park - xi) / h, rem)
-                occ.add_moving(i, xi, xi + h * t1, t1)
-                rem -= t1
-                xi = xi + h * t1 if rem <= 0 else park
-            if rem > 0:
-                occ.add_dwell(i, xi, rem)
-        else:
-            if xi > theta:
-                t1 = min((xi - theta) / c, rem)
-                occ.add_moving(i, xi - c * t1, xi, t1)
-                xi = xi - c * t1 if t1 < rem else theta
-                rem -= t1
-                if rem <= 0:
-                    continue
-            ci = float(rates[wind])
-            if ci <= 0:
-                occ.add_dwell(i, xi, rem)
-                continue
-            if xi > 0:
-                t1 = min(xi / ci, rem)
-                occ.add_moving(i, xi - ci * t1, xi, t1)
-                rem -= t1
-            if rem > 0:
-                occ.add_dwell(i, 0.0, rem)
 
 
 def empirical_cdf(result: SimulationResult):

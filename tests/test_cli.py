@@ -224,6 +224,12 @@ def test_deterministic_outputs_across_commands(tmp_path):
     ({"n_loads": 0, "horizon_jumps": 100}, 1),
     ({"n_loads": 1, "horizon_jumps": 100, "set_points": [150.0]}, 2),
     ({"n_loads": 1, "horizon_jumps": 100, "set_points": [float("nan")]}, 2),
+    ({"n_loads": 1, "horizon_jumps": 0}, 1),
+    ({"n_loads": 1, "horizon_jumps": -5}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "burn_in": 1.0}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "burn_in": 1.5}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "burn_in": -0.1}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "burn_in": float("nan")}, 1),
 ])
 def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
     cfg = _write_config(tmp_path, simulation=simulation)
@@ -305,3 +311,24 @@ def test_trace_matches_row_by_row_power_draw(tmp_path):
                                        "grid_power", "wind_power"], rows)
     assert top_ups > 0
     assert (out / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_occupation_csv_matches_row_by_row_writer(tmp_path):
+    from zpolicy.cli import _write_csv
+    cfg = _write_config(tmp_path, simulation={
+        "n_loads": 100, "horizon_jumps": 300, "seed": 4,
+        "set_points": [float(z) for z in np.linspace(30.0, 100.0, 100)]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    from zpolicy import SimulationConfig, simulate
+    from zpolicy.cli import _build, load_config
+    env, params = _build(load_config(str(cfg)))
+    res = simulate(SimulationConfig(n_loads=100, horizon_jumps=300, seed=4,
+                                    set_points=np.linspace(30.0, 100.0, 100),
+                                    record_occupation=True), env, params, 0.1)
+    rows = [(e, i, v) for i in range(100)
+            for e, v in zip(res.occupation_edges, res.occupation_cdf[i])]
+    assert len(rows) == 100 * 401
+    _write_csv(tmp_path / "rows.csv", ["x", "load", "cdf"], rows)
+    assert (out / "occupation_cdf.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -49,8 +49,9 @@ def test_monotonicity_enforced():
 def test_estimate_cost_zero_length_episode(ref_env, ref_params):
     dist = PiecewiseDistribution(level=0, alphas=np.array([1.0]),
                                  domain=(0.0, 100.0))
-    episode = SimulationConfig(n_loads=10, horizon_jumps=0, seed=0)
+    # the episode config rejects the zero horizon itself
     with pytest.raises(ValueError):
+        episode = SimulationConfig(n_loads=10, horizon_jumps=0, seed=0)
         estimate_cost(dist, episode, ref_env, ref_params, GAMMA_REF)
 
 

@@ -229,3 +229,41 @@ def test_kernels_broadcast_per_load_parameters():
             assert flowed[i] == one[0]
             draw = power_draw(LoadState(x[i], z[i]), wind, comfort[i], p, n_wind)
             assert (wind_power[i], grid_power[i]) == (draw.wind_power, draw.grid_power)
+
+
+@pytest.mark.parametrize("wind_rates, levels", [
+    ((0.04, 0.04), (50.0, 100.0)),
+    ([(0.04, 0.04), (0.04, 0.04)], (50.0, 100.0)),
+    ((0.04, 0.04), (40.0, 70.0, 100.0)),
+])
+def test_flow_path_matches_exact_flow_bitwise(wind_rates, levels):
+    # the scalar recursion along a path equals exact_flow segment by
+    # segment, signed zeros included, from parked, floor, violating and
+    # out-of-band starts
+    from zpolicy.model import exact_flow, flow_path
+    rng = np.random.default_rng(12)
+    params = LoadParams(1.0, 1.1, levels)
+    n_wind = build_environment(wind_rates, (0.02, 0.02)).n_wind
+    rates = params.wind_cooling_rates(n_wind)
+    seen = {"parked": 0, "floor": 0, "above": 0, "crossing": 0}
+    for _ in range(60):
+        n = 200
+        wind = rng.integers(n_wind, size=n)
+        theta = np.asarray(levels)[rng.integers(len(levels), size=n)]
+        dt = rng.exponential(1.0, n) * 10.0 ** rng.integers(-3, 3, size=n)
+        z = float(rng.choice([rng.uniform(0.0, 100.0), 0.0, levels[0], 100.0]))
+        x0 = float(rng.choice([z, 0.0, rng.uniform(0.0, 100.0)]))
+        got = flow_path(x0, z, params.h, params.c, theta.tolist(),
+                        rates[wind].tolist(), dt.tolist(), wind.tolist())
+        want = [np.float64(x0)]
+        for k in range(n):
+            want.append(exact_flow(want[-1], z, theta[k], params.h, params.c,
+                                   rates[wind[k]], dt[k], int(wind[k])))
+        assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+        x = np.array(got)
+        park = np.where(wind == 0, np.minimum(z, theta), np.nan)
+        seen["parked"] += int(np.sum(x[:-1] == park))
+        seen["floor"] += int(np.sum((x[:-1] == 0.0) & (wind > 0)))
+        seen["above"] += int(np.sum(x[:-1] > theta))
+        seen["crossing"] += int(np.sum((x[:-1] > theta) & (x[1:] < theta)))
+    assert min(seen.values()) > 0

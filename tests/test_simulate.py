@@ -228,3 +228,111 @@ def test_path_occupation_and_holding_times(name, env_w3, env3):
     for s in range(env.n_states):
         mean_hold = path.durations[state == s].mean()
         assert mean_hold == pytest.approx(-1.0 / q[s, s], rel=0.04)
+
+
+# --- the recursion/accounting split against the frozen per-segment simulator
+
+
+def _case(name, env_w3, env3, params3, ref_env, ref_params):
+    return {"ref": (ref_env, ref_params), "w3": (env_w3, ref_params),
+            "c3": (env3, params3)}[name]
+
+
+@pytest.mark.parametrize("n_loads, jumps", [(1, 20000), (3, 5000), (100, 1500)])
+@pytest.mark.parametrize("name", ["ref", "w3", "c3"])
+def test_matches_frozen_reference(name, n_loads, jumps, env_w3, env3, params3,
+                                  ref_env, ref_params):
+    from reference_simulate import reference_simulate
+    env, params = _case(name, env_w3, env3, params3, ref_env, ref_params)
+    rng = np.random.default_rng(n_loads)
+    if n_loads == 1:
+        z = np.array([90.0])
+    elif n_loads == 3:
+        z = np.array([65.0, 65.0, 90.0])            # one duplicated set-point
+    else:                                           # duplicates and comfort levels
+        z = np.concatenate([np.round(rng.uniform(20.0, 100.0, 90)),
+                            params.comfort_levels[:1] * 5, [100.0] * 5])
+    for initial, burn_in in ((0.0, 0.1), (float(z.min()), 0.3)):
+        cfg = SimulationConfig(n_loads=n_loads, horizon_jumps=jumps, seed=17,
+                               set_points=z, record_occupation=True, record_trace=True,
+                               initial_temperature=initial, burn_in=burn_in)
+        got = simulate(cfg, env, params, GAMMA_REF)
+        want = reference_simulate(cfg, env, params, GAMMA_REF)
+        for part in ("power_cost", "discomfort_cost"):
+            assert getattr(got.empirical_cost, part) == pytest.approx(
+                getattr(want.empirical_cost, part), rel=1e-12, abs=0.0)
+        assert (got.total_time, got.accounted_time, got.n_segments) == \
+            (want.total_time, want.accounted_time, want.n_segments)
+        assert np.abs(got.occupation_cdf - want.occupation_cdf).max() <= 1e-10
+        assert set(got.dwell_fractions) == set(want.dwell_fractions)
+        for key, value in want.dwell_fractions.items():
+            assert got.dwell_fractions[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert got.trace_x.tobytes() == want.trace_x.tobytes()
+        for field in ("trace_times", "trace_wind", "trace_comfort"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_block_boundaries_do_not_change_results(monkeypatch, env_w3, ref_params):
+    # blocks of 7 segments carry the temperatures, sums and occupation
+    # across 700 boundaries, with the burn-in ending inside a block
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    cfg = SimulationConfig(n_loads=4, horizon_jumps=5000, seed=9,
+                           set_points=np.array([55.0, 70.0, 70.0, 95.0]),
+                           record_occupation=True, record_trace=True, burn_in=0.25)
+    whole = simulate(cfg, env_w3, ref_params, GAMMA_REF)
+    monkeypatch.setattr(module, "_BLOCK", 7)
+    blocked = simulate(cfg, env_w3, ref_params, GAMMA_REF)
+    assert blocked.empirical_cost.total == pytest.approx(whole.empirical_cost.total,
+                                                         rel=1e-12)
+    assert np.abs(blocked.occupation_cdf - whole.occupation_cdf).max() <= 1e-12
+    assert blocked.dwell_fractions == whole.dwell_fractions
+    assert blocked.trace_x.tobytes() == whole.trace_x.tobytes()
+    assert blocked.accounted_time == whole.accounted_time
+
+
+def _quadrature_costs(env, params, z, x0, seed, jumps, steps=20000):
+    # midpoint rule over every segment: power_split along exact_flow
+    from zpolicy import sample_environment_path
+    from zpolicy.model import exact_flow, power_split
+    path = sample_environment_path(env, jumps, np.random.default_rng(seed))
+    rates = params.wind_cooling_rates(env.n_wind)
+    x, g2, disc = np.full(len(z), x0), 0.0, 0.0
+    for wind, comfort, dur in zip(path.wind.tolist(), path.comfort.tolist(),
+                                  path.durations.tolist()):
+        args = (params.comfort_levels[comfort], params.h, params.c, rates[wind])
+        mid = (np.arange(steps) + 0.5) * dur / steps
+        xm = exact_flow(x, z, *args, mid[:, None], wind)
+        _, grid = power_split(xm, z, *args, wind)
+        g2 += np.sum(grid.sum(axis=1) ** 2) * dur / steps
+        disc += np.sum(np.maximum(xm - args[0], 0.0) ** 2) * dur / steps
+        x = exact_flow(x, z, *args, dur, wind)
+    t = path.total_time
+    return g2 / t / len(z) ** 2, disc / t / len(z)
+
+
+@pytest.mark.parametrize("initial", [45.0, 60.0])
+@pytest.mark.parametrize("z", [[30.0], [30.0, 70.0]])
+def test_costs_of_load_above_set_point_match_quadrature(z, initial, ref_env, ref_params):
+    # a load that starts above its set-point with wind off cools at c and
+    # draws h + c until it parks; from 60 it also starts above Theta_1
+    z = np.array(z)
+    cfg = SimulationConfig(n_loads=len(z), horizon_jumps=5, seed=3, set_points=z,
+                           initial_temperature=initial, burn_in=0.0)
+    res = simulate(cfg, ref_env, ref_params, gamma=1.0)
+    power, disc = _quadrature_costs(ref_env, ref_params, z, initial, 3, 5)
+    assert res.empirical_cost.power_cost == pytest.approx(power, rel=1e-4)
+    assert res.empirical_cost.discomfort_cost == pytest.approx(disc, rel=1e-4, abs=1e-12)
+
+
+@pytest.mark.parametrize("change", [
+    {"horizon_jumps": 0}, {"horizon_jumps": -5},
+    {"burn_in": 1.0}, {"burn_in": 1.5}, {"burn_in": -0.1},
+    {"burn_in": float("nan")}, {"burn_in": float("inf")},
+    {"initial_temperature": -1.0}, {"initial_temperature": float("nan")},
+    {"initial_temperature": float("inf")},
+    {"occupation_edges": 1}, {"occupation_edges": 0},
+])
+def test_config_rejects_bad_horizon_burn_in_start_and_edges(change):
+    with pytest.raises(ValueError):
+        SimulationConfig(**{"n_loads": 2, "horizon_jumps": 100, "seed": 0, **change})
