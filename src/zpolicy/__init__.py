@@ -26,7 +26,7 @@ from .simulate import (
     check_dominance, sample_environment_path, child_seed,
 )
 from .cftp import (
-    CftpConfig, JointSample, cftp_sample, estimate_joint_cost,
+    CftpConfig, JointSample, cftp_sample, cftp_samples, estimate_joint_cost,
     smooth_distribution, optimize_thresholds,
 )
 from .heuristic import (

@@ -8,9 +8,7 @@ parameters.  Given the environment path, each temperature evolves by the
 model's deterministic monotone flow, so the coupling needs no per-load
 randomness: the top chain starts every load at its highest comfort level,
 the bottom chain at zero, and both replay the identical environment from
-time -T, doubling T until the two flows meet at time 0.  Each segment of
-the path advances the stacked (top, bottom) vector of all loads with one
-call to ``model.exact_flow``.
+time -T, doubling T until the two flows meet at time 0.
 
 The environment chains are birth-death and hence reversible, so the path
 seen backward from a stationary time is again a chain with the same
@@ -19,7 +17,18 @@ path is extended into the past by the simulator's factor-chain sampler
 run in reversed time.  Doubling the horizon appends older jumps to the
 cached path and never alters the randomness already used, which is
 exactly the replay discipline coupling from the past requires.
-CftpConfig validates itself on construction.
+
+Draws run in lockstep.  Every draw owns its random generator and reads it
+in the order a draw on its own would, so a sample does not depend on which
+other draws share its batch.  In each doubling round the segments of all
+unfinished draws are laid out on one grid, oldest first and aligned at
+time 0, and step k advances segment k of every draw with one call to
+``model.exact_flow`` on the (top, bottom) temperatures of all loads and
+draws; a draw with fewer segments is padded at the old end with
+zero-length segments, which the flow maps to themselves.  Draws that have
+coalesced leave, and only the rest double their horizon.  The chains'
+tables and stationary laws are built once per config.  CftpConfig
+validates itself on construction.
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from .errors import EmptySamples, NoCoalescence
 from .model import (
     LoadParams, _birth_death_generator, exact_flow, power_split, stationary_law,
 )
-from .simulate import _factor_path, child_seed
+from .simulate import _FactorChain, _factor_path, child_seed
 
 __all__ = [
     "CftpConfig",
     "JointSample",
     "cftp_sample",
+    "cftp_samples",
     "estimate_joint_cost",
     "smooth_distribution",
     "optimize_thresholds",
@@ -47,6 +57,7 @@ __all__ = [
 
 _COALESCE_TOL = 1e-9
 _CHUNK = 64          # backward jumps drawn per chain extension
+_BLOCK = 2048        # draws x loads advanced in lockstep
 
 
 @dataclass(frozen=True)
@@ -116,62 +127,169 @@ class JointSample:
     horizon: float               # past horizon that achieved coalescence
 
 
-def _extend(chain: tuple, generator: np.ndarray, age: float,
+def _extend(path: tuple, chain: _FactorChain, age: float,
             rng: np.random.Generator) -> tuple:
     """Jump ages and states of a backward chain, extended with fresh jumps
     until it covers ``age``; the jumps already drawn are kept."""
-    ages, states = chain
+    ages, states = path
     while ages[-1] < age:
-        more, new = _factor_path(generator, int(states[-1]), _CHUNK, rng)
+        more, new = _factor_path(chain, int(states[-1]), _CHUNK, rng)
         ages = np.concatenate([ages, ages[-1] + more])
         states = np.concatenate([states, new[1:]])
     return ages, states
 
 
+def _segments(paths: list, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The segments that tile [-horizon, 0] in each draw's backward paths
+    (paths[d][j]: the jump ages of chain j in draw d, 0 first, and its
+    states): the state of every chain (steps x chains x draws) and the
+    durations (steps x draws), oldest first.  Every draw ends its last step
+    at time 0; a draw with fewer segments is padded at the old end with
+    zero durations in state 0.
+
+    A segment starts at each distinct jump age below the horizon, and a
+    chain's state on it is the one after its last jump at or before that
+    age, so the segments are those of each draw on its own.
+    """
+    n_draws, n_chains = len(paths), len(paths[0])
+    flat = [p for per_draw in paths for p in per_draw]
+    ages = np.concatenate([a for a, _ in flat])
+    keep = ages < horizon
+    entry = np.concatenate([s for _, s in flat])[keep]
+    ages = ages[keep]
+    draw, chain = np.divmod(np.repeat(np.arange(len(flat)), [len(a) for a, _ in flat])[keep],
+                            n_chains)
+    # by draw, age and chain; stable, so a chain's jumps keep their order
+    order = np.lexsort((chain, ages, draw))
+    ages, entry, draw, chain = ages[order], entry[order], draw[order], chain[order]
+    starts = np.ones(len(ages), dtype=bool)
+    starts[1:] = (draw[1:] != draw[:-1]) | (ages[1:] != ages[:-1])
+    seg = np.cumsum(starts) - 1
+    # the last entry of each chain in each segment, carried forward through
+    # the segments where the chain does not jump (every chain has an entry
+    # at age 0, so nothing is carried from one draw into the next)
+    last = np.ones(len(ages), dtype=bool)
+    last[:-1] = starts[1:] | (chain[1:] != chain[:-1])
+    pick = np.zeros((seg[-1] + 1, n_chains), dtype=np.int64)
+    pick[seg[last], chain[last]] = np.flatnonzero(last)
+    state = entry[np.maximum.accumulate(pick, axis=0)]
+    bounds, owner = ages[starts], draw[starts]
+    ends = np.append(bounds[1:], horizon)
+    ends[:-1][owner[1:] != owner[:-1]] = horizon
+    # step of each segment, counted back from the newest (age 0) of its draw
+    first = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
+    back = np.arange(len(bounds)) - first[owner]
+    n_steps = back.max() + 1
+    steps = np.zeros((n_steps, n_chains, n_draws), dtype=np.int64)
+    dt = np.zeros((n_steps, n_draws))
+    steps[n_steps - 1 - back, :, owner] = state
+    dt[n_steps - 1 - back, owner] = ends - bounds
+    return steps, dt
+
+
+class _Coupling:
+    """What every draw of one config shares: the factor chains (wind first,
+    then the comfort chains) and the cumulative sums of their stationary
+    laws, the per-load parameters and the first horizon."""
+
+    def __init__(self, config: CftpConfig):
+        comfort_rates = config.comfort_rates[:1] if config.shared_comfort \
+            else config.comfort_rates
+        generators = [_birth_death_generator(r) for r in (config.wind_rates, *comfort_rates)]
+        # equal generators (as the comfort chains usually are) share one table
+        built: dict = {}
+        for q in generators:
+            if q.tobytes() not in built:
+                cdf = np.cumsum(stationary_law(q))
+                built[q.tobytes()] = (_FactorChain(q), cdf / cdf[-1])
+        self.chains = [built[q.tobytes()][0] for q in generators]
+        # cdfs[j, k]: P(chain j is in a state <= k), padded with inf
+        self.cdfs = np.full((len(generators), max(len(q) for q in generators)), np.inf)
+        for j, q in enumerate(generators):
+            self.cdfs[j, :len(q)] = built[q.tobytes()][1]
+        self.h, self.c, self.z, self.levels, self.rates = config._tables()
+        n = config.n_loads
+        self.loads = np.arange(n)
+        # the comfort chain of each load
+        self.owner = 1 + (np.zeros(n, dtype=np.int64) if config.shared_comfort else self.loads)
+        self.top = np.array([p.theta_max for p in config.load_params])
+        if config.initial_horizon is not None:
+            self.horizon = float(config.initial_horizon)
+        else:
+            self.horizon = 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
+        self.max_doublings = config.max_doublings
+
+    def draw(self, rngs: list) -> list[JointSample]:
+        """One block of draws in lockstep; draw d reads only rngs[d].
+
+        Raises NoCoalescence if any draw exhausts its horizons.
+        """
+        n, loads = len(self.loads), self.loads
+        # the state at time 0 of each chain: its stationary law's inverse
+        # CDF at one uniform per chain (the draw Generator.choice makes)
+        u = np.array([rng.random(len(self.chains)) for rng in rngs])
+        now = (self.cdfs <= u[:, :, None]).sum(axis=2)
+        # per draw, per chain: (ages of its backward jumps, with 0 first; its states)
+        paths = [[(np.zeros(1), s[j:j + 1]) for j in range(len(s))] for s in now]
+        samples: list = [None] * len(rngs)
+        pending = list(range(len(rngs)))
+        horizon = self.horizon
+        for _ in range(self.max_doublings):
+            for d in pending:
+                paths[d] = [_extend(p, ch, horizon, rngs[d])
+                            for p, ch in zip(paths[d], self.chains)]
+            state, dt = _segments([paths[d] for d in pending], horizon)
+            wind = state[:, 0]
+            theta = self.levels[loads[:, None], state[:, self.owner]]
+            ci = self.rates[loads[:, None], wind[:, None]]
+            # x[0] holds the top chains and x[1] the bottom ones, as
+            # (loads x draws); the load parameters are spread to that shape
+            # once, so that every step works on whole contiguous arrays
+            shape = (2, n, len(pending))
+            z, h, c = (np.ascontiguousarray(np.broadcast_to(v[:, None], shape))
+                       for v in (self.z, self.h, self.c))
+            x = np.zeros(shape)
+            x[0] = self.top[:, None]
+            for k in range(len(dt)):
+                x = exact_flow(x, z, theta[k], h, c, ci[k], dt[k], wind[k])
+                if (x[1] > x[0] + 1e-12).any():
+                    raise AssertionError("sandwich violated; flow is not monotone")
+            met = np.all(x[0] - x[1] <= _COALESCE_TOL, axis=0)
+            for j in np.flatnonzero(met).tolist():
+                d = pending[j]
+                samples[d] = JointSample(temperatures=x[0, :, j].copy(), wind=int(now[d, 0]),
+                                         comfort=now[d, self.owner], horizon=horizon)
+            pending = [d for d, m in zip(pending, met.tolist()) if not m]
+            if not pending:
+                return samples
+            horizon *= 2.0
+        raise NoCoalescence(f"no coalescence by horizon {horizon}")
+
+
+def cftp_samples(config: CftpConfig, rngs) -> list[JointSample]:
+    """Exact draws from the joint stationary distribution, one per random
+    generator in ``rngs``.
+
+    Draws run in lockstep, in blocks of _BLOCK // n_loads draws (at least
+    one), which bounds the memory a block takes.  Each reads only its own
+    generator, in the order a draw on its own would, so a sample does not
+    depend on the other draws or on the blocking.  Raises NoCoalescence if
+    any draw exhausts max_doublings horizons.
+    """
+    rngs = list(rngs)
+    coupling = _Coupling(config)
+    size = max(1, _BLOCK // config.n_loads)
+    return [s for b in range(0, len(rngs), size) for s in coupling.draw(rngs[b:b + size])]
+
+
 def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> JointSample:
-    """One exact draw from the joint stationary distribution.
+    """One exact draw from the joint stationary distribution (a batch of
+    one of cftp_samples, seeded by the config unless rng is given).
 
     Raises NoCoalescence if max_doublings horizons are exhausted.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    n = config.n_loads
-    comfort_rates = config.comfort_rates[:1] if config.shared_comfort else config.comfort_rates
-    generators = [_birth_death_generator(r) for r in (config.wind_rates, *comfort_rates)]
-    # each chain: (ages of its backward jumps, with 0 first; its states)
-    chains = [(np.zeros(1), np.array([rng.choice(len(q), p=stationary_law(q))]))
-              for q in generators]
-    h, c, z, levels, rates = config._tables()
-    loads = np.arange(n)
-    owner = 1 + (np.zeros_like(loads) if config.shared_comfort else loads)  # comfort chain per load
-    h2, c2, z2 = (np.concatenate([v, v]) for v in (h, c, z))
-    top = np.array([p.theta_max for p in config.load_params])
-
-    if config.initial_horizon is not None:
-        horizon = float(config.initial_horizon)
-    else:
-        horizon = 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
-
-    for _ in range(config.max_doublings):
-        chains = [_extend(ch, q, horizon, rng) for ch, q in zip(chains, generators)]
-        bounds = np.unique(np.concatenate([[horizon]] + [a[a < horizon] for a, _ in chains]))
-        mid = 0.5 * (bounds[:-1] + bounds[1:])
-        # state of every chain on every segment, oldest segment last
-        seg = np.array([s[np.searchsorted(a, mid) - 1] for a, s in chains]).T[::-1]
-        wind = seg[:, 0]
-        theta = np.tile(levels[loads, seg[:, owner]], 2)
-        ci = np.tile(rates[loads, wind[:, None]], 2)
-        x = np.concatenate([top, np.zeros(n)])
-        for k, (w, dt) in enumerate(zip(wind.tolist(), np.diff(bounds)[::-1].tolist())):
-            x = exact_flow(x, z2, theta[k], h2, c2, ci[k], dt, w)
-            if (x[n:] > x[:n] + 1e-12).any():
-                raise AssertionError("sandwich violated; flow is not monotone")
-        if np.all(x[:n] - x[n:] <= _COALESCE_TOL):
-            now = np.array([s[0] for _, s in chains])
-            return JointSample(temperatures=x[:n].copy(), wind=int(now[0]),
-                               comfort=now[owner], horizon=horizon)
-        horizon *= 2.0
-    raise NoCoalescence(f"no coalescence by horizon {horizon}")
+    return cftp_samples(config, [rng if rng is not None else
+                                 np.random.default_rng(config.seed)])[0]
 
 
 def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
@@ -247,8 +365,8 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
 
     def report(zv: np.ndarray) -> CostReport:
         cfg = replace(config, set_points=tuple(float(v) for v in zv))
-        samples = [cftp_sample(cfg, np.random.default_rng(child_seed(config.seed, k)))
-                   for k in range(n_samples)]
+        samples = cftp_samples(cfg, [np.random.default_rng(child_seed(config.seed, k))
+                                     for k in range(n_samples)])
         return estimate_joint_cost(samples, cfg, gamma)
 
     best = report(z).total

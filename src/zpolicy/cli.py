@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, errors
-from .cftp import CftpConfig, cftp_sample, estimate_joint_cost, smooth_distribution
+from .cftp import CftpConfig, cftp_samples, estimate_joint_cost, smooth_distribution
 from .costs import continuum_cost, default_z_grid, sensitivity_curves
 from .distributions import ThresholdDistribution
 from .heuristic import make_simulation_cost_fn, successive_refinement
@@ -262,8 +262,8 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
         set_points=tuple(float(z) for z in set_points),
         seed=eff_seed, max_doublings=blk.get("max_doublings", 24))
     n_samples = blk.get("n_samples", 1000)
-    samples = [cftp_sample(config, np.random.default_rng(child_seed(eff_seed, k)))
-               for k in range(n_samples)]
+    samples = cftp_samples(config, [np.random.default_rng(child_seed(eff_seed, k))
+                                    for k in range(n_samples)])
     report = estimate_joint_cost(samples, config, gamma)
     _write_csv(out / "samples.csv",
                ["sample", "load", "temperature", "wind", "comfort"],

@@ -17,10 +17,11 @@ Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
 level and the hold point are closed-form and no Euler stepping is used.
 The flow (exact_flow) and the power classification (power_split) are
-elementwise kernels in which the load parameters broadcast per load; the
-per-load functions below, the perfect sampler, the simulator's accounting
-and the CLI all call them.  flow_path is the same flow as a scalar
-recursion along a whole path of segments, for the simulator.
+elementwise kernels in which every argument broadcasts, the environment
+state included; the per-load functions below, the perfect sampler, the
+simulator's accounting and the CLI all call them.  flow_path is the same
+flow as a scalar recursion along a whole path of segments, for the
+simulator.
 """
 
 from __future__ import annotations
@@ -197,25 +198,27 @@ class PowerDraw:
     grid_power: float
 
 
-def exact_flow(x, z, theta, h, c, ci, dt: float, wind: int):
+def exact_flow(x, z, theta, h, c, ci, dt, wind):
     """Exact temperature after dt in one environment state, elementwise.
 
-    x, z, theta, h, c and the wind cooling rate ci broadcast per load; the
-    wind state is common.  The drift is piecewise constant with at most one
-    rate switch per load (crossing the comfort level downward), so the flow
-    is closed-form; hold points are hit exactly via min/max, never overshot.
+    Every argument broadcasts, the duration and the wind state included,
+    so one call can advance loads that sit in different segments.  The
+    drift is piecewise constant with at most one rate switch per load
+    (crossing the comfort level downward), so the flow is closed-form; hold
+    points are hit exactly via min/max, never overshot.  A zero dt maps
+    every state to itself.
     """
-    if wind == 0:
-        park = np.minimum(z, theta)
-        heated = np.minimum(park, x + h * dt)
-        cooled = np.maximum(park, x - c * dt)
-        return np.where(x > park, cooled, np.where(x < park, heated, x))
-    # above theta: cool at c until theta, then continue at ci down to the floor
-    t_hit = np.where(x > theta, (x - theta) / c, 0.0)
-    above = np.where(dt <= t_hit, x - c * dt,
-                     np.maximum(0.0, theta - ci * np.maximum(dt - t_hit, 0.0)))
-    below = np.maximum(0.0, x - ci * dt)
-    return np.where(x > theta, above, below)
+    cooled = x - c * dt
+    # wind off: heat at h or cool at c to the hold point, and park there
+    # (from the hold point itself, cooling is clipped back to it)
+    park = np.minimum(z, theta)
+    off = np.where(x < park, np.minimum(park, x + h * dt), np.maximum(park, cooled))
+    # under wind: cool at c for the time t_hit it takes to reach theta (0
+    # from at or below it), then at ci down to the floor
+    t_hit = np.maximum((x - theta) / c, 0.0)
+    on = np.where(dt <= t_hit, cooled, np.maximum(
+        0.0, np.minimum(x, theta) - ci * np.maximum(dt - t_hit, 0.0)))
+    return np.where(np.asarray(wind) == 0, off, on)
 
 
 def flow_path(x: float, z: float, h: float, c: float,

@@ -105,7 +105,28 @@ class EnvironmentPath:
         return float(self.start_times[-1] + self.durations[-1])
 
 
-def _factor_path(generator: np.ndarray, state: int, n: int,
+class _FactorChain:
+    """Jump tables of one factor chain, built once per generator: the mean
+    holding time of each state (inf once absorbing), and each state's next
+    states with their cumulative branch weights (an absorbing state's only
+    next state is itself)."""
+
+    def __init__(self, generator: np.ndarray):
+        rates = -np.diag(generator)
+        exits = np.clip(generator, 0.0, None)
+        np.fill_diagonal(exits, 0.0)
+        self.scales = np.full(len(rates), np.inf)
+        np.divide(1.0, rates, out=self.scales, where=rates > 0)
+        self.branches = []
+        for s in range(len(rates)):
+            t = np.flatnonzero(exits[:, s])
+            self.branches.append((t, np.cumsum(exits[t, s]) / exits[t, s].sum()) if len(t)
+                                 else (np.array([s]), np.array([np.inf])))
+        self.branching = any(len(t) > 1 for t, _ in self.branches)
+        self.successor = np.array([t[0] for t, _ in self.branches])
+
+
+def _factor_path(chain: _FactorChain, state: int, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``n`` jumps of one factor chain started in ``state``: the jump times
     (inf once an absorbing state is reached) and the ``n + 1`` states.
@@ -114,39 +135,26 @@ def _factor_path(generator: np.ndarray, state: int, n: int,
     uniform per jump only when some state has more than one possible next
     state; a 2-state chain therefore draws exactly ``n`` exponentials.
     """
-    rates = -np.diag(generator)
-    exits = np.clip(generator, 0.0, None)
-    np.fill_diagonal(exits, 0.0)
     variates = rng.standard_exponential(n)
-    branching = bool(((exits > 0).sum(axis=0) > 1).any())
-    u = rng.random(n) if branching else np.zeros(1)
-    # step[k, s]: the state after jump k from state s (one row if none branches)
-    step = np.empty((len(u), len(rates)), dtype=np.int64)
-    for s in range(len(rates)):
-        t = np.flatnonzero(exits[:, s])
-        if len(t) == 0:
-            step[:, s] = s
-            continue
-        cum = np.cumsum(exits[t, s]) / exits[t, s].sum()
-        step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
-    states = np.empty(n + 1, dtype=np.int64)
-    states[0] = state
-    if branching:
-        # prefix doubling: row k becomes the map from the start through jump k
-        span = 1
-        while span < n:
-            step[span:] = np.take_along_axis(step[span:], step[:-span], axis=1)
-            span *= 2
-        states[1:] = step[:, state]
+    if chain.branching:
+        u = rng.random(n)
+        # step[k, s]: the state after jump k from state s
+        step = np.empty((n, len(chain.branches)), dtype=np.int64)
+        for s, (t, cum) in enumerate(chain.branches):
+            step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
+        walk = [int(state)]
+        for row in step.tolist():
+            walk.append(row[walk[-1]])
+        states = np.array(walk, dtype=np.int64)
     else:
         # one successor map f: states[k] = f^k(state), doubling k
-        f, m = step[0], 1
+        states = np.empty(n + 1, dtype=np.int64)
+        states[0] = state
+        f, m = chain.successor, 1
         while m <= n:
             states[m:2 * m] = f[states[:min(m, n + 1 - m)]]
             f, m = f[f], 2 * m
-    scales = np.full(len(rates), np.inf)     # an absorbing state never leaves
-    np.divide(1.0, rates, out=scales, where=rates > 0)
-    return np.cumsum(variates * scales[states[:-1]]), states
+    return (variates * chain.scales[states[:-1]]).cumsum(), states
 
 
 def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
@@ -164,8 +172,8 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
         pi = env.stationary()
         initial_state = int(rng.choice(env.n_states, p=pi))
     w0, c0 = env.split_index(initial_state)
-    wt, ws = _factor_path(env.wind_generator, w0, n_jumps, rng)
-    ct, cs = _factor_path(env.comfort_generator, c0, n_jumps, rng)
+    wt, ws = _factor_path(_FactorChain(env.wind_generator), w0, n_jumps, rng)
+    ct, cs = _factor_path(_FactorChain(env.comfort_generator), c0, n_jumps, rng)
     merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
     starts = np.concatenate([[0.0], merged[np.isfinite(merged)]])
     wind = ws[np.searchsorted(wt, starts, side="right")]

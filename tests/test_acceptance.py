@@ -209,11 +209,8 @@ def test_criterion_7_cftp_correctness(ref_env, ref_params):
                         comfort_rates=((0.02, 0.02), (0.02, 0.02)),
                         set_points=set_points, seed=7)
     n_samples = 10000
-    temps = np.empty((n_samples, 2))
-    for k in range(n_samples):
-        s = zp.cftp_sample(cfg, np.random.default_rng(
-            np.random.SeedSequence([707, k]).generate_state(1)[0]))
-        temps[k] = s.temperatures
+    temps = np.array([s.temperatures for s in zp.cftp_samples(cfg, [np.random.default_rng(
+        np.random.SeedSequence([707, k]).generate_state(1)[0]) for k in range(n_samples)])])
 
     # forward oracle: each marginal is a single-load run with its own
     # comfort chain; 5e6 jumps per load = 1e7 steps total

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from zpolicy import (
-    CftpConfig, LoadParams, ThresholdDistribution, cftp_sample,
+    CftpConfig, LoadParams, ThresholdDistribution, cftp_sample, cftp_samples,
     estimate_joint_cost, smooth_distribution, solve_stationary,
 )
 from zpolicy.errors import EmptySamples, NoCoalescence
 from zpolicy.model import MarkovEnvironment
+
+
+def _rngs(seed, n):
+    return [np.random.default_rng(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+            for k in range(n)]
 
 
 def _ref_cftp_config(set_points=(70.0, 90.0), seed=3):
@@ -33,12 +38,7 @@ def test_deterministic_environment_coalesces_immediately():
 def test_single_load_samples_match_analytic(ref_env, ref_params):
     cfg = CftpConfig(wind_rates=(0.04, 0.04), load_params=(ref_params,),
                      comfort_rates=((0.02, 0.02),), set_points=(100.0,), seed=2)
-    temps = []
-    for k in range(2500):
-        s = cftp_sample(cfg, np.random.default_rng(
-            np.random.SeedSequence([11, k]).generate_state(1)[0]))
-        temps.append(s.temperatures[0])
-    temps = np.array(temps)
+    temps = np.array([s.temperatures[0] for s in cftp_samples(cfg, _rngs(11, 2500))])
     dist = solve_stationary(100.0, ref_env, ref_params)
     grid = np.linspace(0.0, 100.0, 51)
     emp = np.array([(temps <= g + 1e-9).mean() for g in grid])
@@ -69,9 +69,7 @@ def test_coupled_homogeneous_cost_matches_analytic(ref_env, ref_params, ref_curv
     cfg = CftpConfig(wind_rates=base.wind_rates, load_params=base.load_params,
                      comfort_rates=base.comfort_rates, set_points=z,
                      seed=base.seed, shared_comfort=True)
-    samples = [cftp_sample(cfg, np.random.default_rng(
-        np.random.SeedSequence([31, k]).generate_state(1)[0]))
-        for k in range(6000)]
+    samples = cftp_samples(cfg, _rngs(31, 6000))
     rep = estimate_joint_cost(samples, cfg, gamma=0.1)
     analytic = finite_cost(list(z), ref_env, ref_params, 0.1, curves=ref_curves)
     assert abs(rep.total - analytic.total) <= \
@@ -160,9 +158,7 @@ def test_estimate_joint_cost_se_shrinks():
                      load_params=(cfg.load_params[0],) * 5,
                      comfort_rates=((0.02, 0.02),) * 5,
                      set_points=cfg.set_points, seed=1)
-    samples = [cftp_sample(cfg, np.random.default_rng(
-        np.random.SeedSequence([3, k]).generate_state(1)[0]))
-        for k in range(400)]
+    samples = cftp_samples(cfg, _rngs(3, 400))
     small = estimate_joint_cost(samples[:100], cfg, gamma=0.1)
     big = estimate_joint_cost(samples, cfg, gamma=0.1)
     assert big.total > 0
@@ -206,9 +202,7 @@ def test_sandwich_never_violated():
                      load_params=(cfg.load_params[0],) * 3,
                      comfort_rates=((0.02, 0.02),) * 3,
                      set_points=cfg.set_points, seed=1)
-    for k in range(50):
-        cftp_sample(cfg, np.random.default_rng(
-            np.random.SeedSequence([77, k]).generate_state(1)[0]))
+    cftp_samples(cfg, _rngs(77, 50))
 
 
 def _dkw_bound(n, alpha=1e-6, tests=1):
@@ -226,9 +220,7 @@ def _ks_distance(samples, dist):
 
 
 def _marginals(cfg, n_samples, seed):
-    return np.array([cftp_sample(cfg, np.random.default_rng(
-        np.random.SeedSequence([seed, k]).generate_state(1)[0])).temperatures
-        for k in range(n_samples)])
+    return np.array([s.temperatures for s in cftp_samples(cfg, _rngs(seed, n_samples))])
 
 
 @pytest.mark.parametrize("wind_rates, comfort_rates, levels", [
@@ -294,3 +286,98 @@ def test_config_rejects_set_points_outside_comfort_range(bad):
     from zpolicy.errors import InvalidSetPoint
     with pytest.raises(InvalidSetPoint):
         _ref_cftp_config(set_points=(70.0, bad))
+
+
+# --- lockstep draws against the frozen one-draw-at-a-time sampler
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.temperatures.tobytes() == w.temperatures.tobytes()
+        assert g.comfort.tobytes() == w.comfort.tobytes()
+        assert (g.wind, g.horizon) == (w.wind, w.horizon)
+
+
+def _lockstep_case(name):
+    ref = LoadParams(h=1.0, c=1.1, comfort_levels=(50.0, 100.0))
+    c3 = LoadParams(h=1.0, c=1.1, comfort_levels=(40.0, 70.0, 100.0))
+    hot = LoadParams(h=0.8, c=1.5, comfort_levels=(30.0, 60.0, 90.0))
+    w3, r3 = ((0.04, 0.04), (0.04, 0.04)), ((0.02, 0.02), (0.02, 0.02))
+    if name == "ref2":
+        return _ref_cftp_config()
+    if name == "ref10":
+        return _ref_cftp_config(set_points=tuple(np.linspace(55.0, 95.0, 10)))
+    if name == "w3":
+        return CftpConfig(wind_rates=w3, load_params=(ref,), comfort_rates=((0.02, 0.02),),
+                          set_points=(90.0,), seed=0)
+    if name == "c3":
+        return CftpConfig(wind_rates=(0.04, 0.04), load_params=(c3, c3),
+                          comfort_rates=(r3, r3), set_points=(60.0, 90.0), seed=0)
+    if name == "shared":
+        return CftpConfig(wind_rates=(0.04, 0.04), load_params=(ref,) * 3,
+                          comfort_rates=((0.02, 0.02),) * 3, set_points=(55.0, 75.0, 75.0),
+                          seed=0, shared_comfort=True)
+    if name == "heterogeneous":
+        return CftpConfig(wind_rates=w3, load_params=(ref, hot, ref),
+                          comfort_rates=((0.02, 0.02), ((0.03, 0.02), (0.02, 0.03)),
+                                         (0.05, 0.01)),
+                          set_points=(80.0, 70.0, 50.0), seed=0)
+    if name == "short_horizon":
+        # the first horizons are too short for most draws, which therefore
+        # coalesce in different doubling rounds
+        return CftpConfig(wind_rates=(0.04, 0.04), load_params=(ref,) * 3,
+                          comfort_rates=((0.02, 0.02),) * 3, set_points=(60.0, 80.0, 100.0),
+                          seed=0, initial_horizon=10.0)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["ref2", "ref10", "w3", "c3", "shared", "heterogeneous",
+                                  "short_horizon"])
+def test_lockstep_draws_match_frozen_sampler(name):
+    from reference_cftp import cftp_sample as reference
+    cfg = _lockstep_case(name)
+    want = [reference(cfg, rng) for rng in _rngs(41, 40)]
+    _same(cftp_samples(cfg, _rngs(41, 40)), want)
+    _same([cftp_sample(cfg, rng) for rng in _rngs(41, 3)], want[:3])
+    if name == "short_horizon":
+        assert len({s.horizon for s in want}) >= 3
+
+
+def test_block_size_does_not_change_samples(monkeypatch):
+    import zpolicy.cftp as cftp
+    cfg = _lockstep_case("heterogeneous")
+    whole = cftp.cftp_samples(cfg, _rngs(43, 30))
+    monkeypatch.setattr(cftp, "_BLOCK", 7 * cfg.n_loads)     # blocks of 7 draws
+    _same(cftp.cftp_samples(cfg, _rngs(43, 30)), whole)
+
+
+def test_no_coalescence_when_any_draw_in_a_batch_fails():
+    from reference_cftp import cftp_sample as reference
+    from dataclasses import replace
+    cfg = replace(_lockstep_case("short_horizon"), initial_horizon=160.0, max_doublings=1)
+
+    def outcome(rng):
+        try:
+            return reference(cfg, rng)
+        except NoCoalescence:
+            return None
+
+    outcomes = [outcome(rng) for rng in _rngs(47, 30)]
+    met = [k for k, s in enumerate(outcomes) if s is not None]
+    assert 0 < len(met) < len(outcomes)
+    with pytest.raises(NoCoalescence):
+        cftp_samples(cfg, _rngs(47, 30))
+    rngs = _rngs(47, 30)
+    _same(cftp_samples(cfg, [rngs[k] for k in met]), [outcomes[k] for k in met])
+
+
+def test_optimize_thresholds_matches_frozen_reference():
+    from reference_cftp import optimize_thresholds as reference
+    from zpolicy import optimize_thresholds
+    cfg = _ref_cftp_config(set_points=(60.0, 90.0), seed=5)
+    kwargs = dict(gamma=0.1, n_samples=20, sweeps=1, golden_iters=3)
+    z, report = optimize_thresholds(cfg, **kwargs)
+    z_ref, report_ref = reference(cfg, **kwargs)
+    assert z.tobytes() == z_ref.tobytes()
+    assert report == report_ref

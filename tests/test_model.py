@@ -267,3 +267,34 @@ def test_flow_path_matches_exact_flow_bitwise(wind_rates, levels):
         seen["above"] += int(np.sum(x[:-1] > theta))
         seen["crossing"] += int(np.sum((x[:-1] > theta) & (x[1:] < theta)))
     assert min(seen.values()) > 0
+
+
+def test_exact_flow_broadcasts_the_wind_state():
+    # one call over loads in wind states 0, 1 and 2 (W3 rates) equals the
+    # call per state and the flow as it was written before the wind state
+    # broadcast, bit for bit; a zero duration maps every state to itself
+    from reference_cftp import exact_flow as frozen
+    from zpolicy.model import exact_flow
+    rng = np.random.default_rng(21)
+    params = LoadParams(1.0, 1.1, (50.0, 100.0))
+    rates = params.wind_cooling_rates(3)
+    n = 4000
+    wind = rng.integers(3, size=n)
+    theta = np.asarray(params.comfort_levels)[rng.integers(2, size=n)]
+    z = rng.choice([rng.uniform(0.0, 100.0), 0.0, 50.0, 100.0], size=n)
+    x = rng.uniform(0.0, 100.0, n)
+    pick = rng.integers(5, size=n)
+    x = np.select([pick == 0, pick == 1, pick == 2, pick == 3],
+                  [np.minimum(z, theta), theta, 0.0, 100.0], x)
+    dt = rng.exponential(1.0, n) * 10.0 ** rng.integers(-3, 3, size=n)
+    dt[rng.random(n) < 0.1] = 0.0
+    h, c = np.full(n, params.h), np.full(n, params.c)
+    got = exact_flow(x, z, theta, h, c, rates[wind], dt, wind)
+    for w in range(3):
+        on = wind == w
+        one = exact_flow(x[on], z[on], theta[on], h[on], c[on], rates[w], dt[on], w)
+        old = frozen(x[on], z[on], theta[on], h[on], c[on], rates[w], dt[on], w)
+        assert got[on].tobytes() == one.tobytes() == old.tobytes()
+    assert exact_flow(x, z, theta, h, c, rates[wind], 0.0, wind).tobytes() == x.tobytes()
+    assert exact_flow(got, z, theta, h, c, rates[wind], np.zeros(n), wind).tobytes() \
+        == got.tobytes()

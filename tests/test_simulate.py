@@ -336,3 +336,23 @@ def test_costs_of_load_above_set_point_match_quadrature(z, initial, ref_env, ref
 def test_config_rejects_bad_horizon_burn_in_start_and_edges(change):
     with pytest.raises(ValueError):
         SimulationConfig(**{"n_loads": 2, "horizon_jumps": 100, "seed": 0, **change})
+
+
+@pytest.mark.parametrize("name", ["ref", "w3", "c3", "non_birth_death", "absorbing"])
+def test_factor_path_matches_frozen_sampler(name, ref_env, env_w3, env3):
+    # the jump tables are built once per chain; the path, the variates it
+    # reads and the state the generator is left in are the frozen sampler's
+    from reference_cftp import factor_path
+    from zpolicy.simulate import _FactorChain, _factor_path
+    q = {"ref": ref_env.wind_generator, "w3": env_w3.wind_generator,
+         "c3": env3.comfort_generator, "non_birth_death": _non_birth_death_wind().wind_generator,
+         "absorbing": np.array([[-0.5, 0.0, 0.0], [0.25, 0.0, 0.0], [0.25, 0.0, 0.0]])}[name]
+    chain = _FactorChain(q)
+    for n in (1, 2, 64, 5000):
+        for start in range(len(q)):
+            got_rng, want_rng = np.random.default_rng([n, start]), np.random.default_rng([n, start])
+            got = _factor_path(chain, start, n, got_rng)
+            want = factor_path(q, start, n, want_rng)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got_rng.random() == want_rng.random()
