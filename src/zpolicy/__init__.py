@@ -4,9 +4,7 @@ optimization, Monte Carlo and perfect-sampling validation, adaptive
 heuristics, and a two-load HJB reference solver."""
 
 from .model import (
-    MarkovEnvironment, LoadParams, LoadState, PowerDraw,
-    build_environment, z_policy_drift, power_draw, step_ensemble,
-    advance_temperatures,
+    MarkovEnvironment, LoadParams, build_environment, advance_temperatures,
 )
 from .stationary import (
     StationaryDistribution, solve_stationary, verify_conservation,
@@ -18,8 +16,8 @@ from .costs import (
 )
 from .distributions import ThresholdDistribution
 from .variational import (
-    euler_lagrange, multiwind_euler_lagrange, project, project_detailed,
-    fixed_point, isotonic_fit, costate,
+    euler_lagrange, project, project_detailed, fixed_point, isotonic_fit,
+    costate,
 )
 from .simulate import (
     SimulationConfig, SimulationResult, simulate, empirical_cdf,
@@ -34,7 +32,7 @@ from .heuristic import (
     successive_refinement, make_simulation_cost_fn,
 )
 from .hjb import (
-    solve_hjb, classify_policy, coolest_first_heuristic, simulate_policy,
+    solve_hjb, classify_policy, coolest_first_heuristic,
 )
 from . import errors
 

@@ -51,9 +51,13 @@ def _fail_usage(msg: str) -> int:
 def load_config(path: str) -> dict:
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     for block, keys in cfg.items():
         if block not in _SCHEMA:
             raise ValueError(f"unknown config block '{block}'")
+        if not isinstance(keys, dict):
+            raise ValueError(f"config block '{block}' must be a JSON object")
         unknown = set(keys) - _SCHEMA[block]
         if unknown:
             raise ValueError(f"unknown keys in '{block}': {sorted(unknown)}")

@@ -87,11 +87,6 @@ class SensitivityCurves:
     w_nonpositive: bool = field(default=False)
 
     @property
-    def d2(self) -> np.ndarray:
-        """Binary-comfort alias for the Theta_1 curve."""
-        return self.d_theta[0]
-
-    @property
     def w_safe(self) -> np.ndarray:
         return np.clip(self.w, _W_EPS, None)
 

@@ -18,14 +18,6 @@ class SingularSystem(ZPolicyError):
     conservation redundancy, or produced significantly negative densities."""
 
 
-class NonPositiveWeight(ZPolicyError):
-    """Diagnostic: the quadratic weight w(z) was non-positive somewhere.
-
-    Raised only when explicitly requested; curve construction normally
-    records the condition and continues with a clamped weight.
-    """
-
-
 class UnsortedInput(ZPolicyError):
     """A vector that must be ascending was not."""
 

@@ -31,6 +31,12 @@ Hamiltonian: wind goes entirely to the load with the larger value-gradient
 component, and free grid power is the clipped half-gradient on a single
 load.  Regions where the cooler load receives the wind are the
 desynchronizing part of the policy.
+
+The coolest-first heuristic is the allocation rule alone: it maps the
+loads' temperatures in one environment state to (wind, grid) power
+arrays.  The package has no simulator for such rules; one that is exact
+would have to follow the sliding motion of a load held at the comfort
+level by a rule that gives it no power there.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnstableScheme
-from .model import LoadParams, MarkovEnvironment, PowerDraw
+from .model import LoadParams, MarkovEnvironment
 
 __all__ = [
     "ValueGrid",
@@ -49,7 +55,6 @@ __all__ = [
     "solve_hjb",
     "classify_policy",
     "coolest_first_heuristic",
-    "simulate_policy",
 ]
 
 
@@ -298,8 +303,9 @@ def classify_policy(policy: AllocationPolicy, values: ValueGrid,
 
 def coolest_first_heuristic(x, wind: int, comfort: int, params: LoadParams,
                             activation_threshold: float,
-                            wind_power: float | None = None) -> list[PowerDraw]:
-    """Allocate wind to the coolest load when the ensemble runs hot.
+                            wind_power: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(wind power, grid power) per load: wind goes to the coolest load
+    when the ensemble runs hot.
 
     With ample wind every load cools at full power.  When wind is scarce
     and the mean temperature exceeds the activation threshold, the entire
@@ -331,42 +337,4 @@ def coolest_first_heuristic(x, wind: int, comfort: int, params: LoadParams,
                 break
     grid_alloc = np.where(x > theta + 1e-12,
                           np.clip(h + c - wind_alloc, 0.0, None), 0.0)
-    return [PowerDraw(wind_power=float(wind_alloc[i]), grid_power=float(grid_alloc[i]))
-            for i in range(n)]
-
-
-def simulate_policy(policy_fn, env: MarkovEnvironment, params: LoadParams,
-                    n_loads: int, horizon_jumps: int, seed: int,
-                    dt_max: float = 0.05, initial=None) -> dict:
-    """Small fixed-step ensemble integrator for allocation-policy plug-ins.
-
-    policy_fn(x, wind, comfort, params) -> list[PowerDraw].  Returns the
-    time series of total grid power and its peak; intended for qualitative
-    policy comparisons, not exact cost evaluation.
-    """
-    from .simulate import sample_environment_path
-
-    rng = np.random.default_rng(seed)
-    path = sample_environment_path(env, horizon_jumps, rng)
-    x = np.array(initial, dtype=float) if initial is not None \
-        else np.zeros(n_loads)
-    times, grid_draw = [], []
-    t = 0.0
-    for k in range(len(path.start_times)):
-        wind = int(path.wind[k])
-        comfort = int(path.comfort[k])
-        remaining = float(path.durations[k])
-        theta = params.comfort_levels[comfort]
-        while remaining > 1e-12:
-            dt = min(dt_max, remaining)
-            draws = policy_fn(x, wind, comfort, params)
-            total_grid = sum(d.grid_power for d in draws)
-            p = np.array([d.wind_power + d.grid_power for d in draws])
-            x = np.clip(x + (params.h - p) * dt, 0.0, params.theta_max)
-            times.append(t)
-            grid_draw.append(total_grid)
-            t += dt
-            remaining -= dt
-    grid_draw = np.array(grid_draw)
-    return {"t": np.array(times), "grid_power": grid_draw,
-            "peak_grid_power": float(grid_draw.max(initial=0.0))}
+    return wind_alloc, grid_alloc

@@ -18,10 +18,10 @@ the drift is piecewise constant in x, so hit times at 0, the comfort
 level and the hold point are closed-form and no Euler stepping is used.
 The flow (exact_flow) and the power classification (power_split) are
 elementwise kernels in which every argument broadcasts, the environment
-state included; the per-load functions below, the perfect sampler, the
-simulator's accounting and the CLI all call them.  flow_path is the same
-flow as a scalar recursion along a whole path of segments, for the
-simulator.
+state included; the perfect sampler, the simulator's accounting and the
+CLI all call them, and advance_temperatures is exact_flow for one
+environment state given by its indices.  flow_path is the same flow as a
+scalar recursion along a whole path of segments, for the simulator.
 """
 
 from __future__ import annotations
@@ -35,13 +35,8 @@ from .errors import InvalidSetPoint, NonPositiveRate
 __all__ = [
     "MarkovEnvironment",
     "LoadParams",
-    "LoadState",
-    "PowerDraw",
     "build_environment",
-    "z_policy_drift",
-    "power_draw",
     "advance_temperatures",
-    "step_ensemble",
     "flow_path",
 ]
 
@@ -159,6 +154,8 @@ class LoadParams:
     comfort_levels: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "comfort_levels", tuple(float(t) for t in self.comfort_levels))
         if self.h <= 0 or self.c <= 0:
             raise ValueError("h and c must be positive")
@@ -184,18 +181,6 @@ class LoadParams:
         if n_wind == 1:
             return i
         return i * self.c / (n_wind - 1)
-
-
-@dataclass(frozen=True)
-class LoadState:
-    temperature: float
-    set_point: float
-
-
-@dataclass(frozen=True)
-class PowerDraw:
-    wind_power: float
-    grid_power: float
 
 
 def exact_flow(x, z, theta, h, c, ci, dt, wind):
@@ -273,53 +258,10 @@ def power_split(x, z, theta, h, c, ci, wind):
     return wind_power, np.where(on, grid_on, grid_off)
 
 
-def _cooling_rate(params: LoadParams, wind: int, n_wind: int) -> float:
-    return float(params.wind_cooling_rates(n_wind)[wind]) if wind else 0.0
-
-
-def z_policy_drift(state: LoadState, wind: int, comfort: int,
-                   params: LoadParams, n_wind: int = 2) -> float:
-    """Temperature rate dx/dt under the threshold policy: h less the power
-    that power_draw applies.
-
-    Above the active comfort level the load is force-cooled at -c no matter
-    the wind state; under wind it cools at the wind-supported rate (held at
-    the floor x=0); with wind off it heats at h until the hold point
-    min(Z, Theta_M), parks there, and cools at -c back toward it if it ever
-    finds itself above (only reachable from out-of-band initial states).
-    """
-    draw = power_draw(state, wind, comfort, params, n_wind=n_wind)
-    return params.h - draw.wind_power - draw.grid_power
-
-
-def power_draw(state: LoadState, wind: int, comfort: int,
-               params: LoadParams, n_wind: int = 2) -> PowerDraw:
-    """Instantaneous (wind, grid) power for one load (see power_split)."""
-    wind_power, grid_power = power_split(
-        state.temperature, state.set_point, params.comfort_levels[comfort],
-        params.h, params.c, _cooling_rate(params, wind, n_wind), wind)
-    return PowerDraw(wind_power=float(wind_power), grid_power=float(grid_power))
-
-
 def advance_temperatures(x: np.ndarray, z: np.ndarray, wind: int, comfort: int,
                          dt: float, params: LoadParams, n_wind: int = 2) -> np.ndarray:
     """Exact temperature update over a window with a constant environment,
     vectorized over loads (see exact_flow)."""
     return exact_flow(np.asarray(x, dtype=float), np.asarray(z, dtype=float),
                       params.comfort_levels[comfort], params.h, params.c,
-                      _cooling_rate(params, wind, n_wind), dt, wind)
-
-
-def step_ensemble(states: list[LoadState], wind: int, comfort: int, dt: float,
-                  params: LoadParams, n_wind: int = 2) -> list[LoadState]:
-    """Advance every load exactly over dt with the environment held fixed.
-
-    The caller is responsible for splitting dt at environment jumps.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.array([s.temperature for s in states])
-    z = np.array([s.set_point for s in states])
-    xn = advance_temperatures(x, z, wind, comfort, dt, params, n_wind=n_wind)
-    return [LoadState(temperature=float(t), set_point=s.set_point)
-            for t, s in zip(xn, states)]
+                      params.wind_cooling_rates(n_wind)[wind], dt, wind)

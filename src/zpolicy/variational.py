@@ -27,7 +27,6 @@ from .model import LoadParams, MarkovEnvironment
 __all__ = [
     "isotonic_fit",
     "euler_lagrange",
-    "multiwind_euler_lagrange",
     "project",
     "project_detailed",
     "ProjectionResult",
@@ -68,14 +67,17 @@ def isotonic_fit(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, list[t
     return out, blocks
 
 
-def _candidate(curves: SensitivityCurves, gamma: float, v=(), clamp: bool = True) -> np.ndarray:
-    """First-order stationary point of the quadratic cost, clamped to [0,1].
+def euler_lagrange(curves: SensitivityCurves, gamma: float, v=(), clamp: bool = True) -> np.ndarray:
+    """Euler-Lagrange candidate on the curves' grid: the first-order
+    stationary point of the quadratic cost, clamped to [0,1] unless
+    ``clamp=False``, for any number of wind states and comfort levels.
 
     ``v`` holds the current guesses of u at the middle comfort levels
-    (length C-2, empty for binary comfort); the candidate is the usual
-    Euler-Lagrange ratio with the Theta_j frontier weighted by (1 - v_j)
-    for middle levels.  ``clamp=False`` returns the raw ratio, for which
-    the completing-the-square identity is exact.
+    (length C-2, empty for binary comfort); the Theta_j frontier of a
+    middle level is weighted by (1 - v_j).  The raw ratio is the one for
+    which the completing-the-square identity is exact.  The candidate is
+    generally not monotone and does not match the boundary values; that
+    is the point of the projection step.
     """
     h, c = curves.params.h, curves.params.c
     n_c = curves.env.n_comfort
@@ -89,23 +91,6 @@ def _candidate(curves: SensitivityCurves, gamma: float, v=(), clamp: bool = True
         num = num + 2 * s_i * s_i * curves.d_hat_frontier[i]
     ratio = num / (2.0 * curves.w_safe)
     return np.clip(ratio, 0.0, 1.0) if clamp else ratio
-
-
-def euler_lagrange(curves: SensitivityCurves, gamma: float, clamp: bool = True) -> np.ndarray:
-    """Euler-Lagrange candidate on the curves' grid (binary comfort),
-    clamped to [0,1] unless ``clamp=False``.
-
-    Generally not monotone and not matching the boundary values; that is
-    the point of the projection step.
-    """
-    return _candidate(curves, gamma, clamp=clamp)
-
-
-def multiwind_euler_lagrange(curves: SensitivityCurves, gamma: float, v=(),
-                             clamp: bool = True) -> np.ndarray:
-    """General W-wind-state, C-comfort-level candidate; reduces exactly to
-    euler_lagrange for the binary/binary model."""
-    return _candidate(curves, gamma, v, clamp=clamp)
 
 
 @dataclass(frozen=True)
@@ -196,7 +181,7 @@ class FixedPointResult:
 def _projected_level_value(curves: SensitivityCurves, gamma: float, v: np.ndarray,
                            level_idx: np.ndarray):
     """Project the candidate at v and read u* at each middle comfort level."""
-    res = project_detailed(_candidate(curves, gamma, v), curves)
+    res = project_detailed(euler_lagrange(curves, gamma, v), curves)
     return res, res.grid_values[level_idx]
 
 
@@ -216,7 +201,7 @@ def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
         curves = sensitivity_curves(env, params)
     n_mid = max(env.n_comfort - 2, 0)
     if n_mid == 0:
-        res = project_detailed(_candidate(curves, gamma), curves)
+        res = project_detailed(euler_lagrange(curves, gamma), curves)
         return FixedPointResult(v_star=np.zeros(0), distribution=res.distribution,
                                 grid_values=res.grid_values, trace=[], iterations=0,
                                 residual=0.0)

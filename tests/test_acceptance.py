@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 import zpolicy as zp
-from zpolicy.variational import _candidate, _cell_weights
+from zpolicy.variational import _cell_weights
 
 from conftest import GAMMA_REF, random_step_distribution
 
@@ -136,7 +136,7 @@ def test_criterion_4_fixed_point_contraction(env3, params3, curves3):
     vs = np.linspace(0.0, 1.0, 1001)
     resid = np.empty_like(vs)
     for k, v in enumerate(vs):
-        pv = zp.project_detailed(_candidate(curves3, GAMMA_REF, (v,)),
+        pv = zp.project_detailed(zp.euler_lagrange(curves3, GAMMA_REF, (v,)),
                                  curves3).grid_values[idx]
         resid[k] = abs(v - pv)
     scan_gap = abs(fp.v_star[0] - vs[np.argmin(resid)])

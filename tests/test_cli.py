@@ -196,17 +196,20 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
     assert (out / "hjb_surfaces.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_console_entry_point(tmp_path):
+def _run_cli(*argv):
+    """The CLI run as ``python -m zpolicy.cli`` in a child process."""
     import zpolicy
-    cfg = _write_config(tmp_path)
-    out = tmp_path / "out"
     # the child imports the package the tests import, installed or not
     src = str(Path(zpolicy.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "zpolicy.cli", "distribution",
-         "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "zpolicy.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point(tmp_path):
+    cfg = _write_config(tmp_path)
+    proc = _run_cli("distribution", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0
 
 
@@ -234,6 +237,21 @@ def test_deterministic_outputs_across_commands(tmp_path):
 def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
     cfg = _write_config(tmp_path, simulation=simulation)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    json.dumps({"model": 5}),
+    json.dumps({"model": {"h": "x", "c": 1.1, "comfort_levels": [50.0, 100.0],
+                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
+], ids=["top_level_list", "block_not_object", "h_not_a_number"])
+def test_malformed_config_is_usage_error(tmp_path, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    proc = _run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_workers_flag_is_gone(tmp_path):
@@ -278,10 +296,10 @@ def test_hjb_default_time_step_follows_grid_and_wind(tmp_path, monkeypatch, hjb,
     assert seen["time_step"] == expected
 
 
-def test_trace_matches_row_by_row_power_draw(tmp_path):
+def test_trace_matches_row_by_row_power_split(tmp_path):
     # three wind states, so the intermediate state's grid top-up appears
-    from zpolicy import LoadState, power_draw
     from zpolicy.cli import _build, _write_csv, load_config
+    from zpolicy.model import power_split
 
     cfg = _write_config(tmp_path, model={
         "h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
@@ -302,11 +320,13 @@ def test_trace_matches_row_by_row_power_draw(tmp_path):
     for k, t in enumerate(res.trace_times):
         wind, comfort = int(res.trace_wind[k]), int(res.trace_comfort[k])
         for i in range(3):
-            draw = power_draw(LoadState(float(res.trace_x[k, i]), float(res.set_points[i])),
-                              wind, comfort, params, n_wind=env.n_wind)
-            top_ups += wind == 1 and draw.grid_power > 0
+            wind_power, grid_power = power_split(
+                float(res.trace_x[k, i]), float(res.set_points[i]),
+                params.comfort_levels[comfort], params.h, params.c,
+                float(params.wind_cooling_rates(env.n_wind)[wind]), wind)
+            top_ups += wind == 1 and grid_power > 0
             rows.append((t, i, res.trace_x[k, i], wind, comfort,
-                         draw.grid_power, draw.wind_power))
+                         float(grid_power), float(wind_power)))
     _write_csv(tmp_path / "rows.csv", ["t", "load", "x", "wind", "comfort",
                                        "grid_power", "wind_power"], rows)
     assert top_ups > 0

@@ -15,3 +15,18 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    # the benchmark's tracer wraps getattr(module, name) for every name in
+    # __all__ of its modules, so a stale name would break every traced run
+    import importlib.util
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.MODULES) == 9
+    for short in spans.MODULES:
+        module = importlib.import_module(f"zpolicy.{short}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"zpolicy.{short}.__all__ names {missing}"

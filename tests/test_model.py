@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpolicy import (
-    LoadParams, LoadState, advance_temperatures, build_environment,
-    power_draw, step_ensemble, z_policy_drift,
-)
+from zpolicy import LoadParams, advance_temperatures, build_environment
 from zpolicy.errors import NonPositiveRate
+from zpolicy.model import exact_flow, power_split
+
+
+def _split(x, z, wind, comfort, params, n_wind=2):
+    """power_split for one load as (wind power, grid power) floats."""
+    wind_power, grid_power = power_split(
+        x, z, params.comfort_levels[comfort], params.h, params.c,
+        params.wind_cooling_rates(n_wind)[wind], wind)
+    return float(wind_power), float(grid_power)
+
+
+def _drift(x, z, wind, comfort, params):
+    """dx/dt under the threshold policy: h less the power it applies."""
+    wind_power, grid_power = _split(x, z, wind, comfort, params)
+    return params.h - wind_power - grid_power
 
 
 def test_reference_generator_columns_sum_to_zero(ref_env):
@@ -49,46 +61,41 @@ def test_wind_cooling_rates(ref_params):
 
 
 def test_drift_interior_heating(ref_params):
-    s = LoadState(temperature=50.0, set_point=80.0)
-    assert z_policy_drift(s, wind=0, comfort=1, params=ref_params) == ref_params.h
+    assert _drift(50.0, 80.0, wind=0, comfort=1, params=ref_params) == ref_params.h
 
 
 def test_drift_parked_at_set_point(ref_params):
-    s = LoadState(temperature=80.0, set_point=80.0)
-    assert z_policy_drift(s, wind=0, comfort=1, params=ref_params) == 0.0
+    assert _drift(80.0, 80.0, wind=0, comfort=1, params=ref_params) == 0.0
 
 
 def test_drift_forced_cooling_any_wind():
     params = LoadParams(h=1.0, c=1.1, comfort_levels=(70.0, 100.0))
-    s = LoadState(temperature=90.0, set_point=95.0)
     for wind in (0, 1):
-        assert z_policy_drift(s, wind=wind, comfort=0, params=params) == -params.c
+        assert _drift(90.0, 95.0, wind=wind, comfort=0, params=params) == -params.c
 
 
 def test_power_held_at_floor_under_wind(ref_params):
-    d = power_draw(LoadState(0.0, 80.0), wind=1, comfort=1, params=ref_params)
-    assert d.wind_power == ref_params.h
-    assert d.grid_power == 0.0
+    wind_power, grid_power = _split(0.0, 80.0, wind=1, comfort=1, params=ref_params)
+    assert wind_power == ref_params.h
+    assert grid_power == 0.0
 
 
 def test_power_parked(ref_params):
-    d = power_draw(LoadState(80.0, 80.0), wind=0, comfort=1, params=ref_params)
-    assert (d.wind_power, d.grid_power) == (0.0, ref_params.h)
+    assert _split(80.0, 80.0, wind=0, comfort=1, params=ref_params) == (0.0, ref_params.h)
 
 
 def test_power_violation_cooling():
     params = LoadParams(h=1.0, c=1.1, comfort_levels=(70.0, 100.0))
-    d = power_draw(LoadState(90.0, 95.0), wind=0, comfort=0, params=params)
-    assert (d.wind_power, d.grid_power) == (0.0, params.h + params.c)
+    assert _split(90.0, 95.0, wind=0, comfort=0, params=params) == (0.0, params.h + params.c)
 
 
 def test_power_intermediate_wind_supplement():
     params = LoadParams(h=1.0, c=1.0, comfort_levels=(50.0, 100.0))
-    d = power_draw(LoadState(60.0, 90.0), wind=1, comfort=0, params=params,
-                   n_wind=3)
+    wind_power, grid_power = _split(60.0, 90.0, wind=1, comfort=0, params=params,
+                                    n_wind=3)
     # state 1 of 3 supports c/2; the grid supplies the other c/2
-    assert d.wind_power == pytest.approx(params.h + 0.5)
-    assert d.grid_power == pytest.approx(0.5)
+    assert wind_power == pytest.approx(params.h + 0.5)
+    assert grid_power == pytest.approx(0.5)
 
 
 def test_binary_grid_power_levels(ref_params):
@@ -97,33 +104,33 @@ def test_binary_grid_power_levels(ref_params):
     for x in (0.0, 20.0, 50.0, 60.0, 80.0, 95.0):
         for wind in (0, 1):
             for comfort in (0, 1):
-                d = power_draw(LoadState(x, 80.0), wind, comfort, ref_params)
-                seen.add(round(d.grid_power, 12))
+                _, grid_power = _split(x, 80.0, wind, comfort, ref_params)
+                seen.add(round(grid_power, 12))
     assert seen <= {0.0, h, h + c}
 
 
 def test_step_absorbing_floor_under_wind(ref_params):
-    states = [LoadState(0.0, z) for z in (30.0, 60.0, 90.0)]
-    out = step_ensemble(states, wind=1, comfort=1, dt=5.0, params=ref_params)
-    assert all(s.temperature == 0.0 for s in out)
+    out = advance_temperatures(np.zeros(3), np.array([30.0, 60.0, 90.0]),
+                               wind=1, comfort=1, dt=5.0, params=ref_params)
+    assert np.all(out == 0.0)
 
 
 def test_step_parks_exactly(ref_params):
-    out = step_ensemble([LoadState(10.0, 80.0)], wind=0, comfort=1, dt=100.0,
-                        params=ref_params)
-    assert out[0].temperature == 80.0
+    out = advance_temperatures(np.array([10.0]), np.array([80.0]), wind=0, comfort=1,
+                               dt=100.0, params=ref_params)
+    assert out[0] == 80.0
 
 
 def test_step_comfort_drop_two_segment():
     # hand-integrated: load 2 cools at c from 70 until Theta_1 = 65, then parks
     params = LoadParams(h=1.0, c=1.1, comfort_levels=(65.0, 100.0))
-    states = [LoadState(60.0, 60.0), LoadState(70.0, 70.0)]
-    out = step_ensemble(states, wind=0, comfort=0, dt=10.0, params=params)
-    assert out[0].temperature == 60.0
-    assert out[1].temperature == pytest.approx(65.0, abs=1e-12)
+    x = z = np.array([60.0, 70.0])
+    out = advance_temperatures(x, z, wind=0, comfort=0, dt=10.0, params=params)
+    assert out[0] == 60.0
+    assert out[1] == pytest.approx(65.0, abs=1e-12)
     # partway through, the violating load is still cooling at rate c
-    mid = step_ensemble(states, wind=0, comfort=0, dt=2.0, params=params)
-    assert mid[1].temperature == pytest.approx(70.0 - 1.1 * 2.0)
+    mid = advance_temperatures(x, z, wind=0, comfort=0, dt=2.0, params=params)
+    assert mid[1] == pytest.approx(70.0 - 1.1 * 2.0)
 
 
 def test_full_wind_empties_in_theta_over_c(ref_params):
@@ -207,8 +214,7 @@ def test_equal_set_points_couple_identically(ref_params):
 
 def test_kernels_broadcast_per_load_parameters():
     # one kernel call over loads with their own h, c, comfort level and
-    # wind cooling rate equals the per-load functions, bit for bit
-    from zpolicy.model import exact_flow, power_split
+    # wind cooling rate equals one call per load, bit for bit
     rng = np.random.default_rng(4)
     params = [LoadParams(1.0, 1.1, (50.0, 100.0)), LoadParams(0.7, 1.6, (30.0, 60.0, 90.0)),
               LoadParams(1.3, 0.9, (80.0,))]
@@ -227,8 +233,7 @@ def test_kernels_broadcast_per_load_parameters():
         for i, p in enumerate(params):
             one = advance_temperatures(x[i:i + 1], z[i:i + 1], wind, comfort[i], dt, p, n_wind)
             assert flowed[i] == one[0]
-            draw = power_draw(LoadState(x[i], z[i]), wind, comfort[i], p, n_wind)
-            assert (wind_power[i], grid_power[i]) == (draw.wind_power, draw.grid_power)
+            assert (wind_power[i], grid_power[i]) == _split(x[i], z[i], wind, comfort[i], p, n_wind)
 
 
 @pytest.mark.parametrize("wind_rates, levels", [

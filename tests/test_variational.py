@@ -4,11 +4,10 @@ from scipy.optimize import minimize
 
 from zpolicy import (
     ThresholdDistribution, continuum_cost, costate, default_z_grid,
-    euler_lagrange, fixed_point, isotonic_fit, multiwind_euler_lagrange,
-    project, project_detailed, sensitivity_curves,
+    euler_lagrange, fixed_point, isotonic_fit, project, project_detailed,
+    sensitivity_curves,
 )
 from zpolicy.costs import SensitivityCurves
-from zpolicy.variational import _candidate
 
 from conftest import GAMMA_REF, random_step_distribution
 
@@ -175,7 +174,7 @@ def test_fixed_point_matches_scan_oracle(env3, params3, curves3):
     vs = np.linspace(0.0, 1.0, 1001)
     resid = np.empty_like(vs)
     for k, v in enumerate(vs):
-        pv = project_detailed(_candidate(curves3, GAMMA_REF, (v,)),
+        pv = project_detailed(euler_lagrange(curves3, GAMMA_REF, (v,)),
                               curves3).grid_values[idx]
         resid[k] = abs(v - pv)
     v_scan = vs[np.argmin(resid)]
@@ -201,7 +200,7 @@ def test_fixed_point_decoupled_middle_level(env3, params3, curves3):
     fp = fixed_point(env3, params3, GAMMA_REF, tol=1e-9, v0=0.3, curves=c3)
     zg = c3.z_grid
     idx = int(np.searchsorted(zg, params3.comfort_levels[1], side="right")) - 1
-    p_const = project_detailed(_candidate(c3, GAMMA_REF, (0.3,)),
+    p_const = project_detailed(euler_lagrange(c3, GAMMA_REF, (0.3,)),
                                c3).grid_values[idx]
     assert fp.v_star[0] == pytest.approx(float(p_const), abs=1e-9)
     # one bracket endpoint hits the fixed point immediately
@@ -214,15 +213,9 @@ def test_projected_level_value_decreasing_in_v(env3, curves3):
     idx = int(np.searchsorted(zg, 70.0, side="right")) - 1
     vals = []
     for v in np.linspace(0.0, 1.0, 11):
-        vals.append(project_detailed(_candidate(curves3, GAMMA_REF, (v,)),
+        vals.append(project_detailed(euler_lagrange(curves3, GAMMA_REF, (v,)),
                                      curves3).grid_values[idx])
     assert np.all(np.diff(vals) <= 1e-9)
-
-
-def test_multiwind_reduces_to_binary(ref_curves):
-    a = multiwind_euler_lagrange(ref_curves, GAMMA_REF)
-    b = euler_lagrange(ref_curves, GAMMA_REF)
-    assert np.array_equal(a, b)
 
 
 def test_multiwind_vanishing_intermediate_terms(env_w3, ref_params):
@@ -240,14 +233,14 @@ def test_multiwind_vanishing_intermediate_terms(env_w3, ref_params):
     binary_form = ((GAMMA_REF * stripped.phi_prime
                     + 2 * 1.1 * (1.1 + 1.0) * stripped.d_theta[0])
                    / (2 * stripped.w_safe))
-    assert np.allclose(multiwind_euler_lagrange(stripped, GAMMA_REF),
+    assert np.allclose(euler_lagrange(stripped, GAMMA_REF),
                        np.clip(binary_form, 0, 1))
 
 
 def test_multiwind_projection_dominates_random(env_w3, ref_params):
     curves = sensitivity_curves(env_w3, ref_params,
                                 z_grid=default_z_grid(ref_params, step=0.5))
-    u_star = project(multiwind_euler_lagrange(curves, GAMMA_REF), curves)
+    u_star = project(euler_lagrange(curves, GAMMA_REF), curves)
     j_star = continuum_cost(u_star, curves, GAMMA_REF).total
     rng = np.random.default_rng(3)
     for _ in range(500):
