@@ -28,7 +28,7 @@ from .hjb import classify_policy, solve_hjb
 from .model import LoadParams, build_environment, power_split
 from .simulate import SimulationConfig, child_seed, empirical_cdf, simulate
 from .stationary import solve_stationary, verify_conservation
-from .variational import euler_lagrange, fixed_point, project_detailed
+from .variational import fixed_point
 
 _SCHEMA = {
     "model": {"h", "c", "comfort_levels", "wind_rates", "comfort_rates"},
@@ -74,7 +74,7 @@ def config_hash(cfg: dict) -> str:
 def _build(cfg: dict):
     m = cfg["model"]
     env = build_environment(m["wind_rates"], m["comfort_rates"])
-    params = LoadParams(h=m["h"], c=m["c"], comfort_levels=tuple(m["comfort_levels"]))
+    params = LoadParams(h=m["h"], c=m["c"], comfort_levels=m["comfort_levels"])
     return env, params
 
 
@@ -113,8 +113,10 @@ def _dist_rows(u: ThresholdDistribution):
     return rows
 
 
-def cmd_distribution(cfg, out: Path, seed, z: float) -> int:
+def cmd_distribution(cfg, out: Path, seed, z: float | None = None) -> int:
     env, params = _build(cfg)
+    if z is None:
+        z = cfg["model"]["comfort_levels"][-1]
     solver = cfg.get("solver", {})
     dist = solve_stationary(z, env, params, grid_step=solver.get("grid_step"))
     rows = []
@@ -158,28 +160,19 @@ def cmd_optimize(cfg, out: Path, seed) -> int:
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
                                 grid_step=solver.get("grid_step"))
-    trace, kappas, pooled = [], [], []
-    if env.n_comfort >= 3:
-        fp = fixed_point(env, params, gamma, tol=solver.get("tolerance", 1e-6),
-                         max_iter=solver.get("max_iter", 60), curves=curves)
-        u_star = fp.distribution
-        trace = [{"iteration": it, "coordinate": j, "v": v, "v_up": vu, "v_down": vd}
-                 for (it, j, v, vu, vd) in fp.trace]
-    else:
-        u_el = euler_lagrange(curves, gamma)
-        proj = project_detailed(u_el, curves)
-        u_star = proj.distribution
-        kappas = [float(k) for k in proj.kappas]
-        pooled = [list(p) for p in proj.pooled_intervals]
+    fp = fixed_point(env, params, gamma, tol=solver.get("tolerance", 1e-6),
+                     max_iter=solver.get("max_iter", 60), curves=curves)
+    u_star = fp.projection.distribution
     cost = continuum_cost(u_star, curves, gamma)
     _write_csv(out / "u_star.csv", ["z", "u", "note"], _dist_rows(u_star))
     _write_json(out / "optimize.json", {
         **_meta(cfg, seed), "gamma": gamma,
         "power_cost": cost.power_cost, "discomfort_cost": cost.discomfort_cost,
         "total_cost": cost.total,
-        "kappas": kappas,
-        "pooled_intervals": pooled,
-        "fixed_point_trace": trace,
+        "kappas": [float(k) for k in fp.projection.kappas],
+        "pooled_intervals": [list(p) for p in fp.projection.pooled_intervals],
+        "fixed_point_trace": [{"iteration": it, "coordinate": j, "v": v, "v_up": vu,
+                               "v_down": vd} for (it, j, v, vu, vd) in fp.trace],
         "jumps": [list(j) for j in u_star.jumps],
     })
     return 0
@@ -316,17 +309,12 @@ def cmd_heuristic(cfg, out: Path, seed) -> int:
 def cmd_hjb(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("hjb", {})
-    grid_step = blk.get("grid_step", params.theta_max / 50.0)
-    wind_power = blk.get("wind_power")
-    # 0.9 of the stability bound grid_step / (h + c + W), W = h + c by default
-    # (a negative W is left for solve_hjb to reject)
-    rate = params.h + 2 * params.c + params.h if wind_power is None else \
-        params.h + params.c + max(wind_power, 0.0)
     values, policy = solve_hjb(
-        env, params, horizon=blk.get("horizon", 40.0), grid_step=grid_step,
-        time_step=blk.get("time_step", 0.9 * grid_step / rate),
-        wind_power=wind_power, forced_power=blk.get("forced_power"))
-    labels = classify_policy(policy, values, params, env)
+        env, params, horizon=blk.get("horizon", 40.0),
+        grid_step=blk.get("grid_step", params.theta_max / 50.0),
+        time_step=blk.get("time_step"), wind_power=blk.get("wind_power"),
+        forced_power=blk.get("forced_power"))
+    labels = classify_policy(policy, params, env)
     n_env, nx = env.n_states, len(values.x)
     _write_columns(out / "hjb_surfaces.csv",
                    ["env_state", "x1", "x2", "value", "wind1", "wind2",
@@ -375,8 +363,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "distribution":
-            z = args.z if args.z is not None else cfg["model"]["comfort_levels"][-1]
-            return cmd_distribution(cfg, out, args.seed, z)
+            return cmd_distribution(cfg, out, args.seed, args.z)
         return _COMMANDS[args.command](cfg, out, args.seed)
     except errors.ZPolicyError as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -93,12 +93,17 @@ class SensitivityCurves:
     @property
     def supplement_rates(self) -> np.ndarray:
         """Grid top-up rate s_i per intermediate wind state i = 1..W-2."""
-        n_wind = self.env.n_wind
-        i = np.arange(1, n_wind - 1, dtype=float)
-        return self.params.c * (1.0 - i / (n_wind - 1))
+        return _supplement_rates(self.params.c, self.env.n_wind)
 
     def interp(self, curve: np.ndarray, zq) -> np.ndarray:
         return np.interp(np.asarray(zq, dtype=float), self.z_grid, curve)
+
+
+def _supplement_rates(c: float, n_wind: int) -> np.ndarray:
+    """s_i = c (1 - i/(W-1)), the grid top-up while force-cooling in each
+    intermediate wind state i = 1..W-2."""
+    i = np.arange(1, n_wind - 1, dtype=float)
+    return c * (1.0 - i / (n_wind - 1))
 
 
 def default_z_grid(params: LoadParams, step: float | None = None) -> np.ndarray:
@@ -196,10 +201,8 @@ def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
 
     h, c = params.h, params.c
     w = h * h * d1 + c * c * d_theta.sum(axis=0)
-    n_wind = env.n_wind
-    for k in range(max(n_wind - 2, 0)):
-        s_i = c * (1.0 - (k + 1) / (n_wind - 1))
-        w = w + s_i * s_i * d_hat_frontier[k]
+    for s_i, frontier in zip(_supplement_rates(c, env.n_wind), d_hat_frontier):
+        w = w + s_i * s_i * frontier
 
     return SensitivityCurves(
         z_grid=z_grid, phi=raw.phi, phi_prime=phi_prime,

@@ -114,6 +114,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
     x1 = x[:, None] * np.ones((1, nx))
     x2 = np.ones((nx, 1)) * x[None, :]
     at_floor = (x1 <= 1e-12, x2 <= 1e-12)
+    share = params.wind_cooling_rates(env.n_wind) / c    # of the full-wind budget
     table = []
     for e in range(env.n_states):
         iw, jc = env.split_index(e)
@@ -128,7 +129,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
             # wind allocation with boundary caps, first-listed load first
             pw = [np.zeros((nx, nx)), np.zeros((nx, nx))]
             if iw >= 1:
-                remaining = np.full((nx, nx), w_pow)
+                remaining = np.full((nx, nx), w_pow * share[iw])
                 for li in order:
                     take = np.minimum(remaining, np.where(at_floor[li], h, cap))
                     pw[li] = take
@@ -234,10 +235,14 @@ def _backward_step(v: np.ndarray, table: list[list[_WindOrder]], q: np.ndarray,
 
 
 def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
-              grid_step: float, time_step: float,
+              grid_step: float, time_step: float | None = None,
               wind_power: float | None = None,
               forced_power: float | None = None) -> tuple[ValueGrid, AllocationPolicy]:
     """Backward induction on the two-load STV control problem.
+
+    W = wind_power (h + c by default) is the wind budget at full wind; wind
+    state i gets W * wind_cooling_rates(n_wind)[i] / c, its share in the
+    model.  time_step defaults to 0.9 of the bound grid_step / (h + c + W).
 
     Raises ValueError unless horizon, grid_step and time_step are finite
     and positive, grid_step is at most the top comfort level, and
@@ -247,8 +252,7 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     h, c = params.h, params.c
     w_pow = wind_power if wind_power is not None else h + c
     m_pow = forced_power if forced_power is not None else h + c
-    for name, value in (("horizon", horizon), ("grid_step", grid_step),
-                        ("time_step", time_step)):
+    for name, value in (("horizon", horizon), ("grid_step", grid_step)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if grid_step > params.theta_max:
@@ -256,6 +260,10 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     for name, value in (("wind_power", w_pow), ("forced_power", m_pow)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if time_step is None:
+        time_step = 0.9 * grid_step / (h + c + w_pow)
+    elif not (np.isfinite(time_step) and time_step > 0):
+        raise ValueError(f"time_step must be finite and positive, got {time_step}")
     if time_step > grid_step / (h + c + w_pow):
         raise UnstableScheme(
             f"time_step {time_step} > grid_step/(h+c+W) = {grid_step / (h + c + w_pow)}")
@@ -279,8 +287,8 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     return grid_obj, policy
 
 
-def classify_policy(policy: AllocationPolicy, values: ValueGrid,
-                    params: LoadParams, env: MarkovEnvironment) -> np.ndarray:
+def classify_policy(policy: AllocationPolicy, params: LoadParams,
+                    env: MarkovEnvironment) -> np.ndarray:
     """Label each cell synchronizing (-1), neutral (0) or desynchronizing (+1)
     by the sign of d|x1 - x2|/dt under the extracted policy."""
     h = params.h

@@ -47,13 +47,17 @@ def _birth_death_generator(rates) -> np.ndarray:
     ``rates`` is either a flat pair (q_up, q_down) for a 2-state chain or a
     sequence of (up_i, down_i) pairs, one per adjacent state pair.
     """
-    arr = list(rates)
-    if not arr:
+    try:
+        arr = list(rates)
+        if len(arr) == 2 and np.isscalar(arr[0]):
+            pairs = [(float(arr[0]), float(arr[1]))]
+        else:
+            pairs = [(float(u), float(d)) for (u, d) in arr]
+    except TypeError:
+        raise ValueError(f"rates must be a pair or a list of (up, down) pairs, "
+                         f"got {rates!r}") from None
+    if not pairs:
         return np.zeros((1, 1))      # single-state chain
-    if len(arr) == 2 and np.isscalar(arr[0]):
-        pairs = [(float(arr[0]), float(arr[1]))]
-    else:
-        pairs = [(float(u), float(d)) for (u, d) in arr]
     n = len(pairs) + 1
     gen = np.zeros((n, n))
     for k, (up, down) in enumerate(pairs):
@@ -154,9 +158,14 @@ class LoadParams:
     comfort_levels: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "comfort_levels", tuple(float(t) for t in self.comfort_levels))
+        try:
+            object.__setattr__(self, "h", float(self.h))
+            object.__setattr__(self, "c", float(self.c))
+            object.__setattr__(self, "comfort_levels",
+                               tuple(float(t) for t in self.comfort_levels))
+        except TypeError:
+            raise ValueError("h, c and comfort_levels must be numbers and a list of numbers, "
+                             f"got {self.h!r}, {self.c!r}, {self.comfort_levels!r}") from None
         if self.h <= 0 or self.c <= 0:
             raise ValueError("h and c must be positive")
         lv = self.comfort_levels

@@ -27,6 +27,7 @@ memory stays O(block x distinct loads) however long the path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,12 @@ class SimulationConfig:
     initial_temperature: float = 0.0
 
     def __post_init__(self):
+        for name, kind in (("n_loads", numbers.Integral), ("horizon_jumps", numbers.Integral),
+                           ("seed", numbers.Integral), ("occupation_edges", numbers.Integral),
+                           ("burn_in", numbers.Real), ("initial_temperature", numbers.Real)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         if self.n_loads < 1:
             raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
         if self.horizon_jumps < 1:

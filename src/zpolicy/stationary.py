@@ -91,13 +91,6 @@ class StationaryDistribution:
     system_rank: int
 
     @property
-    def grid(self) -> np.ndarray:
-        """Flattened grid; interior breakpoints appear once per adjacent segment."""
-        if not self.segments:
-            return np.array([self.z])
-        return np.concatenate([s.x for s in self.segments])
-
-    @property
     def densities(self) -> np.ndarray:
         if not self.segments:
             return np.zeros((self.env.n_states, 1))

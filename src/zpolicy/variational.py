@@ -171,18 +171,10 @@ def costate(u_star: np.ndarray, u_el: np.ndarray, curves: SensitivityCurves) -> 
 @dataclass(frozen=True)
 class FixedPointResult:
     v_star: np.ndarray             # values of u at the middle comfort levels
-    distribution: ThresholdDistribution
-    grid_values: np.ndarray
+    projection: ProjectionResult   # the projection of the candidate at v_star
     trace: list                    # (iteration, coordinate, v, v_up, v_down)
     iterations: int
     residual: float
-
-
-def _projected_level_value(curves: SensitivityCurves, gamma: float, v: np.ndarray,
-                           level_idx: np.ndarray):
-    """Project the candidate at v and read u* at each middle comfort level."""
-    res = project_detailed(euler_lagrange(curves, gamma, v), curves)
-    return res, res.grid_values[level_idx]
 
 
 def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
@@ -195,44 +187,40 @@ def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
     decreasing in v), so the bracket [v_down, v_up] is valid and at least
     halves every iteration.  With C = 3 there is a single coordinate; for
     more levels the coordinates are swept round-robin, each sweep running
-    one bracket refinement per coordinate.
+    one bracket refinement per coordinate.  With fewer than three comfort
+    levels there is nothing to iterate: the result is the projection of
+    the candidate, after 0 iterations and with an empty trace.
     """
     if curves is None:
         curves = sensitivity_curves(env, params)
     n_mid = max(env.n_comfort - 2, 0)
-    if n_mid == 0:
-        res = project_detailed(euler_lagrange(curves, gamma), curves)
-        return FixedPointResult(v_star=np.zeros(0), distribution=res.distribution,
-                                grid_values=res.grid_values, trace=[], iterations=0,
-                                residual=0.0)
+    level_idx = np.searchsorted(curves.z_grid, params.comfort_levels[1:-1], side="right") - 1
 
-    zg = curves.z_grid
-    level_idx = np.array([int(np.searchsorted(zg, params.comfort_levels[j], side="right")) - 1
-                          for j in range(1, env.n_comfort - 1)])
+    def project_at(v):
+        """Project the candidate at v and read u* at each middle comfort level."""
+        res = project_detailed(euler_lagrange(curves, gamma, v), curves)
+        return res, res.grid_values[level_idx]
 
     v = np.full(n_mid, float(v0))
-    res, pv = _projected_level_value(curves, gamma, v, level_idx)
+    res, pv = project_at(v)
     v_up = np.maximum(v, pv)
     v_down = np.minimum(v, pv)
     trace = [(0, j, float(v[j]), float(v_up[j]), float(v_down[j])) for j in range(n_mid)]
-
-    for it in range(1, max_iter + 1):
-        v = 0.5 * (v_up + v_down)
-        res, pv = _projected_level_value(curves, gamma, v, level_idx)
-        v_up = np.minimum(v_up, np.maximum(v, pv))
-        v_down = np.maximum(v_down, np.minimum(v, pv))
-        for j in range(n_mid):
-            trace.append((it, j, float(v[j]), float(v_up[j]), float(v_down[j])))
-        residual = float(np.max(np.abs(v - pv)))
-        if residual <= tol:
-            return FixedPointResult(v_star=v, distribution=res.distribution,
-                                    grid_values=res.grid_values, trace=trace,
-                                    iterations=it, residual=residual)
-    if float(np.max(v_up - v_down)) > tol:
-        raise NoConvergence(
-            f"bracket {float(np.max(v_up - v_down)):.2e} > tol after {max_iter} iterations")
-    res, pv = _projected_level_value(curves, gamma, v, level_idx)
-    return FixedPointResult(v_star=v, distribution=res.distribution,
-                            grid_values=res.grid_values, trace=trace,
-                            iterations=max_iter,
-                            residual=float(np.max(np.abs(v - pv))))
+    it, residual = 0, float(np.max(np.abs(v - pv), initial=0.0))
+    if n_mid:
+        for it in range(1, max_iter + 1):
+            v = 0.5 * (v_up + v_down)
+            res, pv = project_at(v)
+            v_up = np.minimum(v_up, np.maximum(v, pv))
+            v_down = np.maximum(v_down, np.minimum(v, pv))
+            for j in range(n_mid):
+                trace.append((it, j, float(v[j]), float(v_up[j]), float(v_down[j])))
+            residual = float(np.max(np.abs(v - pv)))
+            if residual <= tol:
+                break
+        else:
+            if float(np.max(v_up - v_down)) > tol:
+                raise NoConvergence(
+                    f"bracket {float(np.max(v_up - v_down)):.2e} > tol after {max_iter} iterations")
+    return FixedPointResult(v_star=v, projection=res, trace=trace, iterations=it,
+                            residual=residual)

@@ -98,6 +98,15 @@ def test_optimize_three_levels_bracket_halving(tmp_path):
     assert trace
     widths = [t["v_up"] - t["v_down"] for t in trace]
     assert all(b <= a / 2 + 1e-12 for a, b in zip(widths[:-1], widths[1:]))
+    from zpolicy import (
+        LoadParams, build_environment, default_z_grid, fixed_point, sensitivity_curves,
+    )
+    params = LoadParams(h=1.0, c=1.1, comfort_levels=(40.0, 70.0, 100.0))
+    env = build_environment([0.04, 0.04], [[0.02, 0.02], [0.02, 0.02]])
+    curves = sensitivity_curves(env, params, z_grid=default_z_grid(params, step=1.0))
+    proj = fixed_point(env, params, 0.1, curves=curves).projection
+    assert rep["kappas"] == [float(k) for k in proj.kappas]
+    assert rep["pooled_intervals"] == [list(p) for p in proj.pooled_intervals]
 
 
 def test_simulate_reproducible_byte_identical(tmp_path):
@@ -181,7 +190,7 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
     env, params = _build(load_config(str(cfg)))
     values, policy = solve_hjb(env, params, horizon=10.0, grid_step=5.0,
                                time_step=1.0)
-    labels = classify_policy(policy, values, params, env)
+    labels = classify_policy(policy, params, env)
     rows = []
     for e in range(env.n_states):
         for i, x1 in enumerate(values.x):
@@ -233,6 +242,8 @@ def test_deterministic_outputs_across_commands(tmp_path):
     ({"n_loads": 1, "horizon_jumps": 100, "burn_in": 1.5}, 1),
     ({"n_loads": 1, "horizon_jumps": 100, "burn_in": -0.1}, 1),
     ({"n_loads": 1, "horizon_jumps": 100, "burn_in": float("nan")}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100.5, "set_points": [60.0]}, 1),
+    ({"n_loads": 1, "horizon_jumps": 100, "seed": "3"}, 1),
 ])
 def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
     cfg = _write_config(tmp_path, simulation=simulation)
@@ -244,7 +255,17 @@ def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
     json.dumps({"model": 5}),
     json.dumps({"model": {"h": "x", "c": 1.1, "comfort_levels": [50.0, 100.0],
                           "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
-], ids=["top_level_list", "block_not_object", "h_not_a_number"])
+    json.dumps({"model": {"h": None, "c": 1.1, "comfort_levels": [50.0, 100.0],
+                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
+    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": 5,
+                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
+    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
+                          "wind_rates": 5, "comfort_rates": [0.02, 0.02]}}),
+    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
+                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]},
+                "simulation": {"n_loads": "3"}}),
+], ids=["top_level_list", "block_not_object", "h_not_a_number", "h_null",
+        "comfort_levels_not_a_list", "wind_rates_not_a_list", "n_loads_a_string"])
 def test_malformed_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
@@ -287,8 +308,9 @@ def test_hjb_default_time_step_follows_grid_and_wind(tmp_path, monkeypatch, hjb,
     solve = cli.solve_hjb
 
     def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return solve(*args, **kwargs)
+        values, policy = solve(*args, **kwargs)
+        seen["time_step"] = values.time_step
+        return values, policy
 
     monkeypatch.setattr(cli, "solve_hjb", spy)
     cfg = _write_config(tmp_path, hjb={"horizon": 1.0, **hjb})

@@ -26,6 +26,7 @@ def test_stability_precondition(ref_env, ref_params):
     {"grid_step": 150.0},
     {"time_step": 0.0}, {"time_step": -1.0}, {"time_step": float("nan")},
     {"wind_power": -1.0}, {"wind_power": float("nan")}, {"forced_power": -1.0},
+    {"wind_power": -(1.0 + 1.1), "time_step": None},   # h + c + W = 0: no default step
 ])
 def test_bad_inputs_raise_value_error(ref_env, ref_params, bad):
     args = {"horizon": 10.0, "grid_step": 4.0, "time_step": 0.9, **bad}
@@ -64,6 +65,7 @@ def _reference_solve_hjb(env, params, horizon, grid_step, time_step,
     x1 = x[:, None] * np.ones((1, nx))
     x2 = np.ones((nx, 1)) * x[None, :]
     cap = h + c
+    share = params.wind_cooling_rates(env.n_wind) / c
 
     def step(v_next):
         v_new = np.empty_like(v_next)
@@ -84,7 +86,7 @@ def _reference_solve_hjb(env, params, horizon, grid_step, time_step,
             for order in ([(0, 1), (1, 0)] if iw >= 1 else [(0, 1)]):
                 pw = [np.zeros((nx, nx)), np.zeros((nx, nx))]
                 if iw >= 1:
-                    remaining = np.full((nx, nx), w_pow)
+                    remaining = np.full((nx, nx), w_pow * share[iw])
                     for li in order:
                         cap_i = np.where([at_floor1, at_floor2][li], h, cap)
                         take = np.minimum(remaining, cap_i)
@@ -168,6 +170,17 @@ def test_matches_per_state_reference_exactly(env, params, kwargs):
     assert np.array_equal(policy.grid, ref_grid)
 
 
+def test_wind_allocation_within_each_states_budget(env_w3, ref_params):
+    # wind state i shares wind_power * i/(W-1), the model's cooling share
+    _, policy = solve_hjb(env_w3, ref_params, horizon=12.0, grid_step=2.5, time_step=0.5)
+    budget = policy.wind_power * ref_params.wind_cooling_rates(env_w3.n_wind) / ref_params.c
+    total = policy.wind.sum(axis=-1)
+    for e in range(env_w3.n_states):
+        assert total[e].max() <= budget[env_w3.split_index(e)[0]]
+    half = [e for e in range(env_w3.n_states) if env_w3.split_index(e)[0] == 1]
+    assert 0.0 < total[half].max() <= 0.5 * policy.wind_power
+
+
 def test_single_backward_step_is_stage_cost(ref_env, ref_params):
     # terminal V = 0: after one step only forced actions contribute
     h, c = ref_params.h, ref_params.c
@@ -243,14 +256,14 @@ def test_desynchronizing_region_wind_to_cooler(ref_env, ref_params):
         if (cooler_gets & (np.abs(x1 - x2) > 2.0)).sum() > 10:
             found = True
     assert found
-    labels = classify_policy(pol, vals, ref_params, ref_env)
+    labels = classify_policy(pol, ref_params, ref_env)
     assert (labels == 1).sum() > 0
     assert (labels == -1).sum() > 0
 
 
 def test_classify_neutral_on_diagonal(ref_env, ref_params):
     vals, pol = _solve_small(ref_env, ref_params)
-    labels = classify_policy(pol, vals, ref_params, ref_env)
+    labels = classify_policy(pol, ref_params, ref_env)
     for e in range(4):
         assert np.all(np.diag(labels[e]) == 0)
 

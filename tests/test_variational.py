@@ -158,6 +158,14 @@ def test_costate_diagnostics(ref_curves):
     assert abs(lam[-1]) <= 1e-6
 
 
+def test_fixed_point_without_middle_levels_is_the_projection(ref_env, ref_params, ref_curves):
+    fp = fixed_point(ref_env, ref_params, GAMMA_REF, curves=ref_curves)
+    assert fp.iterations == 0
+    assert fp.trace == []
+    direct = project_detailed(euler_lagrange(ref_curves, GAMMA_REF), ref_curves)
+    assert np.array_equal(fp.projection.grid_values, direct.grid_values)
+
+
 def test_fixed_point_bracket_halving(env3, params3, curves3):
     fp = fixed_point(env3, params3, GAMMA_REF, tol=1e-6, v0=0.5, curves=curves3)
     widths = [vu - vd for (_, _, _, vu, vd) in fp.trace]
