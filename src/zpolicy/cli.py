@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -78,6 +79,20 @@ def _build(cfg: dict):
     return env, params
 
 
+def _gamma(cfg: dict) -> float:
+    """The discomfort weight, 0 unless the solver block sets it."""
+    gamma = cfg.get("solver", {}).get("gamma", 0.0)
+    if not isinstance(gamma, numbers.Real):
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
+    return gamma
+
+
+def _given(block: dict, **keys) -> dict:
+    """The keyword arguments whose config keys ``block`` sets, so that the
+    library's own defaults hold for the others (keyword=config key)."""
+    return {name: block[key] for name, key in keys.items() if key in block}
+
+
 def _meta(cfg: dict, seed) -> dict:
     return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
 
@@ -93,11 +108,19 @@ def _write_csv(path: Path, header: list[str], rows):
 
 def _write_columns(path: Path, header: list[str], columns):
     """The CSV that _write_csv writes for the rows of the flattened
-    columns: tolist() gives Python numbers, and csv writes floats as repr."""
+    columns.  Each column's distinct values, told apart by bit pattern so
+    that -0.0 and 0.0 stay apart, become text once: str() of the Python
+    number, as csv writes it (repr and str agree on floats)."""
+    texts = []
+    for col in columns:
+        flat = np.ravel(col)
+        _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
+                                      return_index=True, return_inverse=True)
+        words = np.array(list(map(str, flat[first].tolist())), dtype=object)
+        texts.append(words[inverse].tolist())
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(header)
-        wr.writerows(zip(*(np.ravel(col).tolist() for col in columns)))
+        csv.writer(f).writerow(header)
+        f.writelines(f"{row}\r\n" for row in map(",".join, zip(*texts)))
 
 
 def _write_json(path: Path, payload: dict):
@@ -156,12 +179,12 @@ def cmd_curves(cfg, out: Path, seed) -> int:
 def cmd_optimize(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     solver = cfg.get("solver", {})
-    gamma = solver.get("gamma", 0.0)
+    gamma = _gamma(cfg)
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
                                 grid_step=solver.get("grid_step"))
-    fp = fixed_point(env, params, gamma, tol=solver.get("tolerance", 1e-6),
-                     max_iter=solver.get("max_iter", 60), curves=curves)
+    fp = fixed_point(env, params, gamma, curves=curves,
+                     **_given(solver, tol="tolerance", max_iter="max_iter"))
     u_star = fp.projection.distribution
     cost = continuum_cost(u_star, curves, gamma)
     _write_csv(out / "u_star.csv", ["z", "u", "note"], _dist_rows(u_star))
@@ -181,7 +204,7 @@ def cmd_optimize(cfg, out: Path, seed) -> int:
 def cmd_simulate(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     sim = cfg.get("simulation", {})
-    gamma = cfg.get("solver", {}).get("gamma", 0.0)
+    gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else sim.get("seed", 0)
     config = SimulationConfig(
         n_loads=sim.get("n_loads", 1),
@@ -191,7 +214,7 @@ def cmd_simulate(cfg, out: Path, seed) -> int:
         if sim.get("set_points") else None,
         record_occupation=sim.get("record_occupation", True),
         record_trace=sim.get("record_trace", False),
-        burn_in=sim.get("burn_in", 0.1))
+        **_given(sim, burn_in="burn_in"))
     result = simulate(config, env, params, gamma)
     _write_json(out / "simulate.json", {
         **_meta(cfg, eff_seed),
@@ -233,7 +256,7 @@ def cmd_compare(cfg, out: Path, seed) -> int:
     config = SimulationConfig(n_loads=1, horizon_jumps=sim.get("horizon_jumps", 200000),
                               seed=eff_seed, set_points=np.array([z]),
                               record_occupation=True)
-    result = simulate(config, env, params, cfg.get("solver", {}).get("gamma", 0.0))
+    result = simulate(config, env, params, _gamma(cfg))
     edges, per_load, _ = empirical_cdf(result)
     analytic = dist.cdf(edges)
     sup = float(np.max(np.abs(per_load[0] - analytic)))
@@ -247,7 +270,7 @@ def cmd_compare(cfg, out: Path, seed) -> int:
 def cmd_cftp(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("cftp", {})
-    gamma = cfg.get("solver", {}).get("gamma", 0.0)
+    gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else blk.get("seed", 0)
     set_points = blk.get("set_points") or [params.theta_max]
     n = len(set_points)
@@ -257,8 +280,10 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
         load_params=tuple(params for _ in range(n)),
         comfort_rates=tuple(tuple(r) for r in comfort_rates),
         set_points=tuple(float(z) for z in set_points),
-        seed=eff_seed, max_doublings=blk.get("max_doublings", 24))
+        seed=eff_seed, **_given(blk, max_doublings="max_doublings"))
     n_samples = blk.get("n_samples", 1000)
+    if not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     samples = cftp_samples(config, [np.random.default_rng(child_seed(eff_seed, k))
                                     for k in range(n_samples)])
     report = estimate_joint_cost(samples, config, gamma)
@@ -282,7 +307,7 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
 def cmd_heuristic(cfg, out: Path, seed) -> int:
     env, params = _build(cfg)
     blk = cfg.get("heuristic", {})
-    gamma = cfg.get("solver", {}).get("gamma", 0.0)
+    gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else blk.get("seed", 0)
     domain = tuple(blk.get("domain", (0.0, params.theta_max)))
     cost_fn = make_simulation_cost_fn(

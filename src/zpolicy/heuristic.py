@@ -10,6 +10,7 @@ every segment splits in two and the optimum so far seeds the finer level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,8 +163,8 @@ def adapt_step(alphas: np.ndarray, prev_alphas: np.ndarray, j: float, j_prev: fl
     quantile-sampled episodes, or the next difference is exactly zero),
     and the result is projected back onto the monotone simplex.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive number, got {epsilon!r}")
     new = np.asarray(alphas, dtype=float).copy()
     d = new[coordinate] - prev_alphas[coordinate]
     if abs(d) < stall_tol:

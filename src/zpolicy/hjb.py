@@ -19,12 +19,20 @@ does not depend on V is built once, before the time loop, into a
 candidate table: the boundary masks, the wind split, the forced and
 holding grid power, each load's room for extra grid power, and the whole
 drift of the candidate with no extra grid power.  An extra-power
-candidate whose room is zero in every cell is left out of the table: its
-power is then that of its order's first candidate in every cell, so its
-Hamiltonian is a copy, and a copy never beats the strict minimum.  A
-time step computes the one-sided gradients of the whole (n_env, nx, nx)
+candidate is scored only on its box, the bounding box of the cells where
+its load has room for extra power: outside it the extra is zero, so the
+Hamiltonian is a copy of its order's first candidate, and a copy never
+beats the strict minimum.  A candidate with an empty box is left out of
+the table.  The boundary caps are applied only in the rows or columns
+where they are finite.
+
+A time step computes the one-sided gradients of the whole (n_env, nx, nx)
 stack, scores only the gradient-dependent terms, and records the policy
-only on the last step, the one returned.
+only on the last step, the one returned, where the first of equal
+candidates wins.  The other steps keep a running minimum, which gives the
+same values.  Each solve makes one workspace of scratch arrays that every
+step writes into, in the same order of operations as freshly allocated
+arrays, so its values are those of the plain expressions bit for bit.
 
 The minimizing structure matches the closed-form argmin of the quadratic
 Hamiltonian: wind goes entirely to the load with the larger value-gradient
@@ -41,6 +49,7 @@ level by a rule that gives it no power there.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,13 +84,23 @@ class AllocationPolicy:
     forced_power: float
 
 
+class _Cap(NamedTuple):
+    """A boundary cap on the cells of a box where it is finite: row and
+    column slices of the box, and the cap's values there."""
+    index: tuple[slice, slice]
+    value: np.ndarray
+
+
 class _Extra(NamedTuple):
     """The candidate that gives one load the clipped half-gradient as extra
-    grid power, on top of its wind order's forced and holding power."""
+    grid power, on top of its wind order's forced and holding power.  It is
+    scored on its box, the bounding box of the cells where the load has
+    room for extra power, and its arrays are cut to that box."""
     load: int
-    room: np.ndarray         # the most extra grid power the load can take
-    floor_cap: np.ndarray    # h at x = 0, where the load may not cool; inf elsewhere
-    top_cap: np.ndarray      # 0 at the active top, where it may not heat; inf elsewhere
+    box: tuple[slice, slice]
+    room: np.ndarray          # the most extra grid power the load can take
+    floor: _Cap | None        # h at x = 0, where the load may not cool
+    top: _Cap | None          # 0 at the active top, where it may not heat
 
 
 class _WindOrder(NamedTuple):
@@ -96,11 +115,37 @@ class _WindOrder(NamedTuple):
     extras: tuple[_Extra, ...]
 
 
-def _drift(h: float, wind: np.ndarray, grid: np.ndarray, floor_cap: np.ndarray,
-           top_cap: np.ndarray) -> np.ndarray:
-    """dx/dt of one load: its power capped at h on the floor, and its
-    heating capped at 0 at the active top."""
-    return np.minimum(h - np.minimum(wind + grid, floor_cap), top_cap)
+def _bounding_box(mask: np.ndarray) -> tuple[slice, slice] | None:
+    """Row and column slices of the smallest box that holds every True
+    cell of ``mask``; None when there is none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return None
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def _cap_in(cap: np.ndarray, box: tuple[slice, slice]) -> _Cap | None:
+    """``cap`` cut to ``box`` and, within it, to where the cap is finite."""
+    cut = cap[box]
+    finite = _bounding_box(np.isfinite(cut))
+    return None if finite is None else _Cap(finite, cut[finite])
+
+
+def _drift(h: float, power: np.ndarray, floor: _Cap | None, top: _Cap | None,
+           out: np.ndarray) -> np.ndarray:
+    """dx/dt of one load, into ``out``: h minus its power capped at h on the
+    floor, with its heating capped at 0 at the active top.  Each cap is
+    applied only where it is finite, since a minimum with inf is the
+    identity; ``power`` is capped in place."""
+    if floor is not None:
+        capped = power[floor.index]
+        np.minimum(capped, floor.value, out=capped)
+    f = np.subtract(h, power, out=out)
+    if top is not None:
+        capped = f[top.index]
+        np.minimum(capped, top.value, out=capped)
+    return f
 
 
 def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
@@ -115,6 +160,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
     x2 = np.ones((nx, 1)) * x[None, :]
     at_floor = (x1 <= 1e-12, x2 <= 1e-12)
     share = params.wind_cooling_rates(env.n_wind) / c    # of the full-wind budget
+    everywhere = (slice(None), slice(None))
     table = []
     for e in range(env.n_states):
         iw, jc = env.split_index(e)
@@ -141,16 +187,20 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
                 lb = np.where(at_top[li] & ~forced[li], np.clip(h - pw[li], 0.0, None), 0.0)
                 g_base.append(np.where(forced[li], base, lb))
             g = (g_base[0] + 0.0, g_base[1] + 0.0)   # plus zero extra: -0.0 becomes 0.0
-            f = [_drift(h, pw[li], g[li], floor_cap[li], top_cap[li]) for li in (0, 1)]
+            f = [_drift(h, pw[li] + g[li], _cap_in(floor_cap[li], everywhere),
+                        _cap_in(top_cap[li], everywhere), np.empty((nx, nx)))
+                 for li in (0, 1)]
             extras = []
             for li in (0, 1):
                 room = np.clip(cap - pw[li] - g_base[li], 0.0, None)
                 room = np.where(forced[li], 0.0, room)
                 room = np.where(at_floor[li], np.clip(h - pw[li] - g_base[li], 0.0, None), room)
-                # with no room anywhere the candidate is a copy of the one
-                # with no extra grid power, and a copy never wins
-                if room.any():
-                    extras.append(_Extra(li, room, floor_cap[li], top_cap[li]))
+                # outside the box the extra is 0, so the candidate is a copy
+                # of the one with no extra grid power, and a copy never wins
+                box = _bounding_box(room > 0)
+                if box is not None:
+                    extras.append(_Extra(li, box, room[box], _cap_in(floor_cap[li], box),
+                                         _cap_in(top_cap[li], box)))
             orders.append(_WindOrder(
                 wind=(pw[0], pw[1]), grid=g, grid_total=g_base[0] + g_base[1],
                 f_pos=(np.maximum(f[0], 0.0), np.maximum(f[1], 0.0)),
@@ -160,78 +210,130 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
     return table
 
 
-def _one_sided_gradients(v: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Workspace:
+    """The scratch arrays of one solve, written by every backward step."""
+
+    def __init__(self, n_env: int, nx: int):
+        # one-sided differences, inward at the edges: each axis's forward
+        # and backward differences are two views of one padded array
+        self.d1 = np.empty((n_env, nx + 1, nx))
+        self.d2 = np.empty((n_env, nx, nx + 1))
+        self.grads = (self.d1[:, 1:, :], self.d1[:, :-1, :],
+                      self.d2[:, :, 1:], self.d2[:, :, :-1])
+        self.ham = np.empty((n_env, nx, nx))      # the cheapest Hamiltonian
+        self.coupling = np.empty((n_env, nx, nx))
+        self.terms = np.empty((4, nx, nx))        # drift terms with no extra grid power
+        self.cand = np.empty((nx, nx))
+        self.flat = np.empty((4, nx * nx))        # box-shaped scratch, contiguous
+
+    def boxes(self, shape: tuple[int, int]) -> list[np.ndarray]:
+        """Four scratch arrays of ``shape``."""
+        n = shape[0] * shape[1]
+        return [buf[:n].reshape(shape) for buf in self.flat]
+
+
+def _one_sided_gradients(v: np.ndarray, dx: float, ws: _Workspace) -> None:
     """Forward/backward differences along each grid axis of the
-    (n_env, nx, nx) stack, one-sided inward at edges.  Each axis's
-    forward and backward differences are two views of one padded array."""
-    n, nx, _ = v.shape
-    d1 = np.empty((n, nx + 1, nx))
+    (n_env, nx, nx) stack into ``ws.grads``, one-sided inward at edges."""
+    d1, d2 = ws.d1, ws.d2
     np.subtract(v[:, 1:, :], v[:, :-1, :], out=d1[:, 1:-1, :])
     d1[:, 1:-1, :] /= dx
     d1[:, 0, :] = d1[:, 1, :]
     d1[:, -1, :] = d1[:, -2, :]
-    d2 = np.empty((n, nx, nx + 1))
     np.subtract(v[:, :, 1:], v[:, :, :-1], out=d2[:, :, 1:-1])
     d2[:, :, 1:-1] /= dx
     d2[:, :, 0] = d2[:, :, 1]
     d2[:, :, -1] = d2[:, :, -2]
-    return d1[:, 1:, :], d1[:, :-1, :], d2[:, :, 1:], d2[:, :, :-1]
 
 
-def _candidates(order: _WindOrder, grads, half_grads, h: float):
-    """Yield (Hamiltonian, grid power per load) of the wind order's
-    candidates: first no extra grid power, then each load's extra.  An
+def _keep_cheaper(best: np.ndarray, cand: np.ndarray, chosen, powers) -> None:
+    """Lower ``best`` to ``cand`` where the candidate is cheaper.  With
+    policy arrays ``chosen``, the first of equal candidates wins and its
+    ``powers`` are written where it does; without, the running minimum is
+    the same values, since no Hamiltonian is NaN or -0.0 (its first addend
+    (g1 + g2)**2 never is)."""
+    if not chosen:
+        np.minimum(best, cand, out=best)
+        return
+    better = cand < best
+    np.copyto(best, cand, where=better)
+    for arr, new in zip(chosen, powers):
+        np.copyto(arr, new, where=better)
+
+
+def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
+                 ws: _Workspace) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(Hamiltonian, powers) of an extra-power candidate on its box.  The
     extra changes only its own load's drift terms, so the other load's
-    are shared with the first candidate."""
-    pos, neg = order.f_pos, order.f_neg
-    terms = [pos[0] * grads[0], neg[0] * grads[1], pos[1] * grads[2], neg[1] * grads[3]]
-    yield order.power_sq + terms[0] + terms[1] + terms[2] + terms[3], order.grid
-    for ex in order.extras:
-        li = ex.load
-        extra = np.minimum(np.maximum(half_grads[li] - order.grid_total, 0.0), ex.room)
-        g = list(order.grid)
-        g[li] = order.grid[li] + extra
-        f = _drift(h, order.wind[li], g[li], ex.floor_cap, ex.top_cap)
-        t = list(terms)
-        t[2 * li] = np.maximum(f, 0.0) * grads[2 * li]
-        t[2 * li + 1] = np.minimum(f, 0.0) * grads[2 * li + 1]
-        yield (g[0] + g[1]) ** 2 + t[0] + t[1] + t[2] + t[3], tuple(g)
+    come from the order's candidate with no extra grid power."""
+    li, box = ex.load, ex.box
+    work, g, pos, cand = ws.boxes(ex.room.shape)
+    # the clipped half-gradient: half the load's backward difference
+    extra = np.multiply(0.5, ws.grads[2 * li + 1][e][box], out=work)
+    extra -= order.grid_total[box]
+    np.maximum(extra, 0.0, out=extra)
+    np.minimum(extra, ex.room, out=extra)
+    grid = [order.grid[0][box], order.grid[1][box]]
+    grid[li] = np.add(grid[li], extra, out=g)
+    f = _drift(h, np.add(order.wind[li][box], g, out=work), ex.floor, ex.top, out=work)
+    np.maximum(f, 0.0, out=pos)
+    pos *= ws.grads[2 * li][e][box]
+    neg = np.minimum(f, 0.0, out=work)
+    neg *= ws.grads[2 * li + 1][e][box]
+    np.add(grid[0], grid[1], out=cand)
+    np.square(cand, out=cand)
+    terms = [t[box] for t in ws.terms]
+    terms[2 * li], terms[2 * li + 1] = pos, neg
+    for t in terms:
+        cand += t
+    return cand, (order.wind[0][box], order.wind[1][box], *grid)
 
 
-def _backward_step(v: np.ndarray, table: list[list[_WindOrder]], q: np.ndarray,
-                   dx: float, dt: float, h: float,
-                   policy: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """One explicit step from V(t + dt) to V(t).  Each cell takes the first
-    of its cheapest candidates; with ``policy`` given as (wind, grid)
-    arrays, the winners' powers are written into them."""
-    grads = _one_sided_gradients(v, dx)
-    half_grads = (0.5 * grads[1], 0.5 * grads[3])
-    ham = np.empty_like(v)
+def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
+                   rates: list[tuple[int, int, float]], dx: float, dt: float,
+                   h: float, ws: _Workspace,
+                   policy: tuple[np.ndarray, np.ndarray] | None) -> None:
+    """One explicit step from V(t + dt) to V(t), in place.  Each cell takes
+    the first of its cheapest candidates; with ``policy`` given as (wind,
+    grid) arrays, the winners' powers are written into them."""
+    _one_sided_gradients(v, dx, ws)
+    terms = ws.terms
     for e, orders in enumerate(table):
-        grads_e = [gr[e] for gr in grads]
-        half_e = [hg[e] for hg in half_grads]
-        scored = ((cand, (*order.wind, *g)) for order in orders
-                  for cand, g in _candidates(order, grads_e, half_e, h))
-        first, powers = next(scored)
-        best = ham[e]
-        best[...] = first
+        grads = [gr[e] for gr in ws.grads]
+        best = ws.ham[e]
         chosen = ()
         if policy is not None:
             chosen = (policy[0][e, :, :, 0], policy[0][e, :, :, 1],
                       policy[1][e, :, :, 0], policy[1][e, :, :, 1])
-            for arr, new in zip(chosen, powers):
-                arr[...] = new
-        for cand, powers in scored:
-            better = cand < best
-            np.copyto(best, cand, where=better)
-            for arr, new in zip(chosen, powers):
-                np.copyto(arr, new, where=better)
-    # sum over e2 of q[e2, e] * (V[e2] - V[e]); the e2 == e term is a signed
-    # zero, which leaves the sum as it is
-    coupling = np.zeros_like(v)
-    for e2 in range(len(q)):
-        coupling += q[e2][:, None, None] * (v[e2] - v)
-    return v + dt * (ham + coupling)
+        for k, order in enumerate(orders):
+            for t, f, grad in zip(terms, (order.f_pos[0], order.f_neg[0],
+                                          order.f_pos[1], order.f_neg[1]), grads):
+                np.multiply(f, grad, out=t)
+            cand = best if k == 0 else ws.cand
+            np.add(order.power_sq, terms[0], out=cand)
+            for t in terms[1:]:
+                cand += t
+            powers = (*order.wind, *order.grid)
+            if k == 0:
+                for arr, new in zip(chosen, powers):
+                    arr[...] = new
+            else:
+                _keep_cheaper(best, cand, chosen, powers)
+            for ex in order.extras:
+                cand, powers = _score_extra(ex, order, e, h, ws)
+                _keep_cheaper(best[ex.box], cand, [arr[ex.box] for arr in chosen], powers)
+    # sum over e2 of q[e2, e] * (V[e2] - V[e]), over the rates that are not
+    # zero: the others add a signed zero, which leaves the sum as it is
+    coupling, diff = ws.coupling, ws.cand       # no candidate is scored from here on
+    coupling.fill(0.0)
+    for e, e2, rate in rates:
+        np.subtract(v[e2], v[e], out=diff)
+        diff *= rate
+        coupling[e] += diff
+    ham = ws.ham
+    ham += coupling
+    ham *= dt
+    v += ham
 
 
 def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
@@ -244,11 +346,17 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     state i gets W * wind_cooling_rates(n_wind)[i] / c, its share in the
     model.  time_step defaults to 0.9 of the bound grid_step / (h + c + W).
 
-    Raises ValueError unless horizon, grid_step and time_step are finite
-    and positive, grid_step is at most the top comfort level, and
-    wind_power and forced_power are finite and nonnegative; raises
-    UnstableScheme unless time_step <= grid_step / (h + c + W).
+    Raises ValueError unless every given argument after params is a
+    number, horizon, grid_step and time_step are finite and positive,
+    grid_step is at most the top comfort level, and wind_power and
+    forced_power are finite and nonnegative; raises UnstableScheme unless
+    time_step <= grid_step / (h + c + W).
     """
+    for name, value in (("horizon", horizon), ("grid_step", grid_step),
+                        ("time_step", time_step), ("wind_power", wind_power),
+                        ("forced_power", forced_power)):
+        if value is not None and not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     h, c = params.h, params.c
     w_pow = wind_power if wind_power is not None else h + c
     m_pow = forced_power if forced_power is not None else h + c
@@ -275,10 +383,14 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     v = np.zeros((env.n_states, nx, nx))
     wind_split = np.zeros((env.n_states, nx, nx, 2))
     grid_power = np.zeros((env.n_states, nx, nx, 2))
+    q = env.generator
+    rates = [(e, e2, q[e2, e]) for e in range(env.n_states)
+             for e2 in range(env.n_states) if e2 != e and q[e2, e] != 0.0]
+    ws = _Workspace(env.n_states, nx)
     for k in range(n_steps):
         last = k == n_steps - 1
-        v = _backward_step(v, table, env.generator, grid_step, time_step, h,
-                           (wind_split, grid_power) if last else None)
+        _backward_step(v, table, rates, grid_step, time_step, h, ws,
+                       (wind_split, grid_power) if last else None)
 
     grid_obj = ValueGrid(x=x, values=v, horizon=n_steps * time_step,
                          time_step=time_step)

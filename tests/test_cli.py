@@ -250,26 +250,31 @@ def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
 
 
-@pytest.mark.parametrize("text", [
-    "[]",
-    json.dumps({"model": 5}),
-    json.dumps({"model": {"h": "x", "c": 1.1, "comfort_levels": [50.0, 100.0],
-                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
-    json.dumps({"model": {"h": None, "c": 1.1, "comfort_levels": [50.0, 100.0],
-                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
-    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": 5,
-                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}}),
-    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
-                          "wind_rates": 5, "comfort_rates": [0.02, 0.02]}}),
-    json.dumps({"model": {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
-                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]},
-                "simulation": {"n_loads": "3"}}),
+_REF_MODEL = {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
+              "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "[]"),
+    ("simulate", json.dumps({"model": 5})),
+    ("simulate", json.dumps({"model": {**_REF_MODEL, "h": "x"}})),
+    ("simulate", json.dumps({"model": {**_REF_MODEL, "h": None}})),
+    ("simulate", json.dumps({"model": {**_REF_MODEL, "comfort_levels": 5}})),
+    ("simulate", json.dumps({"model": {**_REF_MODEL, "wind_rates": 5}})),
+    ("simulate", json.dumps({"model": _REF_MODEL, "simulation": {"n_loads": "3"}})),
+    ("hjb", json.dumps({"model": _REF_MODEL, "hjb": {"horizon": "2"}})),
+    ("cftp", json.dumps({"model": _REF_MODEL, "cftp": {"n_samples": "3"}})),
+    ("heuristic", json.dumps({"model": _REF_MODEL, "heuristic": {
+        "epsilon": "x", "max_level": 0, "episode_jumps": 100, "n_loads": 2}})),
+    ("optimize", json.dumps({"model": _REF_MODEL, "solver": {"gamma": "x"}})),
 ], ids=["top_level_list", "block_not_object", "h_not_a_number", "h_null",
-        "comfort_levels_not_a_list", "wind_rates_not_a_list", "n_loads_a_string"])
-def test_malformed_config_is_usage_error(tmp_path, text):
+        "comfort_levels_not_a_list", "wind_rates_not_a_list", "n_loads_a_string",
+        "hjb_horizon_a_string", "cftp_n_samples_a_string", "heuristic_epsilon_a_string",
+        "solver_gamma_a_string"])
+def test_malformed_config_is_usage_error(tmp_path, command, text):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
-    proc = _run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    proc = _run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -374,3 +379,54 @@ def test_occupation_csv_matches_row_by_row_writer(tmp_path):
     assert len(rows) == 100 * 401
     _write_csv(tmp_path / "rows.csv", ["x", "load", "cdf"], rows)
     assert (out / "occupation_cdf.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, block, spied, key, keyword, value", [
+    ("optimize", "solver", "fixed_point", "tolerance", "tol", 1e-4),
+    ("optimize", "solver", "fixed_point", "max_iter", "max_iter", 7),
+    ("simulate", "simulation", "SimulationConfig", "burn_in", "burn_in", 0.25),
+    ("cftp", "cftp", "CftpConfig", "max_doublings", "max_doublings", 5),
+], ids=["tolerance", "max_iter", "burn_in", "max_doublings"])
+@pytest.mark.parametrize("set_in_config", [False, True], ids=["omitted", "set"])
+def test_library_defaults_reach_the_library_unchanged(tmp_path, monkeypatch, command, block,
+                                                     spied, key, keyword, value, set_in_config):
+    # an omitted key is not passed at all, so the library's own default holds
+    import inspect
+
+    from zpolicy import cli
+    real = getattr(cli, spied)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, spied, spy)
+    blocks = {"simulation": {"n_loads": 1, "horizon_jumps": 200, "set_points": [80.0]},
+              "cftp": {"n_samples": 2, "set_points": [80.0]}, "solver": {"gamma": 0.1}}
+    blocks = {block: {**blocks[block], **({key: value} if set_in_config else {})}}
+    cfg = _write_config(tmp_path, **blocks)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(seen) == 1
+    if set_in_config:
+        assert seen[0][keyword] == value
+    else:
+        assert keyword not in seen[0]
+        default = inspect.signature(real).parameters[keyword].default
+        assert default is not inspect.Parameter.empty
+
+
+def test_write_columns_matches_row_by_row_writer(tmp_path):
+    from zpolicy.cli import _write_columns, _write_csv
+    floats = np.array([0.0, -0.0, 1e-05, 1e16, np.nan, 0.1, 0.0, -0.0, 1e-05, 2.5,
+                       -1e16, np.inf, 1e16, np.nan, 0.30000000000000004, -0.0])
+    ints = np.array([3, 0, -2, 3, 7, 0, 0, 12, 3, 1, 1, -2, 5, 5, 0, 3])
+    columns = [floats, ints, floats[::-1].reshape(4, 4), np.repeat([0.5, -0.0], 8),
+               ints.astype(float)]
+    header = ["a", "b", "c", "d", "e"]
+    _write_columns(tmp_path / "columns.csv", header, columns)
+    rows = zip(*(np.ravel(col).tolist() for col in columns))
+    _write_csv(tmp_path / "rows.csv", header, rows)
+    text = (tmp_path / "rows.csv").read_bytes()
+    assert b"-0.0" in text and b"nan" in text and b"1e-05" in text and b"1e+16" in text
+    assert (tmp_path / "columns.csv").read_bytes() == text

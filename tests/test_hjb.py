@@ -159,8 +159,22 @@ _REF_ENV = build_environment((0.04, 0.04), (0.02, 0.02))
     (_REF_ENV, _REF_PARAMS, {"wind_power": 0.7}),
     (_REF_ENV, _REF_PARAMS, {"wind_power": 3.0, "time_step": 0.4}),
     (_REF_ENV, _REF_PARAMS, {"forced_power": 3.5}),
+    # the benchmark's grid: every extra-power box and cap row at full size
+    (_REF_ENV, _REF_PARAMS, {"horizon": 1.0, "grid_step": 1.0, "time_step": 0.2}),
+    # no wind-on orders, so every box comes from comfort alone
+    (build_environment([], (0.02, 0.02)), _REF_PARAMS, {}),
+    # the grid misses both comfort levels, so no cell has a top cap
+    (_REF_ENV, _REF_PARAMS, {"grid_step": 3.0}),
+    # with h = 0.9, wind 0.3 plus the room left for grid power rounds above
+    # h on the floor (a low comfort level and a longer horizon make V steep
+    # enough there to use all the room), and wind 0.19 plus the holding
+    # power rounds below h at the top: there the caps bind
+    (_REF_ENV, LoadParams(h=0.9, c=1.1, comfort_levels=(2.5, 100.0)),
+     {"wind_power": 0.3, "horizon": 20.0}),
+    (_REF_ENV, LoadParams(h=0.9, c=1.1, comfort_levels=(50.0, 100.0)), {"wind_power": 0.19}),
 ], ids=["ref", "c3", "w3_asymmetric", "wind_power_0.7", "wind_power_3.0",
-        "forced_power_3.5"])
+        "forced_power_3.5", "bench_grid", "one_wind_state", "grid_misses_comfort",
+        "floor_cap_binds", "top_cap_binds"])
 def test_matches_per_state_reference_exactly(env, params, kwargs):
     args = {"horizon": 12.0, "grid_step": 2.5, "time_step": 0.5, **kwargs}
     values, policy = solve_hjb(env, params, **args)
