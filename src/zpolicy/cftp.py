@@ -329,8 +329,8 @@ def smooth_distribution(u: ThresholdDistribution, bandwidth: float,
     lo, hi = u.domain
     zg = np.linspace(lo, hi, n_grid)
     b = float(bandwidth)
-    if b <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < b < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {b}")
     # quadrature nodes over the kernel support
     s = np.linspace(-b, b, 201)
     if kernel == "box":

@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import numbers
 import sys
 from pathlib import Path
 
@@ -31,22 +30,46 @@ from .simulate import SimulationConfig, child_seed, empirical_cdf, simulate
 from .stationary import solve_stationary, verify_conservation
 from .variational import fixed_point
 
+
+def _numbers(v, length=None) -> bool:
+    return type(v) is list and all(type(x) in (int, float) for x in v) and length in (None, len(v))
+
+
+def _rate_spec(v) -> bool:
+    return _numbers(v, 2) or type(v) is list and all(_numbers(p, 2) for p in v)
+
+
+# Each JSON type a config value can have: the words of its error message,
+# and its test.  json.load gives exact types, so a boolean is never taken
+# for a number.  A rate spec is an [up, down] pair or a list of such pairs,
+# one per pair of adjacent states.  Null is accepted only by the keys whose
+# library default is None.
+_NUMBER = "a number", lambda v: type(v) in (int, float)
+_NUMBER_OR_NULL = "a number or null", lambda v: v is None or type(v) in (int, float)
+_INTEGER = "an integer", lambda v: type(v) is int
+_NUMBERS = "a list of numbers", _numbers
+_NUMBERS_OR_NULL = "a list of numbers or null", lambda v: v is None or _numbers(v)
+_RATES = "a rate spec", _rate_spec
+_RATE_LISTS = "a list of rate specs", lambda v: type(v) is list and all(map(_rate_spec, v))
+_BOOLEAN = "true or false", lambda v: type(v) is bool
+_STRING = "a string", lambda v: type(v) is str
+
 _SCHEMA = {
-    "model": {"h", "c", "comfort_levels", "wind_rates", "comfort_rates"},
-    "solver": {"gamma", "grid_step", "z_grid_step", "tolerance", "max_iter"},
-    "simulation": {"n_loads", "horizon_jumps", "seed", "set_points", "burn_in",
-                   "record_occupation", "record_trace"},
-    "heuristic": {"epsilon", "delta_j", "initial_level", "max_level",
-                  "episode_jumps", "n_loads", "seed", "shape", "domain"},
-    "cftp": {"n_samples", "set_points", "comfort_rates", "seed",
-             "max_doublings", "smoothing_bandwidth"},
-    "hjb": {"horizon", "grid_step", "time_step", "wind_power", "forced_power"},
+    "model": {"h": _NUMBER, "c": _NUMBER, "comfort_levels": _NUMBERS,
+              "wind_rates": _RATES, "comfort_rates": _RATES},
+    "solver": {"gamma": _NUMBER, "grid_step": _NUMBER_OR_NULL,
+               "z_grid_step": _NUMBER_OR_NULL, "tolerance": _NUMBER, "max_iter": _INTEGER},
+    "simulation": {"n_loads": _INTEGER, "horizon_jumps": _INTEGER, "seed": _INTEGER,
+                   "set_points": _NUMBERS_OR_NULL, "burn_in": _NUMBER,
+                   "record_occupation": _BOOLEAN, "record_trace": _BOOLEAN},
+    "heuristic": {"epsilon": _NUMBER, "delta_j": _NUMBER_OR_NULL, "initial_level": _INTEGER,
+                  "max_level": _INTEGER, "episode_jumps": _INTEGER, "n_loads": _INTEGER,
+                  "seed": _INTEGER, "shape": _STRING, "domain": _NUMBERS},
+    "cftp": {"n_samples": _INTEGER, "set_points": _NUMBERS, "comfort_rates": _RATE_LISTS,
+             "seed": _INTEGER, "max_doublings": _INTEGER, "smoothing_bandwidth": _NUMBER},
+    "hjb": {"horizon": _NUMBER, "grid_step": _NUMBER, "time_step": _NUMBER_OR_NULL,
+            "wind_power": _NUMBER_OR_NULL, "forced_power": _NUMBER_OR_NULL},
 }
-
-
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
 
 
 def load_config(path: str) -> dict:
@@ -59,9 +82,12 @@ def load_config(path: str) -> dict:
             raise ValueError(f"unknown config block '{block}'")
         if not isinstance(keys, dict):
             raise ValueError(f"config block '{block}' must be a JSON object")
-        unknown = set(keys) - _SCHEMA[block]
-        if unknown:
-            raise ValueError(f"unknown keys in '{block}': {sorted(unknown)}")
+        for key, value in keys.items():
+            if key not in _SCHEMA[block]:
+                raise ValueError(f"unknown key '{key}' in '{block}'")
+            kind, test = _SCHEMA[block][key]
+            if not test(value):
+                raise ValueError(f"'{block}.{key}' must be {kind}, got {json.dumps(value)}")
     if "model" not in cfg:
         raise ValueError("config needs a 'model' block")
     return cfg
@@ -76,21 +102,25 @@ def _build(cfg: dict):
     m = cfg["model"]
     env = build_environment(m["wind_rates"], m["comfort_rates"])
     params = LoadParams(h=m["h"], c=m["c"], comfort_levels=m["comfort_levels"])
+    if len(params.comfort_levels) != env.n_comfort:
+        raise ValueError(f"comfort_levels needs one level per comfort state ({env.n_comfort})")
     return env, params
 
 
 def _gamma(cfg: dict) -> float:
     """The discomfort weight, 0 unless the solver block sets it."""
     gamma = cfg.get("solver", {}).get("gamma", 0.0)
-    if not isinstance(gamma, numbers.Real):
-        raise ValueError(f"gamma must be a number, got {gamma!r}")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     return gamma
 
 
-def _given(block: dict, **keys) -> dict:
+def _given(block: dict, *keys, **renamed) -> dict:
     """The keyword arguments whose config keys ``block`` sets, so that the
-    library's own defaults hold for the others (keyword=config key)."""
-    return {name: block[key] for name, key in keys.items() if key in block}
+    library's own defaults hold for the others (each key is its keyword's
+    name, or keyword=config key)."""
+    renamed.update(zip(keys, keys))
+    return {name: block[key] for name, key in renamed.items() if key in block}
 
 
 def _meta(cfg: dict, seed) -> dict:
@@ -136,8 +166,7 @@ def _dist_rows(u: ThresholdDistribution):
     return rows
 
 
-def cmd_distribution(cfg, out: Path, seed, z: float | None = None) -> int:
-    env, params = _build(cfg)
+def cmd_distribution(cfg, env, params, out: Path, seed, z: float | None = None) -> int:
     if z is None:
         z = cfg["model"]["comfort_levels"][-1]
     solver = cfg.get("solver", {})
@@ -159,8 +188,7 @@ def cmd_distribution(cfg, out: Path, seed, z: float | None = None) -> int:
     return 0
 
 
-def cmd_curves(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_curves(cfg, env, params, out: Path, seed) -> int:
     solver = cfg.get("solver", {})
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
@@ -176,15 +204,14 @@ def cmd_curves(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_optimize(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_optimize(cfg, env, params, out: Path, seed) -> int:
     solver = cfg.get("solver", {})
     gamma = _gamma(cfg)
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
                                 grid_step=solver.get("grid_step"))
     fp = fixed_point(env, params, gamma, curves=curves,
-                     **_given(solver, tol="tolerance", max_iter="max_iter"))
+                     **_given(solver, "max_iter", tol="tolerance"))
     u_star = fp.projection.distribution
     cost = continuum_cost(u_star, curves, gamma)
     _write_csv(out / "u_star.csv", ["z", "u", "note"], _dist_rows(u_star))
@@ -201,8 +228,7 @@ def cmd_optimize(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_simulate(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_simulate(cfg, env, params, out: Path, seed) -> int:
     sim = cfg.get("simulation", {})
     gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else sim.get("seed", 0)
@@ -210,11 +236,9 @@ def cmd_simulate(cfg, out: Path, seed) -> int:
         n_loads=sim.get("n_loads", 1),
         horizon_jumps=sim.get("horizon_jumps", 10000),
         seed=eff_seed,
-        set_points=np.array(sim["set_points"], dtype=float)
-        if sim.get("set_points") else None,
+        set_points=sim.get("set_points") or None,
         record_occupation=sim.get("record_occupation", True),
-        record_trace=sim.get("record_trace", False),
-        **_given(sim, burn_in="burn_in"))
+        **_given(sim, "burn_in", "record_trace"))
     result = simulate(config, env, params, gamma)
     _write_json(out / "simulate.json", {
         **_meta(cfg, eff_seed),
@@ -245,9 +269,8 @@ def cmd_simulate(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_compare(cfg, out: Path, seed) -> int:
+def cmd_compare(cfg, env, params, out: Path, seed) -> int:
     """Analytic stationary CDF against a long single-load simulation."""
-    env, params = _build(cfg)
     sim = cfg.get("simulation", {})
     eff_seed = seed if seed is not None else sim.get("seed", 0)
     zs = sim.get("set_points") or [params.theta_max]
@@ -267,8 +290,7 @@ def cmd_compare(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_cftp(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
     blk = cfg.get("cftp", {})
     gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else blk.get("seed", 0)
@@ -280,10 +302,10 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
         load_params=tuple(params for _ in range(n)),
         comfort_rates=tuple(tuple(r) for r in comfort_rates),
         set_points=tuple(float(z) for z in set_points),
-        seed=eff_seed, **_given(blk, max_doublings="max_doublings"))
+        seed=eff_seed, **_given(blk, "max_doublings"))
     n_samples = blk.get("n_samples", 1000)
-    if not isinstance(n_samples, numbers.Integral):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     samples = cftp_samples(config, [np.random.default_rng(child_seed(eff_seed, k))
                                     for k in range(n_samples)])
     report = estimate_joint_cost(samples, config, gamma)
@@ -304,8 +326,7 @@ def cmd_cftp(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_heuristic(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_heuristic(cfg, env, params, out: Path, seed) -> int:
     blk = cfg.get("heuristic", {})
     gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else blk.get("seed", 0)
@@ -314,10 +335,8 @@ def cmd_heuristic(cfg, out: Path, seed) -> int:
         env, params, gamma, n_loads=blk.get("n_loads", 40),
         horizon_jumps=blk.get("episode_jumps", 20000), seed=eff_seed)
     best, trace = successive_refinement(
-        cost_fn, initial_level=blk.get("initial_level", 0),
-        max_level=blk.get("max_level", 3), epsilon=blk.get("epsilon", 0.5),
-        delta_j=blk.get("delta_j"), seed=eff_seed, domain=domain,
-        shape=blk.get("shape", "constant"))
+        cost_fn, seed=eff_seed, domain=domain,
+        **_given(blk, "initial_level", "max_level", "epsilon", "delta_j", "shape"))
     _write_csv(out / "adaptation.csv", ["step", "level", "j_hat", "alphas"],
                [(k, lv, j, " ".join(repr(float(a)) for a in al))
                 for (k, lv, al, j) in trace.steps])
@@ -331,14 +350,12 @@ def cmd_heuristic(cfg, out: Path, seed) -> int:
     return 0
 
 
-def cmd_hjb(cfg, out: Path, seed) -> int:
-    env, params = _build(cfg)
+def cmd_hjb(cfg, env, params, out: Path, seed) -> int:
     blk = cfg.get("hjb", {})
     values, policy = solve_hjb(
         env, params, horizon=blk.get("horizon", 40.0),
         grid_step=blk.get("grid_step", params.theta_max / 50.0),
-        time_step=blk.get("time_step"), wind_power=blk.get("wind_power"),
-        forced_power=blk.get("forced_power"))
+        **_given(blk, "time_step", "wind_power", "forced_power"))
     labels = classify_policy(policy, params, env)
     n_env, nx = env.n_states, len(values.x)
     _write_columns(out / "hjb_surfaces.csv",
@@ -381,20 +398,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail_usage(str(exc))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        env, params = _build(cfg)
         if args.command == "distribution":
-            return cmd_distribution(cfg, out, args.seed, args.z)
-        return _COMMANDS[args.command](cfg, out, args.seed)
+            return cmd_distribution(cfg, env, params, out, args.seed, args.z)
+        return _COMMANDS[args.command](cfg, env, params, out, args.seed)
     except errors.ZPolicyError as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        return _fail_usage(f"{type(exc).__name__}: {exc}")
+    except (OSError, ValueError, KeyError) as exc:   # JSONDecodeError is a ValueError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -112,6 +112,8 @@ def default_z_grid(params: LoadParams, step: float | None = None) -> np.ndarray:
     top = params.theta_max
     if step is None:
         step = top / 400.0
+    elif not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     pts = [np.array([step * 0.5])] if params.comfort_levels[0] > step else []
     lo = 0.0
     for theta in params.comfort_levels:

@@ -49,7 +49,6 @@ level by a rule that gives it no power there.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -346,17 +345,11 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     state i gets W * wind_cooling_rates(n_wind)[i] / c, its share in the
     model.  time_step defaults to 0.9 of the bound grid_step / (h + c + W).
 
-    Raises ValueError unless every given argument after params is a
-    number, horizon, grid_step and time_step are finite and positive,
-    grid_step is at most the top comfort level, and wind_power and
-    forced_power are finite and nonnegative; raises UnstableScheme unless
-    time_step <= grid_step / (h + c + W).
+    Raises ValueError unless horizon, grid_step and time_step are finite
+    and positive, grid_step is at most the top comfort level, and
+    wind_power and forced_power are finite and nonnegative; raises
+    UnstableScheme unless time_step <= grid_step / (h + c + W).
     """
-    for name, value in (("horizon", horizon), ("grid_step", grid_step),
-                        ("time_step", time_step), ("wind_power", wind_power),
-                        ("forced_power", forced_power)):
-        if value is not None and not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
     h, c = params.h, params.c
     w_pow = wind_power if wind_power is not None else h + c
     m_pow = forced_power if forced_power is not None else h + c

@@ -47,21 +47,17 @@ def _birth_death_generator(rates) -> np.ndarray:
     ``rates`` is either a flat pair (q_up, q_down) for a 2-state chain or a
     sequence of (up_i, down_i) pairs, one per adjacent state pair.
     """
-    try:
-        arr = list(rates)
-        if len(arr) == 2 and np.isscalar(arr[0]):
-            pairs = [(float(arr[0]), float(arr[1]))]
-        else:
-            pairs = [(float(u), float(d)) for (u, d) in arr]
-    except TypeError:
-        raise ValueError(f"rates must be a pair or a list of (up, down) pairs, "
-                         f"got {rates!r}") from None
+    arr = list(rates)
+    if len(arr) == 2 and np.isscalar(arr[0]):
+        pairs = [(float(arr[0]), float(arr[1]))]
+    else:
+        pairs = [(float(u), float(d)) for (u, d) in arr]
     if not pairs:
         return np.zeros((1, 1))      # single-state chain
     n = len(pairs) + 1
     gen = np.zeros((n, n))
     for k, (up, down) in enumerate(pairs):
-        if up <= 0.0 or down <= 0.0:
+        if not (up > 0.0 and down > 0.0):
             raise NonPositiveRate(f"transition rates must be > 0, got {(up, down)}")
         gen[k + 1, k] += up      # k -> k+1
         gen[k, k] -= up
@@ -158,19 +154,14 @@ class LoadParams:
     comfort_levels: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "h", float(self.h))
-            object.__setattr__(self, "c", float(self.c))
-            object.__setattr__(self, "comfort_levels",
-                               tuple(float(t) for t in self.comfort_levels))
-        except TypeError:
-            raise ValueError("h, c and comfort_levels must be numbers and a list of numbers, "
-                             f"got {self.h!r}, {self.c!r}, {self.comfort_levels!r}") from None
-        if self.h <= 0 or self.c <= 0:
-            raise ValueError("h and c must be positive")
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "comfort_levels", tuple(float(t) for t in self.comfort_levels))
+        if not (0 < self.h < np.inf and 0 < self.c < np.inf):
+            raise ValueError(f"h and c must be finite and positive, got {self.h} and {self.c}")
         lv = self.comfort_levels
-        if any(t < 0 for t in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
-            raise ValueError("comfort levels must be nonnegative and strictly increasing")
+        if not all(0 <= t < np.inf for t in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
+            raise ValueError("comfort levels must be finite, nonnegative and strictly increasing")
 
     @property
     def theta_max(self) -> float:

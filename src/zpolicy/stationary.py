@@ -335,17 +335,24 @@ def _solve_batch(model: _Model, z: np.ndarray, grid_step: float) -> _Solution:
         grids=grids, densities=densities, scale=scale, rank=rank, shape=a.shape[1:])
 
 
+def _grid_step(params: LoadParams, grid_step: float | None) -> float:
+    """Theta_C/400 unless given; a given step must be finite and positive."""
+    if grid_step is not None and not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
+    return params.theta_max / 400.0 if grid_step is None else grid_step
+
+
 def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                      grid_step: float | None = None) -> StationaryDistribution:
     """Solve the stationary density/mass system for set-point ``z``.
 
-    Raises InvalidSetPoint for z outside [0, Theta_C] and SingularSystem if
-    the assembled system loses rank beyond the single conservation
-    redundancy or produces significantly negative densities.
+    Raises InvalidSetPoint for z outside [0, Theta_C], ValueError unless
+    grid_step is None (Theta_C/400) or finite and positive, and
+    SingularSystem if the assembled system loses rank beyond the single
+    conservation redundancy or produces significantly negative densities.
     """
     params.check_set_points(z)
-    if grid_step is None:
-        grid_step = params.theta_max / 400.0
+    grid_step = _grid_step(params, grid_step)
     n_states = env.n_states
 
     if z == 0.0:
@@ -439,8 +446,7 @@ def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
     if np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be strictly ascending")
     params.check_set_points(z_grid)
-    if grid_step is None:
-        grid_step = params.theta_max / 400.0
+    grid_step = _grid_step(params, grid_step)
     levels = params.comfort_levels
     n_c, n_w, n_z = env.n_comfort, env.n_wind, len(z_grid)
 

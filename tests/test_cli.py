@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zpolicy.cli import main
+from zpolicy.cli import _SCHEMA, main
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -252,25 +252,70 @@ def test_simulate_bad_config_exit_codes(tmp_path, simulation, code):
 
 _REF_MODEL = {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
               "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}
+# small blocks for the commands that read each block, so that a config
+# which gets past the checks still runs quickly
+_SMALL = {"solver": {"gamma": 0.1, "z_grid_step": 5.0},
+          "simulation": {"n_loads": 1, "horizon_jumps": 100, "set_points": [80.0]},
+          "heuristic": {"max_level": 0, "episode_jumps": 100, "n_loads": 2},
+          "cftp": {"n_samples": 2, "set_points": [70.0]},
+          "hjb": {"horizon": 1.0, "grid_step": 10.0}}
 
 
-@pytest.mark.parametrize("command, text", [
-    ("simulate", "[]"),
-    ("simulate", json.dumps({"model": 5})),
-    ("simulate", json.dumps({"model": {**_REF_MODEL, "h": "x"}})),
-    ("simulate", json.dumps({"model": {**_REF_MODEL, "h": None}})),
-    ("simulate", json.dumps({"model": {**_REF_MODEL, "comfort_levels": 5}})),
-    ("simulate", json.dumps({"model": {**_REF_MODEL, "wind_rates": 5}})),
-    ("simulate", json.dumps({"model": _REF_MODEL, "simulation": {"n_loads": "3"}})),
-    ("hjb", json.dumps({"model": _REF_MODEL, "hjb": {"horizon": "2"}})),
-    ("cftp", json.dumps({"model": _REF_MODEL, "cftp": {"n_samples": "3"}})),
-    ("heuristic", json.dumps({"model": _REF_MODEL, "heuristic": {
-        "epsilon": "x", "max_level": 0, "episode_jumps": 100, "n_loads": 2}})),
-    ("optimize", json.dumps({"model": _REF_MODEL, "solver": {"gamma": "x"}})),
-], ids=["top_level_list", "block_not_object", "h_not_a_number", "h_null",
-        "comfort_levels_not_a_list", "wind_rates_not_a_list", "n_loads_a_string",
-        "hjb_horizon_a_string", "cftp_n_samples_a_string", "heuristic_epsilon_a_string",
-        "solver_gamma_a_string"])
+def _text(block=None, model=None, **keys):
+    """Config text: the reference model, and ``block`` with its small keys
+    overridden by ``keys``."""
+    cfg = {"model": {**_REF_MODEL, **(model or {})}}
+    if block:
+        cfg[block] = {**_SMALL[block], **keys}
+    return json.dumps(cfg)
+
+
+_MALFORMED = {
+    "top_level_list": ("simulate", "[]"),
+    "block_not_object": ("simulate", json.dumps({"model": 5})),
+    "h_not_a_number": ("simulate", _text(model={"h": "x"})),
+    "h_null": ("simulate", _text(model={"h": None})),
+    "comfort_levels_not_a_list": ("simulate", _text(model={"comfort_levels": 5})),
+    "wind_rates_not_a_list": ("simulate", _text(model={"wind_rates": 5})),
+    "n_loads_a_string": ("simulate", _text("simulation", n_loads="3")),
+    "hjb_horizon_a_string": ("hjb", _text("hjb", horizon="2")),
+    "cftp_n_samples_a_string": ("cftp", _text("cftp", n_samples="3")),
+    "heuristic_epsilon_a_string": ("heuristic", _text("heuristic", epsilon="x")),
+    "solver_gamma_a_string": ("optimize", _text("solver", gamma="x")),
+    # wrong types and shapes that would fail deep inside a command
+    "cftp_max_doublings_a_string": ("cftp", _text("cftp", max_doublings="3")),
+    "cftp_comfort_rates_a_number": ("cftp", _text("cftp", comfort_rates=5)),
+    "cftp_set_points_a_number": ("cftp", _text("cftp", set_points=5)),
+    "heuristic_initial_level_a_string": ("heuristic", _text("heuristic", initial_level="x")),
+    "heuristic_max_level_a_string": ("heuristic", _text("heuristic", max_level="x")),
+    "heuristic_delta_j_a_string": ("heuristic", _text("heuristic", delta_j="x")),
+    "heuristic_domain_a_number": ("heuristic", _text("heuristic", domain=5)),
+    "solver_grid_step_a_string": ("distribution", _text("solver", grid_step="x")),
+    "solver_z_grid_step_a_string": ("curves", _text("solver", z_grid_step="x")),
+    "solver_z_grid_step_zero": ("curves", _text("solver", z_grid_step=0)),
+    "one_comfort_level_on_two_state_chain": ("curves", _text(model={"comfort_levels": [100.0]})),
+    # values a command would run with, silently
+    "cftp_n_samples_true": ("cftp", _text("cftp", n_samples=True)),
+    "hjb_horizon_true": ("hjb", _text("hjb", horizon=True)),
+    "solver_tolerance_a_string": ("optimize", _text("solver", tolerance="x")),
+    "solver_max_iter_a_string": ("optimize", _text("solver", max_iter="x")),
+    "simulation_record_occupation_one": ("simulate", _text("simulation", record_occupation=1)),
+    "solver_grid_step_zero": ("distribution", _text("solver", grid_step=0)),
+    "solver_gamma_negative": ("optimize", _text("solver", gamma=-1)),
+    "solver_gamma_nan": ("optimize", _text("solver", gamma=float("nan"))),
+    "three_comfort_levels_on_two_state_chain": (
+        "curves", _text(model={"comfort_levels": [30.0, 60.0, 100.0]})),
+    # bad values a command would report as a computation failure (exit 2)
+    "cftp_n_samples_zero": ("cftp", _text("cftp", n_samples=0)),
+    "cftp_n_samples_negative": ("cftp", _text("cftp", n_samples=-1)),
+    "solver_z_grid_step_negative": ("curves", _text("solver", z_grid_step=-1)),
+    # NaN, which passes a range check written as a rejecting comparison
+    "comfort_level_nan": ("distribution", _text(model={"comfort_levels": [float("nan"), 100.0]})),
+    "cftp_smoothing_bandwidth_nan": ("cftp", _text("cftp", smoothing_bandwidth=float("nan"))),
+}
+
+
+@pytest.mark.parametrize("command, text", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_malformed_config_is_usage_error(tmp_path, command, text):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
@@ -278,6 +323,39 @@ def test_malformed_config_is_usage_error(tmp_path, command, text):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+# one value of the wrong JSON type for every config key, each as close to
+# a valid one as JSON allows: a boolean where a number goes, a number
+# where a boolean goes, a boolean inside a list of numbers
+_WRONG_TYPE = {
+    "model": {"h": True, "c": True, "comfort_levels": [True, 100.0],
+              "wind_rates": [True, 0.04], "comfort_rates": [[0.02, True]]},
+    "solver": {"gamma": True, "grid_step": True, "z_grid_step": True,
+               "tolerance": True, "max_iter": 60.0},
+    "simulation": {"n_loads": True, "horizon_jumps": 100.0, "seed": True,
+                   "set_points": [True], "burn_in": True,
+                   "record_occupation": 1, "record_trace": 0},
+    "heuristic": {"epsilon": True, "delta_j": True, "initial_level": True,
+                  "max_level": False, "episode_jumps": True, "n_loads": True,
+                  "seed": 3.0, "shape": 5, "domain": [0.0, True]},
+    "cftp": {"n_samples": True, "set_points": [True], "comfort_rates": [[True, 0.02]],
+             "seed": True, "max_doublings": True, "smoothing_bandwidth": True},
+    "hjb": {"horizon": True, "grid_step": True, "time_step": True,
+            "wind_power": True, "forced_power": False},
+}
+_READER = {"model": "curves", "solver": "optimize", "simulation": "simulate",
+           "heuristic": "heuristic", "cftp": "cftp", "hjb": "hjb"}
+
+
+@pytest.mark.parametrize("block, key", [(b, k) for b, keys in _SCHEMA.items() for k in keys])
+def test_wrong_json_type_is_usage_error(tmp_path, capsys, block, key):
+    text = _text(model={key: _WRONG_TYPE[block][key]}) if block == "model" else \
+        _text(block, **{key: _WRONG_TYPE[block][key]})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([_READER[block], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: '{block}.{key}' must be ")
 
 
 def test_workers_flag_is_gone(tmp_path):
@@ -386,7 +464,17 @@ def test_occupation_csv_matches_row_by_row_writer(tmp_path):
     ("optimize", "solver", "fixed_point", "max_iter", "max_iter", 7),
     ("simulate", "simulation", "SimulationConfig", "burn_in", "burn_in", 0.25),
     ("cftp", "cftp", "CftpConfig", "max_doublings", "max_doublings", 5),
-], ids=["tolerance", "max_iter", "burn_in", "max_doublings"])
+    ("simulate", "simulation", "SimulationConfig", "record_trace", "record_trace", True),
+    ("heuristic", "heuristic", "successive_refinement", "initial_level", "initial_level", 1),
+    ("heuristic", "heuristic", "successive_refinement", "max_level", "max_level", 1),
+    ("heuristic", "heuristic", "successive_refinement", "epsilon", "epsilon", 0.3),
+    ("heuristic", "heuristic", "successive_refinement", "delta_j", "delta_j", 0.01),
+    ("heuristic", "heuristic", "successive_refinement", "shape", "shape", "linear"),
+    ("hjb", "hjb", "solve_hjb", "time_step", "time_step", 0.1),
+    ("hjb", "hjb", "solve_hjb", "wind_power", "wind_power", 1.5),
+    ("hjb", "hjb", "solve_hjb", "forced_power", "forced_power", 2.5),
+], ids=["tolerance", "max_iter", "burn_in", "max_doublings", "record_trace", "initial_level",
+        "max_level", "epsilon", "delta_j", "shape", "time_step", "wind_power", "forced_power"])
 @pytest.mark.parametrize("set_in_config", [False, True], ids=["omitted", "set"])
 def test_library_defaults_reach_the_library_unchanged(tmp_path, monkeypatch, command, block,
                                                      spied, key, keyword, value, set_in_config):
@@ -403,8 +491,11 @@ def test_library_defaults_reach_the_library_unchanged(tmp_path, monkeypatch, com
 
     monkeypatch.setattr(cli, spied, spy)
     blocks = {"simulation": {"n_loads": 1, "horizon_jumps": 200, "set_points": [80.0]},
-              "cftp": {"n_samples": 2, "set_points": [80.0]}, "solver": {"gamma": 0.1}}
-    blocks = {block: {**blocks[block], **({key: value} if set_in_config else {})}}
+              "cftp": {"n_samples": 2, "set_points": [80.0]}, "solver": {"gamma": 0.1},
+              "heuristic": {"max_level": 0, "episode_jumps": 100, "n_loads": 2},
+              "hjb": {"horizon": 1.0, "grid_step": 10.0}}
+    base = {k: v for k, v in blocks[block].items() if k != key}
+    blocks = {block: {**base, **({key: value} if set_in_config else {})}}
     cfg = _write_config(tmp_path, **blocks)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(seen) == 1

@@ -50,6 +50,19 @@ def test_nonpositive_rate_rejected():
         build_environment((0.0, 1.0), (0.02, 0.02))
     with pytest.raises(NonPositiveRate):
         build_environment((1.0, 1.0), (-0.1, 0.02))
+    with pytest.raises(NonPositiveRate):
+        build_environment((float("nan"), 1.0), (0.02, 0.02))
+    with pytest.raises(NonPositiveRate):
+        build_environment((1.0, 1.0), [(0.02, 0.02), (0.02, float("nan"))])
+
+
+@pytest.mark.parametrize("h, c, levels", [
+    (float("nan"), 1.1, (50.0, 100.0)), (1.0, float("inf"), (50.0, 100.0)),
+    (1.0, 1.1, (float("nan"), 100.0)), (1.0, 1.1, (50.0, float("inf"))),
+])
+def test_load_params_reject_nonfinite(h, c, levels):
+    with pytest.raises(ValueError):
+        LoadParams(h=h, c=c, comfort_levels=levels)
 
 
 def test_wind_cooling_rates(ref_params):

@@ -76,6 +76,16 @@ def test_invalid_set_point(ref_env, ref_params):
         solve_stationary(-1.0, ref_env, ref_params)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_grid_step_must_be_finite_and_positive(ref_env, ref_params, step):
+    with pytest.raises(ValueError):
+        solve_stationary(80.0, ref_env, ref_params, grid_step=step)
+    with pytest.raises(ValueError):
+        point_mass_curves(ref_env, ref_params, [60.0, 80.0], grid_step=step)
+    with pytest.raises(ValueError):
+        default_z_grid(ref_params, step=step)
+
+
 def test_wind_never_blows_parks_everything():
     params = LoadParams(h=1.0, c=1.1, comfort_levels=(50.0,))
     env = MarkovEnvironment(wind_generator=np.array([[0.0, 1.0], [0.0, -1.0]]),
