@@ -369,35 +369,32 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
                                      for k in range(n_samples)])
         return estimate_joint_cost(samples, cfg, gamma)
 
+    def total(i: int, v: float) -> float:
+        """The cost with coordinate i of the current set-points moved to v."""
+        zv = z.copy()
+        zv[i] = v
+        return report(zv).total
+
     best = report(z).total
     for _ in range(sweeps):
         for i in range(len(z)):
-            theta_top = config.load_params[i].theta_max
-            theta_lo = config.load_params[i].comfort_levels[0]
-            a, bnd = theta_lo, theta_top
+            a, bnd = config.load_params[i].comfort_levels[0], config.load_params[i].theta_max
             x1 = bnd - invphi * (bnd - a)
             x2 = a + invphi * (bnd - a)
-            z1, z2 = z.copy(), z.copy()
-            z1[i], z2[i] = x1, x2
-            f1, f2 = report(z1).total, report(z2).total
+            f1, f2 = total(i, x1), total(i, x2)
             for _ in range(golden_iters):
                 if bnd - a <= tol:
                     break
                 if f1 <= f2:
                     bnd, x2, f2 = x2, x1, f1
                     x1 = bnd - invphi * (bnd - a)
-                    z1 = z.copy()
-                    z1[i] = x1
-                    f1 = report(z1).total
+                    f1 = total(i, x1)
                 else:
                     a, x1, f1 = x1, x2, f2
                     x2 = a + invphi * (bnd - a)
-                    z2 = z.copy()
-                    z2[i] = x2
-                    f2 = report(z2).total
-            zi = x1 if f1 <= f2 else x2
+                    f2 = total(i, x2)
             fi = min(f1, f2)
             if fi < best:
-                z[i] = zi
+                z[i] = x1 if f1 <= f2 else x2
                 best = fi
     return z, report(z)

@@ -48,6 +48,7 @@ _NUMBER = "a number", lambda v: type(v) in (int, float)
 _NUMBER_OR_NULL = "a number or null", lambda v: v is None or type(v) in (int, float)
 _INTEGER = "an integer", lambda v: type(v) is int
 _NUMBERS = "a list of numbers", _numbers
+_NUMBER_PAIR = "a list of two numbers", lambda v: _numbers(v, 2)
 _NUMBERS_OR_NULL = "a list of numbers or null", lambda v: v is None or _numbers(v)
 _RATES = "a rate spec", _rate_spec
 _RATE_LISTS = "a list of rate specs", lambda v: type(v) is list and all(map(_rate_spec, v))
@@ -64,7 +65,7 @@ _SCHEMA = {
                    "record_occupation": _BOOLEAN, "record_trace": _BOOLEAN},
     "heuristic": {"epsilon": _NUMBER, "delta_j": _NUMBER_OR_NULL, "initial_level": _INTEGER,
                   "max_level": _INTEGER, "episode_jumps": _INTEGER, "n_loads": _INTEGER,
-                  "seed": _INTEGER, "shape": _STRING, "domain": _NUMBERS},
+                  "seed": _INTEGER, "shape": _STRING, "domain": _NUMBER_PAIR},
     "cftp": {"n_samples": _INTEGER, "set_points": _NUMBERS, "comfort_rates": _RATE_LISTS,
              "seed": _INTEGER, "max_doublings": _INTEGER, "smoothing_bandwidth": _NUMBER},
     "hjb": {"horizon": _NUMBER, "grid_step": _NUMBER, "time_step": _NUMBER_OR_NULL,

@@ -57,29 +57,16 @@ class ThresholdDistribution:
         locations = np.asarray(locations, dtype=float)
         levels = np.asarray(levels, dtype=float)
         lo, hi = domain
-        xs = [lo]
-        vs = [0.0 if locations[0] > lo else levels[0]]
-        for k, (loc, lev) in enumerate(zip(locations, levels)):
-            prev = vs[-1]
-            xs.extend([loc, loc])
-            vs.extend([prev, lev])
-        xs.append(hi)
-        vs.append(levels[-1])
-        return cls(x=np.array(xs), values=np.array(vs), domain=(lo, hi))
+        # each location is a jump node pair (left value, right value)
+        first = 0.0 if locations[0] > lo else levels[0]
+        return cls(x=np.concatenate([[lo], np.repeat(locations, 2), [hi]]),
+                   values=np.repeat(np.concatenate([[first], levels]), 2), domain=(lo, hi))
 
     @classmethod
     def from_quantiles(cls, set_points, domain) -> "ThresholdDistribution":
         """Empirical distribution of a finite set-point vector."""
-        z = np.sort(np.asarray(set_points, dtype=float))
-        n = len(z)
-        locs, levels = [], []
-        for k, zv in enumerate(z):
-            if locs and zv == locs[-1]:
-                levels[-1] = (k + 1) / n
-            else:
-                locs.append(zv)
-                levels.append((k + 1) / n)
-        return cls.step_function(np.array(locs), np.array(levels), domain)
+        locs, counts = np.unique(np.asarray(set_points, dtype=float), return_counts=True)
+        return cls.step_function(locs, np.cumsum(counts) / counts.sum(), domain)
 
     @classmethod
     def uniform(cls, domain) -> "ThresholdDistribution":
@@ -88,38 +75,30 @@ class ThresholdDistribution:
 
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, zq) -> np.ndarray:
-        """Right-continuous evaluation; clamps to 0 below and 1 above the grid."""
+    def _evaluate(self, zq, side: str) -> np.ndarray:
+        """u by linear interpolation on the cell that ends at
+        searchsorted(x, z, side): 0 before the first node and the last value
+        after the last one.  Within the grid, z lies in [x_k, x_k+1) (side
+        "right") or (x_k, x_k+1] (side "left"), so the cell is never a jump
+        and its width is positive."""
         zq = np.asarray(zq, dtype=float)
-        idx = np.searchsorted(self.x, zq, side="right") - 1
-        out = np.where(idx < 0, 0.0, self.values[np.clip(idx, 0, len(self.x) - 1)])
-        # linear interpolation inside non-jump cells
-        i0 = np.clip(idx, 0, len(self.x) - 2)
-        x0, x1 = self.x[i0], self.x[i0 + 1]
-        v0, v1 = self.values[i0], self.values[i0 + 1]
+        x, v = self.x, self.values
+        cell = np.searchsorted(x, zq, side=side) - 1
+        i = np.clip(cell, 0, len(x) - 2)
+        # the clipped cells may be jumps, but their values are replaced below
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(x1 > x0, (zq - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        interp = v0 + np.clip(frac, 0.0, 1.0) * (v1 - v0)
-        inside = (idx >= 0) & (idx < len(self.x) - 1)
-        out = np.where(inside, interp, out)
-        out = np.where(zq >= self.x[-1], self.values[-1], out)
-        out = np.where(zq < self.x[0], 0.0, out)
+            t = np.clip((zq - x[i]) / (x[i + 1] - x[i]), 0.0, 1.0)
+        out = v[i] + t * (v[i + 1] - v[i])
+        out = np.where(cell < 0, 0.0, np.where(cell < len(x) - 1, out, v[-1]))
         return out if out.ndim else float(out)
+
+    def __call__(self, zq) -> np.ndarray:
+        """Right-continuous evaluation; 0 below and the last value above the grid."""
+        return self._evaluate(zq, "right")
 
     def left_values(self, zq) -> np.ndarray:
         """Left-continuous evaluation u(z-); differs from __call__ only at jumps."""
-        zq = np.asarray(zq, dtype=float)
-        x, v = self.x, self.values
-        idx = np.searchsorted(x, zq, side="left")      # first node at or above z
-        idx_c = np.clip(idx, 1, len(x) - 1)
-        x0, x1 = x[idx_c - 1], x[idx_c]
-        v0, v1 = v[idx_c - 1], v[idx_c]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(x1 > x0, (zq - x0) / np.where(x1 > x0, x1 - x0, 1.0), 1.0)
-        out = v0 + np.clip(t, 0.0, 1.0) * (v1 - v0)
-        out = np.where(idx == 0, 0.0, out)
-        out = np.where(zq > x[-1], v[-1], out)
-        return out if out.ndim else float(out)
+        return self._evaluate(zq, "left")
 
     def quantile(self, p) -> np.ndarray:
         """Left-continuous generalized inverse inf{z : u(z) >= p}."""

@@ -34,6 +34,8 @@ __all__ = [
 class PiecewiseDistribution:
     """2^level segments over the domain with nondecreasing values in [0, 1].
 
+    Raises ValueError unless the domain is two finite numbers, low < high.
+
     shape "constant": the distribution equals alphas[i] on segment i.
     shape "linear": line segments joining the segment midpoints at levels
     alphas[i], pinned to 0 and 1 at the domain ends.
@@ -45,6 +47,9 @@ class PiecewiseDistribution:
     shape: str = "constant"
 
     def __post_init__(self):
+        lo, hi = self.domain
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"domain must be finite with low < high, got {self.domain}")
         a = np.asarray(self.alphas, dtype=float)
         object.__setattr__(self, "alphas", a)
         if len(a) != 2 ** self.level:
@@ -187,71 +192,63 @@ def successive_refinement(cost_fn, initial_level: int = 0, max_level: int = 3,
                           ) -> tuple[PiecewiseDistribution, AdaptationTrace]:
     """Adapt, then split segments, until the refinement stops paying.
 
-    Each level runs cyclic coordinate descent until ``patience`` consecutive
-    steps improve by less than delta_j (default 0.5% of the running cost);
-    the level optimum then seeds the doubled partition.  Refinement stops
-    at max_level or when a whole level fails to beat its predecessor by
-    delta_j.  Returns the best-seen distribution and the full trace.
+    Each level runs cyclic coordinate descent in probe pairs, one coordinate
+    per pair.  A pair starts from a stalled difference, so its first
+    adapt_step is an exploration kick; its second is the ratio update
+    across that kick, whose cost change the coordinate alone caused.  A
+    level ends after max_steps_per_level steps (rounded up to whole pairs),
+    or once ``patience`` consecutive pairs end less than delta_j (default
+    0.5% of the current cost) below the level's best.  Refinement: unless
+    the level is max_level, or its best fails to beat the previous level's
+    by delta_j (default 0.5% of the best so far), the best distribution
+    seen so far is split in two and seeds the next level.  Every cost_fn
+    call is one trace step.  Returns the best-seen distribution and the
+    full trace.
     """
     rng = np.random.default_rng(seed)
-    n0 = 2 ** initial_level
-    dist = PiecewiseDistribution(level=initial_level,
-                                 alphas=(np.arange(n0) + 0.5) / n0,
-                                 domain=domain, shape=shape)
     trace = AdaptationTrace()
-    k = 0
-    est = cost_fn(dist)
-    trace.record(k, dist.level, dist.alphas, est.j_hat)
-    best_dist, best_j = dist, est.j_hat
+    best_dist, best_j = None, np.inf
 
-    prev_alphas = dist.alphas.copy()
-    prev_j = est.j_hat
+    def evaluate(dist: PiecewiseDistribution) -> float:
+        nonlocal best_dist, best_j
+        j = cost_fn(dist).j_hat
+        trace.record(len(trace.steps), dist.level, dist.alphas, j)
+        if j < best_j:
+            best_dist, best_j = dist, j
+        return j
+
+    n0 = 2 ** initial_level
+    dist = PiecewiseDistribution(level=initial_level, alphas=(np.arange(n0) + 0.5) / n0,
+                                 domain=domain, shape=shape)
+    j = evaluate(dist)
     level_best_prev = np.inf
-
     while True:
-        level_best = est.j_hat
+        level_best = j
         quiet = 0
         coord = 0
-        steps_here = 0
-        while steps_here < max_steps_per_level:
-            threshold = delta_j if delta_j is not None else 0.005 * abs(est.j_hat)
-            # probe this coordinate, then apply the attributable ratio update;
-            # a strict one-step chain would always difference across
-            # coordinates and never produce a usable ratio
+        for _ in range(0, max_steps_per_level, 2):
+            threshold = delta_j if delta_j is not None else 0.005 * abs(j)
+            prev_alphas, prev_j = dist.alphas, j
             for _ in range(2):
-                new_alphas = adapt_step(dist.alphas, prev_alphas, est.j_hat, prev_j,
+                new_alphas = adapt_step(dist.alphas, prev_alphas, j, prev_j,
                                         epsilon, coord, rng, exploration=exploration)
-                prev_alphas, prev_j = dist.alphas.copy(), est.j_hat
+                prev_alphas, prev_j = dist.alphas, j
                 dist = dist.with_alphas(new_alphas)
-                est = cost_fn(dist)
-                k += 1
-                steps_here += 1
-                trace.record(k, dist.level, dist.alphas, est.j_hat)
-                if est.j_hat < best_j:
-                    best_dist, best_j = dist, est.j_hat
-            if est.j_hat < level_best - threshold:
-                level_best = est.j_hat
+                j = evaluate(dist)
+            if j < level_best - threshold:
+                level_best = j
                 quiet = 0
             else:
                 quiet += 1
                 if quiet >= patience:
                     break
             coord = (coord + 1) % dist.n_segments
-            # restart each coordinate's recursion from its own probe
-            prev_alphas = dist.alphas.copy()
-            prev_j = est.j_hat
         threshold = delta_j if delta_j is not None else 0.005 * abs(best_j)
         # nan-safe: an infinite delta_j must stop after the first level
         if dist.level >= max_level or not (level_best < level_best_prev - threshold):
             break
         level_best_prev = level_best
         dist = best_dist.refine()
-        prev_alphas = dist.alphas.copy()
-        est = cost_fn(dist)
-        k += 1
-        trace.record(k, dist.level, dist.alphas, est.j_hat)
-        trace.refinements.append((k, dist.level))
-        if est.j_hat < best_j:
-            best_dist, best_j = dist, est.j_hat
-        prev_j = est.j_hat
+        j = evaluate(dist)
+        trace.refinements.append((len(trace.steps) - 1, dist.level))
     return best_dist, trace

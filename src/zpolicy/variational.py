@@ -190,7 +190,11 @@ def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
     one bracket refinement per coordinate.  With fewer than three comfort
     levels there is nothing to iterate: the result is the projection of
     the candidate, after 0 iterations and with an empty trace.
+
+    Raises ValueError unless tol is finite and positive.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if curves is None:
         curves = sensitivity_curves(env, params)
     n_mid = max(env.n_comfort - 2, 0)

@@ -325,6 +325,23 @@ def test_malformed_config_is_usage_error(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("block, key, value, word", [
+    ("heuristic", "domain", [0.0], "domain"),
+    ("heuristic", "domain", [100, 0], "domain"),
+    ("heuristic", "domain", [50.0, 50.0], "domain"),
+    ("solver", "tolerance", float("nan"), "tol"),
+    ("solver", "tolerance", 0, "tol"),
+    ("solver", "tolerance", -1, "tol"),
+])
+def test_bad_range_is_usage_error_that_names_its_key(tmp_path, capsys, block, key, value, word):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(_text(block, **{key: value}))
+    assert main([_READER[block], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert word in err
+
+
 # one value of the wrong JSON type for every config key, each as close to
 # a valid one as JSON allows: a boolean where a number goes, a number
 # where a boolean goes, a boolean inside a list of numbers

@@ -173,3 +173,63 @@ def test_privacy_replay_same_result(ref_env, ref_params):
                               seed=7, exploration=0.05, max_steps_per_level=16)
     assert np.array_equal(a[0].alphas, b[0].alphas)
     assert [s[3] for s in a[1].steps] == [s[3] for s in b[1].steps]
+
+
+def _two_segment_cost(dist):
+    u = dist.to_threshold_distribution()
+    zq = np.linspace(dist.domain[0], dist.domain[1], 33)
+    ideal = np.clip(2.0 * (zq - dist.domain[0]) / (dist.domain[1] - dist.domain[0]) - 0.5,
+                    0.0, 1.0)
+    return CostEstimate(float(np.mean((np.asarray(u(zq)) - ideal) ** 2)), 0.0)
+
+
+def _quadratic_cost(dist):
+    return CostEstimate(float(np.sum((dist.alphas - 0.37) ** 2)), 0.0)
+
+
+_REFINEMENT_CASES = {
+    "defaults": (_two_segment_cost, {}),
+    "patience_break": (_quadratic_cost, dict(max_level=2, patience=2, delta_j=1e-3,
+                                             exploration=0.05, seed=3)),
+    "infinite_delta_j": (_two_segment_cost, dict(max_level=4, delta_j=np.inf)),
+    "odd_steps_per_level": (_two_segment_cost, dict(max_level=2, max_steps_per_level=5,
+                                                    epsilon=0.4, seed=1)),
+    "linear": (_two_segment_cost, dict(max_level=3, shape="linear", epsilon=0.4,
+                                       exploration=0.05, patience=8, seed=4,
+                                       domain=(0.0, 100.0))),
+    "no_steps": (_two_segment_cost, dict(max_level=2, max_steps_per_level=0)),
+}
+
+
+def _same_refinement(got, want):
+    (best, trace), (best_ref, trace_ref) = got, want
+    assert best.level == best_ref.level
+    assert best.alphas.tobytes() == best_ref.alphas.tobytes()
+    assert len(trace.steps) == len(trace_ref.steps)
+    for (k, lv, al, j), (k_ref, lv_ref, al_ref, j_ref) in zip(trace.steps, trace_ref.steps):
+        assert (k, lv, j) == (k_ref, lv_ref, j_ref)
+        assert al.tobytes() == al_ref.tobytes()
+    assert trace.refinements == trace_ref.refinements
+
+
+@pytest.mark.parametrize("name", list(_REFINEMENT_CASES))
+def test_successive_refinement_matches_frozen_reference(name):
+    from reference_heuristic import successive_refinement as reference
+    cost_fn, kwargs = _REFINEMENT_CASES[name]
+    got = successive_refinement(cost_fn, **kwargs)
+    want = reference(cost_fn, **kwargs)
+    _same_refinement(got, want)
+    if name == "patience_break":
+        # the first level stopped by patience, well before its 60 steps
+        assert got[1].refinements[0][0] < 60
+    if name == "linear":
+        assert got[1].refinements
+
+
+def test_successive_refinement_matches_frozen_reference_on_episodes(ref_env, ref_params):
+    from reference_heuristic import successive_refinement as reference
+    cost_fn = make_simulation_cost_fn(ref_env, ref_params, GAMMA_REF,
+                                      n_loads=20, horizon_jumps=300, seed=9)
+    kwargs = dict(initial_level=1, max_level=2, seed=5, exploration=0.05,
+                  max_steps_per_level=12, domain=(0.0, 100.0))
+    _same_refinement(successive_refinement(cost_fn, **kwargs), reference(cost_fn, **kwargs))

@@ -166,6 +166,12 @@ def test_fixed_point_without_middle_levels_is_the_projection(ref_env, ref_params
     assert np.array_equal(fp.projection.grid_values, direct.grid_values)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_fixed_point_rejects_bad_tolerance(env3, params3, curves3, tol):
+    with pytest.raises(ValueError, match="tol"):
+        fixed_point(env3, params3, GAMMA_REF, tol=tol, curves=curves3)
+
+
 def test_fixed_point_bracket_halving(env3, params3, curves3):
     fp = fixed_point(env3, params3, GAMMA_REF, tol=1e-6, v0=0.5, curves=curves3)
     widths = [vu - vd for (_, _, _, vu, vd) in fp.trace]
