@@ -357,7 +357,7 @@ def cmd_hjb(cfg, env, params, out: Path, seed) -> int:
         env, params, horizon=blk.get("horizon", 40.0),
         grid_step=blk.get("grid_step", params.theta_max / 50.0),
         **_given(blk, "time_step", "wind_power", "forced_power"))
-    labels = classify_policy(policy, params, env)
+    labels = classify_policy(policy, params)
     n_env, nx = env.n_states, len(values.x)
     _write_columns(out / "hjb_surfaces.csv",
                    ["env_state", "x1", "x2", "value", "wind1", "wind2",

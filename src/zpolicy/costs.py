@@ -139,23 +139,20 @@ def _segment_slices(z_grid: np.ndarray, levels) -> list[slice]:
     return out
 
 
-def _dejump(curve: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Shift each left branch so the curve is continuous across breakpoints."""
-    out = curve.copy()
+def _dejump(curves: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Shift each left branch so the curves (last axis) are continuous across breakpoints."""
+    out = curves.copy()
     for k in range(len(slices) - 1, 0, -1):
         left, right = slices[k - 1], slices[k]
-        gap = out[right.start] - out[left.stop - 1]
-        out[:left.stop] += gap
+        out[..., :left.stop] += out[..., right.start, None] - out[..., left.stop - 1, None]
     return out
 
 
 def _per_segment_gradient(y: np.ndarray, z: np.ndarray, slices) -> np.ndarray:
-    out = np.empty_like(y)
+    out = np.zeros_like(y)      # 0 on an interval of one point
     for sl in slices:
         if sl.stop - sl.start >= 2:
-            out[sl] = np.gradient(y[sl], z[sl])
-        else:
-            out[sl] = 0.0
+            out[..., sl] = np.gradient(y[..., sl], z[sl], axis=-1)
     return out
 
 
@@ -182,24 +179,18 @@ def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
             z_grid = default_z_grid(params)
         raw = point_mass_curves(env, params, z_grid, grid_step=grid_step)
     z_grid = raw.z_grid
-    levels = params.comfort_levels
-    slices = _segment_slices(z_grid, levels)
+    slices = _segment_slices(z_grid, params.comfort_levels)
 
     delta_z = _dejump(raw.delta_z, slices)
-    delta_theta = np.array([_dejump(raw.delta_theta[j], slices)
-                            for j in range(env.n_comfort)])
+    delta_theta = _dejump(raw.delta_theta, slices)
     tail_off = _dejump(raw.tail_wind_off, slices)
-    tail_mid = np.array([_dejump(t, slices) for t in raw.tail_intermediate]) \
-        if raw.tail_intermediate.size else raw.tail_intermediate
+    tail_mid = _dejump(raw.tail_intermediate, slices)
 
     d1 = -_per_segment_gradient(delta_z, z_grid, slices)
-    d_theta = np.array([-_per_segment_gradient(delta_theta[j], z_grid, slices)
-                        for j in range(env.n_comfort)])
+    d_theta = -_per_segment_gradient(delta_theta, z_grid, slices)
     phi_prime = _per_segment_gradient(raw.phi, z_grid, slices)
     d_hat = -_per_segment_gradient(_dejump(raw.tail, slices), z_grid, slices)
-    d_hat_frontier = np.array([_per_segment_gradient(t, z_grid, slices)
-                               for t in tail_mid]) \
-        if tail_mid.size else np.zeros((0, len(z_grid)))
+    d_hat_frontier = _per_segment_gradient(tail_mid, z_grid, slices)
 
     h, c = params.h, params.c
     w = h * h * d1 + c * c * d_theta.sum(axis=0)
@@ -210,8 +201,7 @@ def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
         z_grid=z_grid, phi=raw.phi, phi_prime=phi_prime,
         d1=d1, d_theta=d_theta, d_hat=d_hat, d_hat_frontier=d_hat_frontier,
         w=w, delta_z=delta_z, delta_theta=delta_theta,
-        tail_wind_off=tail_off,
-        tail_intermediate=tail_mid if tail_mid.size else np.zeros((0, len(z_grid))),
+        tail_wind_off=tail_off, tail_intermediate=tail_mid,
         env=env, params=params,
         w_nonpositive=bool((w <= 0).any()),
     )

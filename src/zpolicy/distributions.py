@@ -6,6 +6,8 @@ and satisfy u(0) = 0 and u(Theta_C) = 1, with jumps allowed anywhere
 including both boundaries.  The representation is a piecewise-linear
 function on an ascending grid where a repeated grid value encodes a jump
 (left value first, right value second); evaluation is right-continuous.
+Every node and value must be finite.  The evaluators and the quantile
+return NaN for a NaN argument.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class ThresholdDistribution:
         object.__setattr__(self, "values", v)
         if x.shape != v.shape or x.ndim != 1 or len(x) < 1:
             raise NotADistribution("grid and values must be equal-length 1-d arrays")
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise NotADistribution("grid and values must be finite")
         if np.any(np.diff(x) < -_MONO_TOL):
             raise NotADistribution("grid must be ascending")
         if np.any(np.diff(v) < -1e-9):
@@ -90,10 +94,12 @@ class ThresholdDistribution:
             t = np.clip((zq - x[i]) / (x[i + 1] - x[i]), 0.0, 1.0)
         out = v[i] + t * (v[i + 1] - v[i])
         out = np.where(cell < 0, 0.0, np.where(cell < len(x) - 1, out, v[-1]))
+        out = np.where(np.isnan(zq), np.nan, out)     # NaN sorts after every node
         return out if out.ndim else float(out)
 
     def __call__(self, zq) -> np.ndarray:
-        """Right-continuous evaluation; 0 below and the last value above the grid."""
+        """Right-continuous evaluation; 0 below and the last value above the
+        grid, NaN at NaN."""
         return self._evaluate(zq, "right")
 
     def left_values(self, zq) -> np.ndarray:
@@ -101,7 +107,7 @@ class ThresholdDistribution:
         return self._evaluate(zq, "left")
 
     def quantile(self, p) -> np.ndarray:
-        """Left-continuous generalized inverse inf{z : u(z) >= p}."""
+        """Left-continuous generalized inverse inf{z : u(z) >= p}; NaN at NaN."""
         p = np.asarray(p, dtype=float)
         v, x = self.values, self.x
         idx = np.searchsorted(v, p, side="left")
@@ -113,6 +119,7 @@ class ThresholdDistribution:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (p - v[prev]) / np.where(v[idx] > v[prev], v[idx] - v[prev], 1.0)
         out = np.where(rising, x[prev] + np.clip(t, 0.0, 1.0) * (x[idx] - x[prev]), out)
+        out = np.where(np.isnan(p), np.nan, out)       # NaN sorts after every value
         return out if out.ndim else float(out)
 
     def sample_quantiles(self, n: int) -> np.ndarray:

@@ -38,13 +38,17 @@ The minimizing structure matches the closed-form argmin of the quadratic
 Hamiltonian: wind goes entirely to the load with the larger value-gradient
 component, and free grid power is the clipped half-gradient on a single
 load.  Regions where the cooler load receives the wind are the
-desynchronizing part of the policy.
+desynchronizing part of the policy.  classify_policy(policy, params)
+labels every cell of every environment state by the sign of d|x1 - x2|/dt.
 
 The coolest-first heuristic is the allocation rule alone: it maps the
 loads' temperatures in one environment state to (wind, grid) power
-arrays.  The package has no simulator for such rules; one that is exact
-would have to follow the sliding motion of a load held at the comfort
-level by a rule that gives it no power there.
+arrays.  Its n_wind argument, the number of wind states, has no default:
+wind state i of an n_wind-state chain gets the share
+wind_cooling_rates(n_wind)[i] / c of the full-wind budget, as in the HJB.
+The package has no simulator for such rules; one that is exact would have
+to follow the sliding motion of a load held at the comfort level by a
+rule that gives it no power there.
 """
 
 from __future__ import annotations
@@ -171,14 +175,13 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
         top_cap = [np.where(at_top[li] & ~forced[li], 0.0, np.inf) for li in (0, 1)]
         orders = []
         for order in ([(0, 1), (1, 0)] if iw >= 1 else [(0, 1)]):
-            # wind allocation with boundary caps, first-listed load first
-            pw = [np.zeros((nx, nx)), np.zeros((nx, nx))]
-            if iw >= 1:
-                remaining = np.full((nx, nx), w_pow * share[iw])
-                for li in order:
-                    take = np.minimum(remaining, np.where(at_floor[li], h, cap))
-                    pw[li] = take
-                    remaining = remaining - take
+            # wind allocation with boundary caps, first-listed load first;
+            # wind off has a budget of 0, so each load gets 0
+            pw = [None, None]
+            remaining = np.full((nx, nx), w_pow * share[iw])
+            for li in order:
+                pw[li] = np.minimum(remaining, np.where(at_floor[li], h, cap))
+                remaining = remaining - pw[li]
             g_base = []
             for li in (0, 1):
                 base = np.where(forced[li], np.clip(m_pow - pw[li], 0.0, None), 0.0)
@@ -392,35 +395,28 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     return grid_obj, policy
 
 
-def classify_policy(policy: AllocationPolicy, params: LoadParams,
-                    env: MarkovEnvironment) -> np.ndarray:
+def classify_policy(policy: AllocationPolicy, params: LoadParams) -> np.ndarray:
     """Label each cell synchronizing (-1), neutral (0) or desynchronizing (+1)
-    by the sign of d|x1 - x2|/dt under the extracted policy."""
-    h = params.h
-    x = policy.x
-    nx = len(x)
-    labels = np.zeros((env.n_states, nx, nx), dtype=int)
-    x1 = x[:, None] * np.ones((1, nx))
-    x2 = np.ones((nx, 1)) * x[None, :]
-    for e in range(env.n_states):
-        p1 = policy.wind[e, :, :, 0] + policy.grid[e, :, :, 0]
-        p2 = policy.wind[e, :, :, 1] + policy.grid[e, :, :, 1]
-        f1 = h - p1
-        f2 = h - p2
-        gap_drift = np.sign(x1 - x2) * (f1 - f2)
-        labels[e] = np.where(np.isclose(x1, x2), 0,
-                             np.where(gap_drift > 1e-9, 1,
-                                      np.where(gap_drift < -1e-9, -1, 0)))
-    return labels
+    by the sign of d|x1 - x2|/dt under the extracted policy, in every
+    environment state at once."""
+    x1, x2 = policy.x[:, None], policy.x[None, :]
+    drift = params.h - (policy.wind + policy.grid)
+    gap_drift = np.sign(x1 - x2) * (drift[..., 0] - drift[..., 1])
+    return np.where(np.isclose(x1, x2), 0,
+                    np.where(gap_drift > 1e-9, 1, np.where(gap_drift < -1e-9, -1, 0)))
 
 
 def coolest_first_heuristic(x, wind: int, comfort: int, params: LoadParams,
                             activation_threshold: float,
-                            wind_power: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                            wind_power: float | None = None, *,
+                            n_wind: int) -> tuple[np.ndarray, np.ndarray]:
     """(wind power, grid power) per load: wind goes to the coolest load
     when the ensemble runs hot.
 
-    With ample wind every load cools at full power.  When wind is scarce
+    wind_power (h + c by default) is the budget at full wind; wind state
+    ``wind`` of an ``n_wind``-state chain gets its share
+    wind_cooling_rates(n_wind)[wind] / c of it, as in solve_hjb.  With
+    ample wind every load cools at full power.  When wind is scarce
     and the mean temperature exceeds the activation threshold, the entire
     wind budget goes to the coolest load still above the floor (hedging the
     next comfort down-switch); otherwise hottest-first.  Loads above the
@@ -430,7 +426,8 @@ def coolest_first_heuristic(x, wind: int, comfort: int, params: LoadParams,
     n = len(x)
     h, c = params.h, params.c
     theta = params.comfort_levels[comfort]
-    w_avail = (wind_power if wind_power is not None else h + c) if wind >= 1 else 0.0
+    share = params.wind_cooling_rates(n_wind)[wind] / c
+    w_avail = (wind_power if wind_power is not None else h + c) * share
     need = np.where(x > 1e-12, h + c, h)
 
     wind_alloc = np.zeros(n)

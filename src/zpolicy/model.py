@@ -45,15 +45,14 @@ def _birth_death_generator(rates) -> np.ndarray:
     """Generator (column convention) for a birth-death chain.
 
     ``rates`` is either a flat pair (q_up, q_down) for a 2-state chain or a
-    sequence of (up_i, down_i) pairs, one per adjacent state pair.
+    sequence of (up_i, down_i) pairs, one per adjacent state pair; with no
+    pairs the chain has one state and its generator is 0.
     """
     arr = list(rates)
     if len(arr) == 2 and np.isscalar(arr[0]):
         pairs = [(float(arr[0]), float(arr[1]))]
     else:
         pairs = [(float(u), float(d)) for (u, d) in arr]
-    if not pairs:
-        return np.zeros((1, 1))      # single-state chain
     n = len(pairs) + 1
     gen = np.zeros((n, n))
     for k, (up, down) in enumerate(pairs):
@@ -177,10 +176,7 @@ class LoadParams:
     def wind_cooling_rates(self, n_wind: int) -> np.ndarray:
         """Net cooling rate per wind state: i*c/(W-1), so 0 when off and c at
         full wind.  A one-state wind chain has only the off state."""
-        i = np.arange(n_wind, dtype=float)
-        if n_wind == 1:
-            return i
-        return i * self.c / (n_wind - 1)
+        return np.arange(n_wind, dtype=float) * self.c / max(n_wind - 1, 1)
 
 
 def exact_flow(x, z, theta, h, c, ci, dt, wind):

@@ -54,3 +54,30 @@ def random_step_distribution(rng, domain=(0.0, 100.0), max_steps=8):
     locs = np.sort(rng.uniform(domain[0], domain[1], k))
     vals = np.sort(rng.uniform(0.0, 1.0, k))
     return ThresholdDistribution.step_function(locs, vals, domain=domain)
+
+
+# every (W, C) pair of wind and comfort chain sizes up to 4
+CHAIN_SIZES = [(w, c) for w in range(1, 5) for c in range(1, 5)]
+
+
+def chain_model(n_wind: int, n_comfort: int) -> dict:
+    """The config model block of a W x C instance: comfort levels evenly
+    spaced up to 100, and birth-death chains with unequal up/down rates."""
+    return {"h": 1.0, "c": 1.1,
+            "comfort_levels": [100.0 * (j + 1) / n_comfort for j in range(n_comfort)],
+            "wind_rates": [[0.04, 0.03]] * (n_wind - 1),
+            "comfort_rates": [[0.02, 0.025]] * (n_comfort - 1)}
+
+
+def chain_instance(n_wind: int, n_comfort: int):
+    """(env, params) of chain_model(n_wind, n_comfort)."""
+    m = chain_model(n_wind, n_comfort)
+    return (build_environment(m["wind_rates"], m["comfort_rates"]),
+            LoadParams(h=m["h"], c=m["c"], comfort_levels=m["comfort_levels"]))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two float arrays have one shape and the same bit patterns,
+    so -0.0 differs from 0.0 and equal NaNs match."""
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))

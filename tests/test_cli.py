@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zpolicy.cli import _SCHEMA, main
+from zpolicy.cli import _COMMANDS, _SCHEMA, main
+
+from conftest import CHAIN_SIZES, chain_model
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -190,7 +192,7 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
     env, params = _build(load_config(str(cfg)))
     values, policy = solve_hjb(env, params, horizon=10.0, grid_step=5.0,
                                time_step=1.0)
-    labels = classify_policy(policy, params, env)
+    labels = classify_policy(policy, params)
     rows = []
     for e in range(env.n_states):
         for i, x1 in enumerate(values.x):
@@ -538,3 +540,29 @@ def test_write_columns_matches_row_by_row_writer(tmp_path):
     text = (tmp_path / "rows.csv").read_bytes()
     assert b"-0.0" in text and b"nan" in text and b"1e-05" in text and b"1e+16" in text
     assert (tmp_path / "columns.csv").read_bytes() == text
+
+
+# small runs of every command: short simulations, few CFTP samples, a
+# coarse HJB grid, and a heuristic that stops at level 1
+SMALL_RUNS = {
+    "solver": {"gamma": 0.1, "z_grid_step": 5.0},
+    "simulation": {"n_loads": 2, "horizon_jumps": 2000, "seed": 3, "set_points": [60.0, 90.0]},
+    "cftp": {"n_samples": 50, "seed": 3},
+    "heuristic": {"n_loads": 20, "episode_jumps": 200, "max_level": 1, "seed": 3},
+    "hjb": {"grid_step": 10.0, "horizon": 2.0},
+}
+
+
+@pytest.mark.parametrize("n_wind, n_comfort", CHAIN_SIZES)
+def test_every_command_on_every_chain_size(tmp_path, n_wind, n_comfort):
+    # each command exits 0 and writes the same bytes when run again
+    cfg = _write_config(tmp_path, model=chain_model(n_wind, n_comfort), **SMALL_RUNS)
+    for command in sorted(_COMMANDS):
+        outs = [tmp_path / command / run for run in ("first", "second")]
+        for out in outs:
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names and names == sorted(p.name for p in outs[1].iterdir()), command
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                (command, name)

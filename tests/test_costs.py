@@ -7,9 +7,12 @@ from zpolicy import (
 )
 from zpolicy.costs import _dejump, _segment_slices
 from zpolicy.errors import UnsortedInput
-from zpolicy.stationary import PointMassCurves
+from zpolicy.stationary import PointMassCurves, point_mass_curves
 
-from conftest import GAMMA_REF, random_step_distribution
+import reference_costs
+from conftest import (
+    CHAIN_SIZES, GAMMA_REF, chain_instance, random_step_distribution, same_bits,
+)
 
 
 def test_phi_zero_at_theta1(ref_env, ref_params):
@@ -195,3 +198,28 @@ def test_continuum_invariant_to_regridding(ref_curves):
 def test_w_positive_on_reference(ref_curves):
     assert not ref_curves.w_nonpositive
     assert ref_curves.w.min() > 0
+
+
+def _one_point_second_interval(z_grid, levels):
+    """z_grid with only Theta_2 left of the second comfort interval, so
+    that interval has one point and no gradient stencil."""
+    if len(levels) < 2:
+        return z_grid
+    inside = (z_grid > levels[0]) & (z_grid < levels[1])
+    return z_grid[~inside]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n_wind, n_comfort", CHAIN_SIZES)
+def test_curves_match_reference_on_every_chain_size(n_wind, n_comfort, sparse):
+    # every field, shapes included, is bitwise the frozen per-row derivation
+    env, params = chain_instance(n_wind, n_comfort)
+    zg = default_z_grid(params, step=5.0)
+    if sparse:
+        zg = _one_point_second_interval(zg, params.comfort_levels)
+    raw = point_mass_curves(env, params, zg)
+    curves = sensitivity_curves(env, params, raw=raw)
+    expected = reference_costs.derive_curves(raw, env, params)
+    for name, want in expected.items():
+        assert same_bits(getattr(curves, name), want), name
+    assert curves.d_hat_frontier.shape == (max(n_wind - 2, 0), len(zg))

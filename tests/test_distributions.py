@@ -127,3 +127,33 @@ def test_constructors_and_evaluators_match_frozen_reference(seed):
 def test_single_node_evaluation_matches_frozen_reference():
     u = ThresholdDistribution(x=np.array([40.0]), values=np.array([0.6]), domain=(0.0, 100.0))
     _same_evaluation(u, u.x, u.values, np.array([10.0, 40.0, 90.0, 40.0, 40.0]))
+
+
+def test_evaluators_give_nan_at_nan():
+    u = ThresholdDistribution.step_function([40.0, 80.0], [0.25, 0.9], (0.0, 100.0))
+    assert np.isnan(u(np.nan))
+    assert np.isnan(u.left_values(np.nan))
+    assert np.isnan(u([np.nan, 50.0])).tolist() == [True, False]
+
+
+def test_uniform_and_quantile_give_nan_at_nan():
+    assert np.isnan(ThresholdDistribution.uniform((0.0, 100.0))(np.nan))
+    u = ThresholdDistribution.step_function([40.0, 80.0], [0.25, 0.9], (0.0, 100.0))
+    assert np.isnan(u.quantile(np.nan))
+    assert np.isnan(u.quantile([np.nan, 0.5])).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("x, values", [
+    ([0.0, np.nan, 100.0], [0.0, 0.5, 1.0]),
+    ([0.0, 50.0, np.inf], [0.0, 0.5, 1.0]),
+    ([0.0, 50.0, 100.0], [0.0, np.nan, 1.0]),
+])
+def test_nodes_and_values_must_be_finite(x, values):
+    with pytest.raises(NotADistribution):
+        ThresholdDistribution(x=np.array(x), values=np.array(values), domain=(0.0, 100.0))
+
+
+def test_regrid_rejects_nan_points():
+    u = ThresholdDistribution.step_function([40.0, 80.0], [0.25, 0.9], (0.0, 100.0))
+    with pytest.raises(NotADistribution):
+        u.regrid([np.nan, 50.0])

@@ -7,6 +7,9 @@ from zpolicy import (
 )
 from zpolicy.errors import UnstableScheme
 
+import reference_costs
+from conftest import CHAIN_SIZES, chain_instance
+
 
 def _solve_small(ref_env, ref_params, horizon=30.0, grid_step=4.0,
                  time_step=0.9):
@@ -270,14 +273,14 @@ def test_desynchronizing_region_wind_to_cooler(ref_env, ref_params):
         if (cooler_gets & (np.abs(x1 - x2) > 2.0)).sum() > 10:
             found = True
     assert found
-    labels = classify_policy(pol, ref_params, ref_env)
+    labels = classify_policy(pol, ref_params)
     assert (labels == 1).sum() > 0
     assert (labels == -1).sum() > 0
 
 
 def test_classify_neutral_on_diagonal(ref_env, ref_params):
     vals, pol = _solve_small(ref_env, ref_params)
-    labels = classify_policy(pol, ref_params, ref_env)
+    labels = classify_policy(pol, ref_params)
     for e in range(4):
         assert np.all(np.diag(labels[e]) == 0)
 
@@ -298,7 +301,7 @@ def test_self_convergence_under_grid_halving(ref_env, ref_params):
 def test_heuristic_inactive_with_ample_wind(ref_params):
     x = np.array([30.0, 60.0, 90.0])
     wind_alloc, grid_alloc = coolest_first_heuristic(x, wind=1, comfort=1, params=ref_params,
-                                                     activation_threshold=50.0,
+                                                     activation_threshold=50.0, n_wind=2,
                                                      wind_power=100.0)
     assert np.all(wind_alloc == ref_params.h + ref_params.c)
     assert np.all(grid_alloc == 0.0)
@@ -307,7 +310,7 @@ def test_heuristic_inactive_with_ample_wind(ref_params):
 def test_heuristic_coolest_first_above_threshold(ref_params):
     x = np.array([40.0, 90.0])
     wind_alloc, _ = coolest_first_heuristic(x, wind=1, comfort=1, params=ref_params,
-                                            activation_threshold=50.0,
+                                            activation_threshold=50.0, n_wind=2,
                                             wind_power=ref_params.h + ref_params.c)
     assert wind_alloc[0] == ref_params.h + ref_params.c
     assert wind_alloc[1] == 0.0
@@ -316,7 +319,34 @@ def test_heuristic_coolest_first_above_threshold(ref_params):
 def test_heuristic_hottest_first_below_threshold(ref_params):
     x = np.array([10.0, 30.0])
     wind_alloc, _ = coolest_first_heuristic(x, wind=1, comfort=1, params=ref_params,
-                                            activation_threshold=50.0,
+                                            activation_threshold=50.0, n_wind=2,
                                             wind_power=ref_params.h + ref_params.c)
     assert wind_alloc[1] == ref_params.h + ref_params.c
     assert wind_alloc[0] == 0.0
+
+
+def test_heuristic_budget_per_wind_state_on_w3(ref_params):
+    # off / half / full wind: state i gets the share i/(W-1) of the budget,
+    # all of it to the coolest load above the floor when the mean runs hot
+    x = np.array([60.0, 90.0])
+    full = ref_params.h + ref_params.c
+    share = ref_params.wind_cooling_rates(3) / ref_params.c
+    for wind, budget in ((0, 0.0), (1, full * share[1]), (2, full)):
+        wind_alloc, _ = coolest_first_heuristic(x, wind=wind, comfort=1, params=ref_params,
+                                                activation_threshold=50.0, n_wind=3)
+        assert wind_alloc.tolist() == [budget, 0.0]
+    assert full * share[1] == pytest.approx(0.5 * full)
+
+
+@pytest.mark.parametrize("n_wind, n_comfort",
+                         [(w, c) for (w, c) in CHAIN_SIZES if w <= 3 and c <= 3])
+def test_labels_match_reference_on_every_chain_size(n_wind, n_comfort):
+    # one array expression over every environment state gives the frozen
+    # per-state loop's labels, dtype included
+    env, params = chain_instance(n_wind, n_comfort)
+    _, policy = solve_hjb(env, params, horizon=2.0, grid_step=10.0 / 3.0)
+    labels = classify_policy(policy, params)
+    expected = reference_costs.classify_policy(policy, params, env)
+    assert labels.dtype == expected.dtype
+    assert labels.shape == expected.shape == (env.n_states, len(policy.x), len(policy.x))
+    assert np.array_equal(labels, expected)

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from zpolicy import LoadParams, advance_temperatures, build_environment
 from zpolicy.errors import NonPositiveRate
-from zpolicy.model import exact_flow, power_split
+from zpolicy.model import _birth_death_generator, exact_flow, power_split
+
+import reference_costs
+from conftest import CHAIN_SIZES, chain_instance, chain_model, same_bits
 
 
 def _split(x, z, wind, comfort, params, n_wind=2):
@@ -71,6 +74,22 @@ def test_wind_cooling_rates(ref_params):
     assert rates[-1] == ref_params.c
     assert np.allclose(rates, [0.0, 0.55, 1.1])
     assert ref_params.wind_cooling_rates(1).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n_wind, n_comfort", CHAIN_SIZES)
+def test_chain_tables_match_reference_on_every_chain_size(n_wind, n_comfort):
+    # rates and generators are bitwise the frozen one-state-branch versions
+    env, params = chain_instance(n_wind, n_comfort)
+    m = chain_model(n_wind, n_comfort)
+    assert same_bits(params.wind_cooling_rates(n_wind),
+                     reference_costs.wind_cooling_rates(params, n_wind))
+    for rates in (m["wind_rates"], m["comfort_rates"]):
+        assert same_bits(_birth_death_generator(rates),
+                         reference_costs.birth_death_generator(rates))
+    wind = reference_costs.birth_death_generator(m["wind_rates"])
+    comfort = reference_costs.birth_death_generator(m["comfort_rates"])
+    assert same_bits(env.generator, np.kron(wind, np.eye(n_comfort))
+                     + np.kron(np.eye(n_wind), comfort))
 
 
 def test_drift_interior_heating(ref_params):
