@@ -20,16 +20,16 @@ from .variational import (
     costate,
 )
 from .simulate import (
-    SimulationConfig, SimulationResult, simulate, empirical_cdf,
-    check_dominance, sample_environment_path, child_seed,
+    SimulationConfig, SimulationResult, SampledEpisode, simulate, sample_episode,
+    run_episode, empirical_cdf, check_dominance, sample_environment_path, child_seed,
 )
 from .cftp import (
     CftpConfig, JointSample, cftp_sample, cftp_samples, estimate_joint_cost,
     smooth_distribution, optimize_thresholds,
 )
 from .heuristic import (
-    PiecewiseDistribution, AdaptationTrace, estimate_cost, adapt_step,
-    successive_refinement, make_simulation_cost_fn,
+    PiecewiseDistribution, AdaptationTrace, sample_episodes, estimate_cost,
+    adapt_step, successive_refinement, make_simulation_cost_fn,
 )
 from .hjb import (
     solve_hjb, classify_policy, coolest_first_heuristic,

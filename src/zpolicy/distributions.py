@@ -6,8 +6,9 @@ and satisfy u(0) = 0 and u(Theta_C) = 1, with jumps allowed anywhere
 including both boundaries.  The representation is a piecewise-linear
 function on an ascending grid where a repeated grid value encodes a jump
 (left value first, right value second); evaluation is right-continuous.
-Every node and value must be finite.  The evaluators and the quantile
-return NaN for a NaN argument.
+Every node and value must be finite, and the domain two finite numbers
+with low <= high (equal for a one-node grid).  The evaluators and the
+quantile return NaN for a NaN argument.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ class ThresholdDistribution:
             raise NotADistribution("values must be nondecreasing")
         if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
             raise NotADistribution("values must lie in [0, 1]")
+        d = np.asarray(self.domain, dtype=float)
+        if d.shape != (2,) or not (np.isfinite(d).all() and d[0] <= d[1]):
+            raise NotADistribution("domain must be two finite numbers with low <= high, "
+                                   f"got {self.domain}")
 
     # -- constructors -------------------------------------------------
 

@@ -6,23 +6,33 @@ temperatures, and tunes a piecewise-constant or piecewise-linear
 distribution by finite-difference descent with cyclic coordinate updates
 and successive partition refinement: once a partition level plateaus,
 every segment splits in two and the optimum so far seeds the finer level.
+
+Candidates are scored with common random numbers: replication r of every
+episode runs on the environment path of seed ``seed + r``.  That path is
+sampled once per replication seed, when the cost function is made, and
+replayed for every candidate (simulate.sample_episode / run_episode), so
+the cost function holds ``n_replications`` sampled episodes, 48 bytes per
+environment segment each (about 1 MB for a 20000-jump episode), for as
+long as it lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .distributions import ThresholdDistribution
 from .model import LoadParams, MarkovEnvironment
-from .simulate import SimulationConfig, simulate
+from .simulate import SampledEpisode, SimulationConfig, run_episode, sample_episode
 from .variational import isotonic_fit
 
 __all__ = [
     "PiecewiseDistribution",
     "AdaptationTrace",
     "CostEstimate",
+    "sample_episodes",
     "estimate_cost",
     "make_simulation_cost_fn",
     "adapt_step",
@@ -111,26 +121,39 @@ class AdaptationTrace:
         return k_best, self.steps[k_best][3]
 
 
-def estimate_cost(dist: PiecewiseDistribution, episode: SimulationConfig,
-                  env: MarkovEnvironment, params: LoadParams, gamma: float,
-                  n_replications: int = 2) -> CostEstimate:
+def _check_replications(n_replications: int):
+    if not n_replications >= 1:
+        raise ValueError(f"n_replications must be at least 1, got {n_replications}")
+
+
+def sample_episodes(episode: SimulationConfig, env: MarkovEnvironment, params: LoadParams,
+                    n_replications: int = 2) -> tuple[SampledEpisode, ...]:
+    """The environment paths of ``n_replications`` replications of an
+    episode, replication r on seed ``episode.seed + r``.
+
+    A replication keeps the episode's n_loads, horizon_jumps and burn_in;
+    it starts every load at 0 and records no occupation and no trace.
+    """
+    _check_replications(n_replications)
+    return tuple(sample_episode(
+        SimulationConfig(n_loads=episode.n_loads, horizon_jumps=episode.horizon_jumps,
+                         seed=episode.seed + rep, burn_in=episode.burn_in), env, params)
+        for rep in range(n_replications))
+
+
+def estimate_cost(dist: PiecewiseDistribution, episodes: Sequence[SampledEpisode],
+                  gamma: float) -> CostEstimate:
     """Episode cost of the distribution, from ensemble aggregates only.
 
-    Each replication simulates quantile-sampled set-points and returns the
-    time-averaged aggregate cost; no per-load temperature leaves the
-    simulator (occupation and trace recording stay off).
+    Each sampled episode (sample_episodes) runs quantile-sampled set-points
+    and returns the time-averaged aggregate cost; no per-load temperature
+    leaves the simulator.  The estimate is the mean over the episodes, with
+    its standard error (inf for one episode).
     """
+    _check_replications(len(episodes))
     u = dist.to_threshold_distribution()
-    totals = []
-    for rep in range(n_replications):
-        cfg = SimulationConfig(
-            n_loads=episode.n_loads,
-            horizon_jumps=episode.horizon_jumps,
-            seed=episode.seed + rep,
-            distribution=u,
-            record_occupation=False, record_trace=False,
-            burn_in=episode.burn_in)
-        totals.append(simulate(cfg, env, params, gamma).empirical_cost.total)
+    totals = [run_episode(ep, replace(ep.config, distribution=u).resolve_set_points(ep.params),
+                          gamma).empirical_cost.total for ep in episodes]
     se = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
         if len(totals) > 1 else float("inf")
     return CostEstimate(j_hat=float(np.mean(totals)), std_error=se)
@@ -140,13 +163,13 @@ def make_simulation_cost_fn(env: MarkovEnvironment, params: LoadParams, gamma: f
                             n_loads: int, horizon_jumps: int, seed: int,
                             n_replications: int = 1):
     """Episode evaluator with common random numbers: every candidate is
-    scored on the same environment seeds, so cost differences between
+    scored on the same sampled episodes, so cost differences between
     consecutive candidates reflect the distribution change alone."""
-    episode = SimulationConfig(n_loads=n_loads, horizon_jumps=horizon_jumps, seed=seed)
+    episodes = sample_episodes(SimulationConfig(n_loads=n_loads, horizon_jumps=horizon_jumps,
+                                                seed=seed), env, params, n_replications)
 
     def cost_fn(dist: PiecewiseDistribution) -> CostEstimate:
-        return estimate_cost(dist, episode, env, params, gamma,
-                             n_replications=n_replications)
+        return estimate_cost(dist, episodes, gamma)
 
     return cost_fn
 

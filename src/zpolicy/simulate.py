@@ -6,11 +6,15 @@ deterministically by the exact piecewise-linear flow, so the only
 randomness is the common environment, and loads with equal set-points
 follow identical trajectories.
 
-A run has two stages.  The recursion is the only sequential step: for each
-distinct set-point, model.flow_path walks the path's segments in a scalar
-loop and records the entry temperature of every segment.  The accounting
-then works on whole (segments x distinct loads) arrays, block by block,
-with each distinct load counted by its multiplicity:
+A run has two stages.  Sampling draws the path from default_rng(seed)
+and keeps it as a SampledEpisode: its comfort-level, cooling-rate,
+duration and wind columns, the burn-in index and the accounted time.
+Running replays the episode for a set-point vector.  Its recursion is the
+only sequential step: for each distinct set-point, model.flow_path walks
+the path's segments in a scalar loop and records the entry temperature of
+every segment.  The accounting then works on whole (segments x distinct
+loads) arrays, block by block, with each distinct load counted by its
+multiplicity:
 
 - grid power comes from power_split and changes at most once per load and
   segment, so sorting each segment's event times gives the aggregate draw
@@ -21,8 +25,13 @@ with each distinct load counted by its multiplicity:
   stretches (uniform in x) as prefix sums evaluated on a fixed grid of
   edges.
 
-Blocks carry the temperatures, the sums and the occupation across, so
-memory stays O(block x distinct loads) however long the path.
+Blocks carry the temperatures, the sums and the occupation across, and
+hand flow_path each block's columns as Python lists, so the run's memory
+stays O(block x distinct loads) however long the path.  The episode itself
+is O(segments), six numpy columns or 48 bytes a segment.  simulate samples
+an episode and runs it once; the heuristic samples one per replication
+seed and replays it for every candidate, bitwise as simulate would score
+that candidate.
 """
 
 from __future__ import annotations
@@ -40,7 +49,10 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "EnvironmentPath",
+    "SampledEpisode",
     "sample_environment_path",
+    "sample_episode",
+    "run_episode",
     "simulate",
     "empirical_cdf",
     "check_dominance",
@@ -189,6 +201,39 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
 _BLOCK = 4096   # environment segments per accounting block
 
 
+@dataclass(frozen=True)
+class SampledEpisode:
+    """An environment path drawn from default_rng(config.seed), with what
+    every run over it reads: the segments' comfort level ``theta`` and wind
+    cooling rate ``ci``, the first accounted segment and the accounted
+    time.  Only the config's seed, horizon and burn-in shape it;
+    run_episode reads the rest of the config."""
+
+    config: SimulationConfig
+    params: LoadParams
+    path: EnvironmentPath
+    theta: np.ndarray
+    ci: np.ndarray
+    first: int
+    accounted_time: float
+
+
+def sample_episode(config: SimulationConfig, env: MarkovEnvironment,
+                   params: LoadParams) -> SampledEpisode:
+    """Sample the episode of one replication; deterministic given the seed."""
+    rng = np.random.default_rng(config.seed)
+    path = sample_environment_path(env, config.horizon_jumps, rng)
+    theta = np.asarray(params.comfort_levels)[path.comfort]
+    ci = params.wind_cooling_rates(env.n_wind)[path.wind]
+    n_seg = len(path.start_times)
+    first = int(np.searchsorted(path.start_times, config.burn_in * path.total_time))
+    # accounted time, summed in segment order as the parked totals are: a
+    # load that never moves has an occupation CDF of exactly 1
+    t_acc = float(np.cumsum(path.durations[first:])[-1]) if first < n_seg else 0.0
+    return SampledEpisode(config=config, params=params, path=path, theta=theta, ci=ci,
+                          first=first, accounted_time=t_acc)
+
+
 class _Occupation:
     """Exact occupation of the distinct loads, accumulated block by block.
 
@@ -310,32 +355,29 @@ def _block_costs(x, zd, weight, theta, ci, dur, wind, h: float, c: float):
             float(np.sum((a * a * a - cooled * cooled * cooled) @ weight)) / (3.0 * c))
 
 
-def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParams,
-             gamma: float) -> SimulationResult:
-    """Run one replication; deterministic given the config seed.
+def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> SimulationResult:
+    """Run the set-points ``z`` over a sampled episode, with the initial
+    temperature and the recording options of the episode's config.  ``z``
+    is ascending and within [0, Theta_C], as resolve_set_points returns it.
 
     Loads with equal set-points follow one trajectory, so the recursion and
     the accounting run once per distinct set-point, counted by multiplicity.
     """
-    rng = np.random.default_rng(config.seed)
-    z = config.resolve_set_points(params)
-    path = sample_environment_path(env, config.horizon_jumps, rng)
+    config, params, path = episode.config, episode.params, episode.path
     zd, inv = np.unique(z, return_inverse=True)
     weight = np.bincount(inv).astype(float)
     h, c = params.h, params.c
-    levels = np.asarray(params.comfort_levels)
-    theta = levels[path.comfort]
-    ci = params.wind_cooling_rates(env.n_wind)[path.wind]
-    n_seg = len(path.start_times)
-    first = int(np.searchsorted(path.start_times, config.burn_in * path.total_time))
-    occ = _Occupation(zd, levels, np.linspace(0.0, params.theta_max, config.occupation_edges)) \
+    first, t_acc = episode.first, episode.accounted_time
+    occ = _Occupation(zd, np.asarray(params.comfort_levels),
+                      np.linspace(0.0, params.theta_max, config.occupation_edges)) \
         if config.record_occupation else None
 
     x = [float(config.initial_temperature)] * len(zd)
     int_g2 = int_disc = 0.0
-    trace = [np.empty((0, config.n_loads))]
-    for s in range(0, n_seg, _BLOCK):
-        segs = [a[s:s + _BLOCK].tolist() for a in (theta, ci, path.durations, path.wind)]
+    trace = [np.empty((0, len(z)))]
+    columns = (episode.theta, episode.ci, path.durations, path.wind)
+    for s in range(0, len(path.start_times), _BLOCK):
+        segs = [a[s:s + _BLOCK].tolist() for a in columns]
         runs = [flow_path(x0, zj, h, c, *segs) for x0, zj in zip(x, zd.tolist())]
         x = [run[-1] for run in runs]
         skip = max(first - s, 0)
@@ -343,7 +385,7 @@ def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParam
             continue                                  # burn-in only
         xs = np.ascontiguousarray(np.array([run[skip:-1] for run in runs]).T)
         acc = slice(s + skip, s + len(segs[0]))
-        cols = [a[acc, None] for a in (theta, ci, path.durations, path.wind)]
+        cols = [a[acc, None] for a in columns]
         g2, disc = _block_costs(xs, zd, weight, *cols, h, c)
         int_g2 += g2
         int_disc += disc
@@ -352,16 +394,13 @@ def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParam
         if config.record_trace:
             trace.append(xs[:, inv])
 
-    # accounted time, summed in segment order as the parked totals are: a
-    # load that never moves has an occupation CDF of exactly 1
-    t_acc = float(np.cumsum(path.durations[first:])[-1]) if first < n_seg else 0.0
-    n = config.n_loads
+    n = len(z)
     report = CostReport(power_cost=int_g2 / max(t_acc, 1e-300) / n**2,
                         discomfort_cost=int_disc / max(t_acc, 1e-300) / n, gamma=gamma)
     recorded = config.record_trace
     return SimulationResult(
         empirical_cost=report, set_points=z, total_time=path.total_time,
-        accounted_time=t_acc, n_segments=n_seg, seed=config.seed,
+        accounted_time=t_acc, n_segments=len(path.start_times), seed=config.seed,
         occupation_edges=occ.edges if occ else None,
         occupation_cdf=occ.cdf(t_acc)[inv] if occ else None,
         dwell_fractions=occ.fractions(inv, t_acc) if occ else None,
@@ -370,6 +409,13 @@ def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParam
         trace_wind=path.wind[first:] if recorded else None,
         trace_comfort=path.comfort[first:] if recorded else None,
     )
+
+
+def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParams,
+             gamma: float) -> SimulationResult:
+    """Run one replication; deterministic given the config seed."""
+    z = config.resolve_set_points(params)
+    return run_episode(sample_episode(config, env, params), z, gamma)
 
 
 def empirical_cdf(result: SimulationResult):

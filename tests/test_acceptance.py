@@ -251,7 +251,7 @@ def test_criterion_8_heuristic_quality(ref_env, ref_params, ref_curves):
         zp.PiecewiseDistribution(level=3,
                                  alphas=(np.arange(8) + 1.0) / 8.0,
                                  domain=(0.0, 100.0)),
-        episode, ref_env, ref_params, GAMMA_REF, n_replications=1).j_hat
+        zp.sample_episodes(episode, ref_env, ref_params, n_replications=1), GAMMA_REF).j_hat
 
     best, trace = zp.successive_refinement(
         cost_fn, initial_level=0, max_level=3, epsilon=0.5, seed=4,

@@ -49,6 +49,20 @@ def test_monotonicity_violations_rejected():
                               domain=(0.0, 100.0))
 
 
+@pytest.mark.parametrize("domain", [(float("nan"), float("nan")), (100.0, 0.0),
+                                    (0.0, float("inf")), (0.0, 50.0, 100.0)])
+def test_bad_domain_rejected(domain):
+    with pytest.raises(NotADistribution, match="domain"):
+        ThresholdDistribution(x=np.array([0.0, 100.0]), values=np.array([0.0, 0.5]),
+                              domain=domain)
+
+
+def test_single_node_grid_has_a_point_domain():
+    u = ThresholdDistribution.from_grid([40.0], [1.0])
+    assert u.domain == (40.0, 40.0)
+    assert u.jumps == [(40.0, 0.0, 1.0)]
+
+
 def test_regrid_preserves_jumps():
     u = ThresholdDistribution.step_function([50.0], [1.0], (0.0, 100.0))
     u2 = u.regrid(np.linspace(0.0, 100.0, 173))

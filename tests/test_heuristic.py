@@ -1,10 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from zpolicy import (
     PiecewiseDistribution, SimulationConfig, ThresholdDistribution,
     adapt_step, continuum_cost, estimate_cost, euler_lagrange,
-    make_simulation_cost_fn, project, simulate, successive_refinement,
+    make_simulation_cost_fn, project, sample_episodes, simulate, successive_refinement,
 )
 from zpolicy.heuristic import CostEstimate
 
@@ -52,7 +54,7 @@ def test_estimate_cost_zero_length_episode(ref_env, ref_params):
     # the episode config rejects the zero horizon itself
     with pytest.raises(ValueError):
         episode = SimulationConfig(n_loads=10, horizon_jumps=0, seed=0)
-        estimate_cost(dist, episode, ref_env, ref_params, GAMMA_REF)
+        estimate_cost(dist, sample_episodes(episode, ref_env, ref_params), GAMMA_REF)
 
 
 def test_estimate_cost_near_optimum(ref_env, ref_params, ref_curves):
@@ -67,8 +69,8 @@ def test_estimate_cost_near_optimum(ref_env, ref_params, ref_curves):
     alphas = np.asarray(u_star(edges[1:]))
     dist = PiecewiseDistribution(level=level, alphas=alphas, domain=(0.0, 100.0))
     episode = SimulationConfig(n_loads=100, horizon_jumps=60000, seed=23)
-    est = estimate_cost(dist, episode, ref_env, ref_params, GAMMA_REF,
-                        n_replications=2)
+    est = estimate_cost(dist, sample_episodes(episode, ref_env, ref_params, n_replications=2),
+                        GAMMA_REF)
     assert np.isfinite(est.std_error)
     assert abs(est.j_hat - j_star) / j_star <= 0.08
 
@@ -80,9 +82,9 @@ def test_step_distribution_beats_unit_step_baseline(ref_env, ref_params):
                                 domain=(0.0, 100.0))   # step at Theta_2
     spread = PiecewiseDistribution(level=1, alphas=np.array([0.0, 1.0]),
                                    domain=(0.0, 100.0))  # step at Theta_1
-    j_top = estimate_cost(top, episode, ref_env, ref_params, GAMMA_REF).j_hat
-    j_spread = estimate_cost(spread, episode, ref_env, ref_params,
-                             GAMMA_REF).j_hat
+    episodes = sample_episodes(episode, ref_env, ref_params)
+    j_top = estimate_cost(top, episodes, GAMMA_REF).j_hat
+    j_spread = estimate_cost(spread, episodes, GAMMA_REF).j_hat
     assert j_spread < j_top
 
 
@@ -233,3 +235,86 @@ def test_successive_refinement_matches_frozen_reference_on_episodes(ref_env, ref
     kwargs = dict(initial_level=1, max_level=2, seed=5, exploration=0.05,
                   max_steps_per_level=12, domain=(0.0, 100.0))
     _same_refinement(successive_refinement(cost_fn, **kwargs), reference(cost_fn, **kwargs))
+
+
+def _episode_model(name, request):
+    """(env, params) of REF, C3 or W3."""
+    env = request.getfixturevalue({"REF": "ref_env", "C3": "env3", "W3": "env_w3"}[name])
+    params = request.getfixturevalue("params3" if name == "C3" else "ref_params")
+    return env, params
+
+
+def _same_estimate(got, want):
+    assert (got.j_hat, got.std_error) == (want.j_hat, want.std_error)
+
+
+@pytest.mark.parametrize("n_replications", [1, 2])
+@pytest.mark.parametrize("shape", ["constant", "linear"])
+@pytest.mark.parametrize("model", ["REF", "C3", "W3"])
+def test_episode_scoring_matches_frozen_reference(model, shape, n_replications, request):
+    # replaying sampled episodes scores every candidate, and so steers a
+    # whole refinement, bitwise as simulating each candidate anew did
+    import reference_heuristic as ref
+    env, params = _episode_model(model, request)
+    kwargs = dict(n_loads=20, horizon_jumps=400, seed=11, n_replications=n_replications)
+    cost_fn = make_simulation_cost_fn(env, params, GAMMA_REF, **kwargs)
+    ref_fn = ref.make_simulation_cost_fn(env, params, GAMMA_REF, **kwargs)
+    for alphas in ([0.5], [0.0, 1.0], [0.1, 0.2, 0.7, 0.9]):
+        dist = PiecewiseDistribution(level=len(alphas).bit_length() - 1,
+                                     alphas=np.array(alphas), domain=(0.0, 100.0), shape=shape)
+        _same_estimate(cost_fn(dist), ref_fn(dist))
+    search = dict(initial_level=0, max_level=2, seed=3, exploration=0.05, epsilon=0.4,
+                  max_steps_per_level=8, domain=(0.0, 100.0), shape=shape)
+    got = successive_refinement(cost_fn, **search)
+    _same_refinement(got, ref.successive_refinement(ref_fn, **search))
+    assert len(got[1].steps) > 8
+
+
+def test_episode_scoring_matches_frozen_reference_after_long_burn_in(ref_env, ref_params):
+    # 9000 jumps span three blocks of segments, and a burn-in past half the
+    # path leaves the first block unaccounted; the episode's initial
+    # temperature is not passed on to its replications, as before
+    import reference_heuristic as ref
+    episode = SimulationConfig(n_loads=10, horizon_jumps=9000, seed=4, burn_in=0.55,
+                               initial_temperature=70.0)
+    episodes = sample_episodes(episode, ref_env, ref_params, n_replications=2)
+    assert episodes[0].first > 4096
+    for alphas in ([0.3], [0.2, 0.6]):
+        dist = PiecewiseDistribution(level=len(alphas) - 1, alphas=np.array(alphas),
+                                     domain=(0.0, 100.0))
+        _same_estimate(estimate_cost(dist, episodes, GAMMA_REF),
+                       ref.estimate_cost(dist, episode, ref_env, ref_params, GAMMA_REF))
+
+
+@pytest.mark.parametrize("n_replications", [1, 3])
+def test_refinement_samples_each_replication_path_once(n_replications, ref_env, ref_params,
+                                                       monkeypatch):
+    # the package namespace binds ``simulate`` to the function of that name
+    module = importlib.import_module("zpolicy.simulate")
+    calls = []
+    sampler = module.sample_environment_path
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(module, "sample_environment_path", counted)
+    cost_fn = make_simulation_cost_fn(ref_env, ref_params, GAMMA_REF, n_loads=10,
+                                      horizon_jumps=200, seed=2, n_replications=n_replications)
+    _, trace = successive_refinement(cost_fn, initial_level=0, max_level=1, seed=1,
+                                     max_steps_per_level=4, delta_j=-1e9, domain=(0.0, 100.0))
+    assert len(trace.steps) == 10
+    assert len(calls) == n_replications
+
+
+@pytest.mark.parametrize("n_replications", [0, -1])
+def test_n_replications_must_be_positive(n_replications, ref_env, ref_params):
+    with pytest.raises(ValueError, match="n_replications"):
+        make_simulation_cost_fn(ref_env, ref_params, GAMMA_REF, n_loads=10,
+                                horizon_jumps=100, seed=0, n_replications=n_replications)
+    episode = SimulationConfig(n_loads=10, horizon_jumps=100, seed=0)
+    with pytest.raises(ValueError, match="n_replications"):
+        sample_episodes(episode, ref_env, ref_params, n_replications=n_replications)
+    dist = PiecewiseDistribution(level=0, alphas=np.array([0.5]), domain=(0.0, 100.0))
+    with pytest.raises(ValueError, match="n_replications"):
+        estimate_cost(dist, (), GAMMA_REF)
