@@ -131,13 +131,14 @@ def sample_episodes(episode: SimulationConfig, env: MarkovEnvironment, params: L
     """The environment paths of ``n_replications`` replications of an
     episode, replication r on seed ``episode.seed + r``.
 
-    A replication keeps the episode's n_loads, horizon_jumps and burn_in;
-    it starts every load at 0 and records no occupation and no trace.
+    A replication keeps the episode's n_loads, horizon_jumps, burn_in and
+    initial_temperature, and records no occupation and no trace.
     """
     _check_replications(n_replications)
     return tuple(sample_episode(
         SimulationConfig(n_loads=episode.n_loads, horizon_jumps=episode.horizon_jumps,
-                         seed=episode.seed + rep, burn_in=episode.burn_in), env, params)
+                         seed=episode.seed + rep, burn_in=episode.burn_in,
+                         initial_temperature=episode.initial_temperature), env, params)
         for rep in range(n_replications))
 
 

@@ -21,7 +21,10 @@ elementwise kernels in which every argument broadcasts, the environment
 state included; the perfect sampler, the simulator's accounting and the
 CLI all call them, and advance_temperatures is exact_flow for one
 environment state given by its indices.  flow_path is the same flow as a
-scalar recursion along a whole path of segments, for the simulator.
+scalar recursion along a whole path of segments, for one load.  flow_paths
+gives the same temperatures for many loads at once: it steps chunks of the
+path in lockstep with exact_flow and stitches them where reruns meet the
+stored trajectories bit for bit; the simulator uses it on large runs.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "build_environment",
     "advance_temperatures",
     "flow_path",
+    "flow_paths",
 ]
 
 
@@ -210,7 +214,10 @@ def flow_path(x: float, z: float, h: float, c: float,
     theta, ci, dt and wind give each segment's comfort level, wind cooling
     rate, duration and wind state as Python numbers.  Each step is the
     scalar form of exact_flow, written with the comparisons np.minimum and
-    np.maximum make, so the result is bitwise exact_flow's.
+    np.maximum make, so the result is bitwise exact_flow's, except that
+    from a -0.0 start or hold point the two can return zeros of opposite
+    sign (a load at its hold point stays put here, where exact_flow returns
+    the hold point).
     """
     out = [x]
     for th, r, d, w in zip(theta, ci, dt, wind):
@@ -234,6 +241,88 @@ def flow_path(x: float, z: float, h: float, c: float,
             x = 0.0 if 0.0 >= y else y
         out.append(x)
     return out
+
+
+_CHUNK = 128    # segments per chunk of flow_paths
+_FEW = 32       # reruns that flow_paths finishes one at a time
+
+
+def flow_paths(x0, z: np.ndarray, h: float, c: float, theta: np.ndarray, ci: np.ndarray,
+               dt: np.ndarray, wind: np.ndarray) -> np.ndarray:
+    """Temperatures of loads with set-points ``z`` along one path of
+    segments, from the start temperatures ``x0`` (one, or one per load), as
+    a (segments + 1) x loads array: row k holds every load's entry
+    temperature of segment k, the last row the exits.  Column j is bitwise
+    flow_path(x0[j], z[j], ...), but the segments are not walked in order.
+    Starts and set-points must not be -0.0, where flow_path and exact_flow
+    can return zeros of opposite sign (run_episode adds 0.0 to both).
+
+    The path is cut into chunks of _CHUNK segments, and every chunk of
+    every load takes one step per exact_flow call: chunk 0 from x0, each
+    later chunk from a guess, the floor 0.  Then every chunk whose start
+    differs from its predecessor's stored end reruns from that end, one
+    lane per (chunk, load), and stops as soon as its temperature equals the
+    stored one bit for bit; the flow is deterministic, so the rest of the
+    chunk is already right.  A rerun that reaches its chunk's end has just
+    changed the next chunk's start, so it goes on into that chunk in the
+    same pass.  When no rerun is left, every row is the flow of the row
+    before it, which is the sequential recursion.  The flow coalesces,
+    since a clamp at a hold point or at the floor maps different
+    temperatures to one, so most reruns stop after a few steps; the last
+    _FEW lanes, whose steps would cost a call each, finish one at a time
+    with flow_path.
+    """
+    z = np.asarray(z, dtype=float)
+    n_seg, n_loads = len(dt), len(z)
+    n_chunks = max(-(-n_seg // _CHUNK), 1)
+    # pad to whole chunks with zero durations, which map every state to
+    # itself; row t of each table holds step t of every chunk
+    pad = n_chunks * _CHUNK - n_seg
+    tables = [np.concatenate([a, np.zeros(pad, dtype=a.dtype)]).reshape(n_chunks, _CHUNK).T.copy()
+              for a in (theta, ci, dt, wind)]
+    out = np.empty((n_chunks * _CHUNK + 1, n_loads))
+    out[0] = x0
+    body = out[1:].reshape(n_chunks, _CHUNK, n_loads)
+    ends = out[:-1:_CHUNK].T      # the start of chunk k is the end of chunk k - 1
+    starts = np.zeros((n_loads, n_chunks))
+    starts[:, 0] = out[0]
+    x, zc = starts, z[:, None]
+    for t, (th, rate, d, w) in enumerate(zip(*tables)):
+        x = exact_flow(x, zc, th, h, c, rate, d, w)
+        body[:, t] = x.T
+    # rerun every chunk whose start is not its predecessor's end, one lane
+    # per (chunk, load) at row ``row`` (flat index ``at``) holding the right
+    # temperature x, until its next temperature equals the stored one; a
+    # lane that reaches its chunk's end goes on into the next, whose start
+    # it has just changed
+    j, k = np.nonzero(starts.view(np.uint64) != ends.view(np.uint64))
+    row, x, zl = k * _CHUNK, ends[j, k], z[j]
+    at = row * n_loads + j
+    flat = out.reshape(-1)
+    while len(row) > _FEW:
+        x = exact_flow(x, zl, theta[row], h, c, ci[row], dt[row], wind[row])
+        row += 1
+        at += n_loads
+        moved = (x.view(np.uint64) != flat[at].view(np.uint64)) & (row < n_seg)
+        flat[at] = x
+        if not moved.all():
+            row, at, zl, x = row[moved], at[moved], zl[moved], x[moved]
+    # the last few lanes one at a time with flow_path, leading lanes first,
+    # so that a lane meets what the lanes ahead of it wrote; each takes
+    # 8 segments, then twice as many each time until it meets
+    for i in np.argsort(-row, kind="stable").tolist():
+        r, col, xi, span = int(row[i]), int(at[i] - row[i] * n_loads), float(x[i]), 8
+        while r < n_seg:
+            stop = min(r + span, n_seg)
+            run = np.array(flow_path(xi, float(zl[i]), h, c,
+                                     *(a[r:stop].tolist() for a in (theta, ci, dt, wind)))[1:])
+            met = np.flatnonzero(run.view(np.uint64) == out[r + 1:stop + 1, col].view(np.uint64))
+            if len(met):
+                out[r + 1:r + 1 + met[0], col] = run[:met[0]]
+                break
+            out[r + 1:stop + 1, col] = run
+            r, xi, span = stop, float(run[-1]), 2 * span
+    return out[:n_seg + 1]
 
 
 def power_split(x, z, theta, h, c, ci, wind):

@@ -9,12 +9,16 @@ follow identical trajectories.
 A run has two stages.  Sampling draws the path from default_rng(seed)
 and keeps it as a SampledEpisode: its comfort-level, cooling-rate,
 duration and wind columns, the burn-in index and the accounted time.
-Running replays the episode for a set-point vector.  Its recursion is the
-only sequential step: for each distinct set-point, model.flow_path walks
-the path's segments in a scalar loop and records the entry temperature of
-every segment.  The accounting then works on whole (segments x distinct
-loads) arrays, block by block, with each distinct load counted by its
-multiplicity:
+Running replays the episode for a set-point vector.  Its recursion gives
+the entry temperature of every segment for every distinct set-point.  On
+large runs (distinct set-points x segments of at least _LOCKSTEP_WORK)
+model.flow_paths computes it in windows of whole blocks: chunks of the
+window step in lockstep and are stitched where reruns meet the stored
+trajectories bit for bit.  Below that, model.flow_path walks the segments
+in a scalar loop per distinct set-point, which costs less than the
+lockstep's fixed number of calls.  Both give the same bits.  The
+accounting then works on whole (segments x distinct loads) arrays, block
+by block, with each distinct load counted by its multiplicity:
 
 - grid power comes from power_split and changes at most once per load and
   segment, so sorting each segment's event times gives the aggregate draw
@@ -25,13 +29,13 @@ multiplicity:
   stretches (uniform in x) as prefix sums evaluated on a fixed grid of
   edges.
 
-Blocks carry the temperatures, the sums and the occupation across, and
-hand flow_path each block's columns as Python lists, so the run's memory
-stays O(block x distinct loads) however long the path.  The episode itself
-is O(segments), six numpy columns or 48 bytes a segment.  simulate samples
-an episode and runs it once; the heuristic samples one per replication
-seed and replays it for every candidate, bitwise as simulate would score
-that candidate.
+Windows carry the temperatures across and blocks the sums and the
+occupation, so the run's memory stays O(window x distinct loads) however
+long the path; a lockstep window holds about _WINDOW_CELLS load-segments.
+The episode itself is O(segments), six numpy columns or 48 bytes a
+segment.  simulate samples an episode and runs it once; the heuristic
+samples one per replication seed and replays it for every candidate,
+bitwise as simulate would score that candidate.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
-from .model import LoadParams, MarkovEnvironment, flow_path, power_split
+from .model import LoadParams, MarkovEnvironment, flow_path, flow_paths, power_split
 
 __all__ = [
     "SimulationConfig",
@@ -199,6 +203,10 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
 
 
 _BLOCK = 4096   # environment segments per accounting block
+# run_episode steps the distinct loads in lockstep (model.flow_paths) from
+# this many load-segments per episode, below it with flow_path per load
+_LOCKSTEP_WORK = 80000
+_WINDOW_CELLS = 1 << 18     # load-segments per lockstep window, in whole blocks
 
 
 @dataclass(frozen=True)
@@ -251,6 +259,11 @@ class _Occupation:
         self.zd = zd
         self.edges = edges
         self.n_bins = len(edges) + 1
+        # edges are evenly spaced from 0 (np.linspace), so edges[k] is k*step
+        # to an ulp, and the first edge above v is floor(v/step) + 1 within one
+        span = float(edges[-1])
+        self.scale = (len(edges) - 1) / span if span > 0 else None
+        self.bounds = np.concatenate([[np.nan], edges, [np.nan]])   # NaN compares false
         self.s = np.zeros(len(zd) * self.n_bins)
         self.t = np.zeros(len(zd) * self.n_bins)
         # dwell slot k < C: parked at comfort level k; slot C: the floor
@@ -282,8 +295,7 @@ class _Occupation:
         live = (span >= 1e-14) & (took > 0)
         lo, hi, w = lo[live], hi[live], took[live] / span[live]
         col = np.broadcast_to(np.arange(x.shape[1]) * self.n_bins, live.shape)[live]
-        bins = np.concatenate([np.searchsorted(self.edges, lo, side="right") + col,
-                               np.searchsorted(self.edges, hi, side="right") + col])
+        bins = np.concatenate([self._bin(lo) + col, self._bin(hi) + col])
         size = len(self.s)
         self.s += np.bincount(bins, weights=np.concatenate([w, -w]), minlength=size)
         self.t += np.bincount(bins, weights=np.concatenate([w * lo, -w * hi]), minlength=size)
@@ -294,6 +306,18 @@ class _Occupation:
         self.dwell = np.bincount(np.concatenate([np.arange(len(self.dwell)), keys[live]]),
                                  weights=np.concatenate([self.dwell, parked[live]]),
                                  minlength=len(self.dwell))
+
+    def _bin(self, v: np.ndarray) -> np.ndarray:
+        """np.searchsorted(self.edges, v, side="right"): the number of edges
+        at or below each value, guessed from the spacing and corrected by one
+        comparison each way against the edges themselves."""
+        if self.scale is None:
+            return np.searchsorted(self.edges, v, side="right")
+        n = len(self.edges)
+        i = np.clip(np.floor(v * self.scale) + 1.0, 0.0, n).astype(np.intp)
+        i -= self.bounds[i] > v            # bounds[i] is edges[i - 1]
+        i += self.bounds[i + 1] <= v       # bounds[i + 1] is edges[i]
+        return i
 
     def cdf(self, time: float) -> np.ndarray:
         """Occupation CDF of each distinct load at the edges (fractions of time)."""
@@ -342,7 +366,9 @@ def _block_costs(x, zd, weight, theta, ci, dur, wind, h: float, c: float):
     """
     target = np.where(wind == 0, np.minimum(zd, theta), theta)
     _, g0 = power_split(x, zd, theta, h, c, ci, wind)
-    _, g1 = power_split(target, zd, theta, h, c, ci, wind)
+    # at its target every load draws what one parked at Theta draws (h with
+    # wind off, nothing under wind), so one column holds that power for all
+    _, g1 = power_split(theta, theta, theta, h, c, ci, wind)
     event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
     order = np.argsort(event, axis=1)
     steps = np.take_along_axis((g1 - g0) * weight, order, axis=1)
@@ -372,27 +398,41 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
                       np.linspace(0.0, params.theta_max, config.occupation_edges)) \
         if config.record_occupation else None
 
-    x = [float(config.initial_temperature)] * len(zd)
     int_g2 = int_disc = 0.0
     trace = [np.empty((0, len(z)))]
     columns = (episode.theta, episode.ci, path.durations, path.wind)
-    for s in range(0, len(path.start_times), _BLOCK):
-        segs = [a[s:s + _BLOCK].tolist() for a in columns]
-        runs = [flow_path(x0, zj, h, c, *segs) for x0, zj in zip(x, zd.tolist())]
-        x = [run[-1] for run in runs]
-        skip = max(first - s, 0)
-        if skip >= len(segs[0]):
-            continue                                  # burn-in only
-        xs = np.ascontiguousarray(np.array([run[skip:-1] for run in runs]).T)
-        acc = slice(s + skip, s + len(segs[0]))
-        cols = [a[acc, None] for a in columns]
-        g2, disc = _block_costs(xs, zd, weight, *cols, h, c)
-        int_g2 += g2
-        int_disc += disc
-        if occ is not None:
-            occ.add(xs, *cols, path.comfort[acc, None], h, c)
-        if config.record_trace:
-            trace.append(xs[:, inv])
+    n_seg = len(path.start_times)
+    lockstep = len(zd) * n_seg >= _LOCKSTEP_WORK
+    # lockstep windows: whole blocks, as few as hold about _WINDOW_CELLS each
+    n_windows = max(round(len(zd) * n_seg / _WINDOW_CELLS), 1)
+    window = _BLOCK * -(-n_seg // (_BLOCK * n_windows)) if lockstep else _BLOCK
+    # adding 0.0 turns -0.0 into 0.0: flow_path keeps a -0.0 start or hold
+    # point where exact_flow gives 0.0, and the two recursions agree otherwise
+    zf = zd + 0.0
+    x_end = np.full(len(zd), config.initial_temperature + 0.0)
+    for w0 in range(0, n_seg, window):
+        segs = [a[w0:w0 + window] for a in columns]
+        if lockstep:
+            xw = flow_paths(x_end, zf, h, c, *segs)
+        else:
+            lists = [a.tolist() for a in segs]
+            xw = np.array([flow_path(x0, zj, h, c, *lists)
+                           for x0, zj in zip(x_end.tolist(), zf.tolist())]).T.copy()
+        x_end = xw[-1]
+        for s in range(w0, min(w0 + window, n_seg), _BLOCK):
+            stop = min(s + _BLOCK, n_seg)
+            if first >= stop:
+                continue                                  # burn-in only
+            acc = slice(max(first, s), stop)
+            xs = xw[acc.start - w0:stop - w0]
+            cols = [a[acc, None] for a in columns]
+            g2, disc = _block_costs(xs, zd, weight, *cols, h, c)
+            int_g2 += g2
+            int_disc += disc
+            if occ is not None:
+                occ.add(xs, *cols, path.comfort[acc, None], h, c)
+            if config.record_trace:
+                trace.append(xs[:, inv])
 
     n = len(z)
     report = CostReport(power_cost=int_g2 / max(t_acc, 1e-300) / n**2,

@@ -136,12 +136,16 @@ def project_detailed(u_el: np.ndarray, curves: SensitivityCurves) -> ProjectionR
     fit, blocks = isotonic_fit(u_el, cw)
     fit = np.clip(fit, 0.0, 1.0)
 
-    kappas = np.array([fit[b0] for b0, _ in blocks])
-    resid = np.empty(len(blocks))
-    for k, (b0, b1) in enumerate(blocks):
-        num = float(np.sum((kappas[k] - u_el[b0:b1]) * cw[b0:b1]))
-        den = float(np.sum(cw[b0:b1]))
-        resid[k] = num / den if den > 0 else 0.0
+    starts, stops = np.array(blocks).T
+    kappas = fit[starts]
+    # a one-point block's sums are its single terms; pooled blocks sum theirs
+    num = (kappas - u_el[starts]) * cw[starts]
+    den = cw[starts]
+    for k in np.flatnonzero(stops - starts > 1).tolist():
+        b0, b1 = blocks[k]
+        num[k] = np.sum((kappas[k] - u_el[b0:b1]) * cw[b0:b1])
+        den[k] = np.sum(cw[b0:b1])
+    resid = np.divide(num, den, out=np.zeros(len(blocks)), where=den > 0)
 
     lo, hi = 0.0, curves.params.theta_max
     xs = np.concatenate([[lo, lo], zg, [hi, hi]])

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,8 +273,8 @@ def test_episode_scoring_matches_frozen_reference(model, shape, n_replications, 
 
 def test_episode_scoring_matches_frozen_reference_after_long_burn_in(ref_env, ref_params):
     # 9000 jumps span three blocks of segments, and a burn-in past half the
-    # path leaves the first block unaccounted; the episode's initial
-    # temperature is not passed on to its replications, as before
+    # path leaves the first block unaccounted; each replication starts its
+    # loads at the episode's initial temperature, as simulate of its config
     import reference_heuristic as ref
     episode = SimulationConfig(n_loads=10, horizon_jumps=9000, seed=4, burn_in=0.55,
                                initial_temperature=70.0)
@@ -282,8 +283,28 @@ def test_episode_scoring_matches_frozen_reference_after_long_burn_in(ref_env, re
     for alphas in ([0.3], [0.2, 0.6]):
         dist = PiecewiseDistribution(level=len(alphas) - 1, alphas=np.array(alphas),
                                      domain=(0.0, 100.0))
+        u = dist.to_threshold_distribution()
+        totals = [ref.simulate_cost(replace(episode, seed=episode.seed + rep, distribution=u),
+                                    ref_env, ref_params, GAMMA_REF).total for rep in range(2)]
         _same_estimate(estimate_cost(dist, episodes, GAMMA_REF),
-                       ref.estimate_cost(dist, episode, ref_env, ref_params, GAMMA_REF))
+                       CostEstimate(j_hat=float(np.mean(totals)),
+                                    std_error=float(np.std(totals, ddof=1) / np.sqrt(2))))
+
+
+def test_replications_start_at_the_episode_temperature(ref_env, ref_params):
+    # without burn-in the start temperature shows in the score: an episode
+    # that starts its loads at 70 scores what simulate gives for its config
+    dist = PiecewiseDistribution(level=0, alphas=np.array([0.5]), domain=(0.0, 100.0))
+    scores = []
+    for start in (0.0, 70.0):
+        episode = SimulationConfig(n_loads=10, horizon_jumps=300, seed=1, burn_in=0.0,
+                                   initial_temperature=start)
+        got = estimate_cost(dist, sample_episodes(episode, ref_env, ref_params, 1), GAMMA_REF)
+        want = simulate(replace(episode, distribution=dist.to_threshold_distribution()),
+                        ref_env, ref_params, GAMMA_REF).empirical_cost.total
+        assert got.j_hat == want
+        scores.append(got.j_hat)
+    assert scores == [pytest.approx(0.65871, abs=1e-5), pytest.approx(0.73388, abs=1e-5)]
 
 
 @pytest.mark.parametrize("n_replications", [1, 3])

@@ -335,3 +335,100 @@ def test_exact_flow_broadcasts_the_wind_state():
     assert exact_flow(x, z, theta, h, c, rates[wind], 0.0, wind).tobytes() == x.tobytes()
     assert exact_flow(got, z, theta, h, c, rates[wind], np.zeros(n), wind).tobytes() \
         == got.tobytes()
+
+
+# (wind rates, comfort rates, comfort levels) of the instances the lockstep
+# recursion is pinned on; FAST switches fast enough that reruns take tens to
+# hundreds of segments to meet the stored trajectories
+_PATH_MODELS = {
+    "REF": ((0.04, 0.04), (0.02, 0.02), (50.0, 100.0)),
+    "C3": ((0.04, 0.04), [(0.02, 0.02), (0.02, 0.02)], (40.0, 70.0, 100.0)),
+    "W3": ([(0.04, 0.04), (0.04, 0.04)], (0.02, 0.02), (50.0, 100.0)),
+    "FAST": ((0.3, 0.3), (0.15, 0.15), (50.0, 100.0)),
+}
+
+
+def _path_columns(name, n_jumps, seed, zero_share=0.0):
+    """(params, theta, ci, dt, wind) of a sampled path of one instance, with a
+    share of its durations set to 0."""
+    from zpolicy import sample_environment_path
+    wind_rates, comfort_rates, levels = _PATH_MODELS[name]
+    env = build_environment(wind_rates, comfort_rates)
+    params = LoadParams(1.0, 1.1, levels)
+    rng = np.random.default_rng(seed)
+    path = sample_environment_path(env, n_jumps, rng)
+    dt = np.where(rng.random(len(path.durations)) < zero_share, 0.0, path.durations)
+    return (params, np.asarray(levels)[path.comfort],
+            params.wind_cooling_rates(env.n_wind)[path.wind], dt, path.wind)
+
+
+def _stacked_flow_path(x0, z, params, theta, ci, dt, wind):
+    """flow_path per load, stacked as a (segments + 1) x loads array."""
+    from zpolicy.model import flow_path
+    cols = [a.tolist() for a in (theta, ci, dt, wind)]
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), z.shape)
+    return np.ascontiguousarray(np.array(
+        [flow_path(a, b, params.h, params.c, *cols) for a, b in zip(x0.tolist(), z.tolist())],
+        dtype=float).reshape(len(z), -1).T)
+
+
+@pytest.mark.parametrize("name", list(_PATH_MODELS))
+@pytest.mark.parametrize("n_jumps, x0", [(3000, 0.0), (3000, 130.0), (700, "per load")])
+def test_flow_paths_matches_stacked_flow_path(name, n_jumps, x0):
+    # set-points on the comfort levels, at 0 and at Theta_C, starts at the
+    # floor, above Theta_C or one per load, and a tenth of the segments of
+    # zero duration
+    from zpolicy.model import flow_paths
+    params, *cols = _path_columns(name, n_jumps, seed=len(name) + n_jumps, zero_share=0.1)
+    z = np.unique(np.concatenate([[0.0, 55.0, 72.5, 100.0], params.comfort_levels]))
+    if x0 == "per load":
+        x0 = np.linspace(0.0, 140.0, len(z))
+    got = flow_paths(x0, z, params.h, params.c, *cols)
+    assert got.shape == (len(cols[2]) + 1, len(z))
+    assert got.tobytes() == _stacked_flow_path(x0, z, params, *cols).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_PATH_MODELS))
+@pytest.mark.parametrize("n_seg", [0, 1, 2, 127, 128, 129])
+def test_flow_paths_on_paths_shorter_than_a_few_chunks(name, n_seg):
+    from zpolicy.model import flow_paths
+    params, *cols = _path_columns(name, 200, seed=n_seg)
+    cols = [a[:n_seg] for a in cols]
+    z = np.array([30.0, 60.0, 100.0])
+    for x0 in (0.0, 45.0, 120.0):
+        got = flow_paths(x0, z, params.h, params.c, *cols)
+        assert got.tobytes() == _stacked_flow_path(x0, z, params, *cols).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 128])
+@pytest.mark.parametrize("few", [0, 5, 10 ** 9])
+@pytest.mark.parametrize("name", ["REF", "FAST"])
+def test_flow_paths_with_any_chunk_length_and_finishing_share(name, chunk, few, monkeypatch):
+    # chunks of 1-3 segments leave most starts wrong, so reruns cross many
+    # chunk ends; the last reruns run in lockstep (few=0), one at a time
+    # from the start (few=1e9), or both
+    from zpolicy import model
+    monkeypatch.setattr(model, "_CHUNK", chunk)
+    monkeypatch.setattr(model, "_FEW", few)
+    params, *cols = _path_columns(name, 1500, seed=chunk + few)
+    z = np.array([0.0, 50.0, 61.0, 61.5, 100.0])
+    got = model.flow_paths(110.0, z, params.h, params.c, *cols)
+    assert got.tobytes() == _stacked_flow_path(110.0, z, params, *cols).tobytes()
+
+
+def test_flow_path_and_exact_flow_differ_from_a_signed_zero():
+    # from -0.0 the scalar recursion and exact_flow return zeros of opposite
+    # sign, which is why flow_paths asks for starts and set-points other
+    # than -0.0 (run_episode adds 0.0 to both); from 0.0 all three agree
+    from zpolicy.model import flow_paths
+    params, theta, ci, dt, wind = _path_columns("REF", 400, seed=3)
+    dt[:5], wind[:5] = 0.0, 0
+    z = np.array([0.0, 70.0])
+    for x0, agree in ((-0.0, False), (0.0, True)):
+        want = [np.full(2, x0)]
+        for k in range(len(dt)):
+            want.append(exact_flow(want[-1], z, theta[k], params.h, params.c, ci[k], dt[k],
+                                   wind[k]))
+        scalar = _stacked_flow_path(x0, z, params, theta, ci, dt, wind)
+        assert same_bits(scalar, np.array(want)) == agree
+    assert same_bits(flow_paths(0.0, z, params.h, params.c, theta, ci, dt, wind), scalar)

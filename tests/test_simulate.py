@@ -356,3 +356,96 @@ def test_factor_path_matches_frozen_sampler(name, ref_env, env_w3, env3):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert got_rng.random() == want_rng.random()
+
+
+def _same_run(a, b):
+    """Two runs with bitwise the same costs, trace, occupation and dwell."""
+    assert (a.empirical_cost.power_cost, a.empirical_cost.discomfort_cost) == \
+        (b.empirical_cost.power_cost, b.empirical_cost.discomfort_cost)
+    assert a.trace_x.tobytes() == b.trace_x.tobytes()
+    assert a.occupation_cdf.tobytes() == b.occupation_cdf.tobytes()
+    assert a.dwell_fractions == b.dwell_fractions
+    assert list(map(str, a.dwell_fractions)) == list(map(str, b.dwell_fractions))
+
+
+@pytest.mark.parametrize("name", ["ref", "w3", "c3"])
+@pytest.mark.parametrize("block, chunk, cells", [(4096, 128, 1 << 18), (7, 3, 40), (50, 2, 300)])
+def test_lockstep_and_per_load_recursions_give_the_same_run(name, block, chunk, cells,
+                                                            monkeypatch, env_w3, env3, params3,
+                                                            ref_env, ref_params):
+    # the run with the lockstep recursion forced on equals the run with
+    # flow_path per load, also with short chunks and windows of a few
+    # blocks, so that reruns and temperatures cross window boundaries
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    model = importlib.import_module("zpolicy.model")
+    env, params = _case(name, env_w3, env3, params3, ref_env, ref_params)
+    monkeypatch.setattr(module, "_BLOCK", block)
+    monkeypatch.setattr(module, "_WINDOW_CELLS", cells)
+    monkeypatch.setattr(model, "_CHUNK", chunk)
+    cfg = SimulationConfig(n_loads=6, horizon_jumps=3000, seed=11,
+                           set_points=np.array([0.0, 40.0, 70.0, 70.0, 88.5, 100.0]),
+                           record_occupation=True, record_trace=True, burn_in=0.3,
+                           initial_temperature=120.0)
+    runs = []
+    for work in (0, 10 ** 18):
+        monkeypatch.setattr(module, "_LOCKSTEP_WORK", work)
+        runs.append(simulate(cfg, env, params, GAMMA_REF))
+    _same_run(*runs)
+
+
+def test_signed_zero_start_and_set_point_run_as_zero(monkeypatch, ref_env, ref_params):
+    # -0.0 is a valid start and set-point; both recursions run it as 0.0,
+    # where flow_path alone would keep the sign and exact_flow would not
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    runs = {}
+    for zero in (-0.0, 0.0):
+        cfg = SimulationConfig(n_loads=3, horizon_jumps=2000, seed=2,
+                               set_points=np.array([zero, 30.0, 80.0]),
+                               record_occupation=True, record_trace=True, burn_in=0.0,
+                               initial_temperature=zero)
+        for work in (0, 10 ** 18):
+            monkeypatch.setattr(module, "_LOCKSTEP_WORK", work)
+            runs[zero, work] = simulate(cfg, ref_env, ref_params, GAMMA_REF)
+    _same_run(runs[-0.0, 0], runs[-0.0, 10 ** 18])
+    assert runs[-0.0, 0].trace_x.tobytes() == runs[0.0, 0].trace_x.tobytes()
+    assert not np.signbit(runs[-0.0, 0].trace_x).any()
+
+
+def test_recursion_switches_to_lockstep_at_the_work_crossover(monkeypatch, ref_env,
+                                                                ref_params):
+    # distinct set-points x segments decides; equal set-points count once
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    calls = []
+    lockstep = module.flow_paths
+    monkeypatch.setattr(module, "flow_paths", lambda *a: calls.append(1) or lockstep(*a))
+    for n_distinct, jumps in ((1, 500), (2, 500), (3, 500)):
+        cfg = SimulationConfig(n_loads=6, horizon_jumps=jumps, seed=1,
+                               set_points=np.repeat(np.linspace(60.0, 90.0, n_distinct),
+                                                    6 // n_distinct))
+        episode = module.sample_episode(cfg, ref_env, ref_params)
+        monkeypatch.setattr(module, "_LOCKSTEP_WORK",
+                            2 * len(episode.path.start_times))
+        calls.clear()
+        module.run_episode(episode, cfg.resolve_set_points(ref_params), GAMMA_REF)
+        assert bool(calls) == (n_distinct >= 2)
+
+
+@pytest.mark.parametrize("n_edges", [2, 3, 401, 1000])
+@pytest.mark.parametrize("top", [100.0, 37.3, 1e-3, 0.0])
+def test_occupation_bins_match_searchsorted(n_edges, top):
+    # the bin of a value is guessed from the even spacing of the edges and
+    # corrected by one comparison each way: every edge, its neighbours,
+    # negative values and values above Theta_C land where searchsorted puts
+    # them, also when one comfort level at 0 makes every edge 0
+    from zpolicy.simulate import _Occupation
+    edges = np.linspace(0.0, top, n_edges)
+    occ = _Occupation(np.array([top / 2]), np.array([top]), edges)
+    rng = np.random.default_rng(n_edges)
+    v = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [-1.0, -5e-324, -0.0, 0.0, 2 * top, 1e300, np.inf, -np.inf],
+                        rng.uniform(-0.1 * top, 1.1 * top, 20000)])
+    assert np.array_equal(occ._bin(v), np.searchsorted(edges, v, side="right"))
+

@@ -260,3 +260,57 @@ def test_multiwind_projection_dominates_random(env_w3, ref_params):
     for _ in range(500):
         u = random_step_distribution(rng)
         assert continuum_cost(u, curves, GAMMA_REF).total >= j_star - 1e-9
+
+
+def _per_block_diagnostics(fit, blocks, u_el, cw):
+    """kappas and equal-area residuals as project_detailed computed them
+    block by block before they were whole-array expressions."""
+    kappas = np.array([fit[b0] for b0, _ in blocks])
+    resid = np.empty(len(blocks))
+    for k, (b0, b1) in enumerate(blocks):
+        num = float(np.sum((kappas[k] - u_el[b0:b1]) * cw[b0:b1]))
+        den = float(np.sum(cw[b0:b1]))
+        resid[k] = num / den if den > 0 else 0.0
+    return kappas, resid
+
+
+def _diagnostics_of(u_el, curves):
+    from zpolicy.variational import _cell_weights
+    cw = _cell_weights(curves.z_grid, curves.w)
+    fit, blocks = isotonic_fit(u_el, cw)
+    return _per_block_diagnostics(np.clip(fit, 0.0, 1.0), blocks, u_el, cw)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("name", ["REF", "C3", "W3", "FAST"])
+def test_projection_diagnostics_match_the_per_block_loop(name, gamma, ref_curves, curves3,
+                                                         env_w3, ref_params):
+    # one-point blocks as arrays, pooled blocks summed as before: the bits
+    # of kappas and equal-area residuals do not change
+    from zpolicy import build_environment, sensitivity_curves
+    curves = {"REF": lambda: ref_curves, "C3": lambda: curves3,
+              "W3": lambda: sensitivity_curves(env_w3, ref_params),
+              "FAST": lambda: sensitivity_curves(build_environment((0.3, 0.3), (0.15, 0.15)),
+                                                 ref_params)}[name]()
+    v = [0.5] * (curves.env.n_comfort - 2)
+    u_el = euler_lagrange(curves, gamma, v)
+    res = project_detailed(u_el, curves)
+    kappas, resid = _diagnostics_of(u_el, curves)
+    assert res.kappas.tobytes() == kappas.tobytes()
+    assert res.equal_area_residuals.tobytes() == resid.tobytes()
+
+
+def test_projection_diagnostics_of_weightless_blocks(ref_curves):
+    # cells of zero weight give blocks whose residual is 0 by definition;
+    # the division skips them without a RuntimeWarning
+    from types import SimpleNamespace
+    rng = np.random.default_rng(8)
+    w = np.where(rng.random(len(ref_curves.w)) < 0.3, 0.0, ref_curves.w)
+    w[:40] = 0.0
+    curves = SimpleNamespace(z_grid=ref_curves.z_grid, w=w, params=ref_curves.params)
+    u_el = rng.uniform(0.0, 1.0, len(w))
+    res = project_detailed(u_el, curves)
+    kappas, resid = _diagnostics_of(u_el, curves)
+    assert (resid == 0.0).any() and any(b1 - b0 > 1 for b0, b1 in res.blocks)
+    assert res.kappas.tobytes() == kappas.tobytes()
+    assert res.equal_area_residuals.tobytes() == resid.tobytes()
