@@ -55,18 +55,25 @@ _RATE_LISTS = "a list of rate specs", lambda v: type(v) is list and all(map(_rat
 _BOOLEAN = "true or false", lambda v: type(v) is bool
 _STRING = "a string", lambda v: type(v) is str
 
+
+def _nonempty(kind):
+    """The same JSON type without the empty list (a list of no loads)."""
+    return "a nonempty " + kind[0][2:], lambda v: v != [] and kind[1](v)
+
+
 _SCHEMA = {
     "model": {"h": _NUMBER, "c": _NUMBER, "comfort_levels": _NUMBERS,
               "wind_rates": _RATES, "comfort_rates": _RATES},
     "solver": {"gamma": _NUMBER, "grid_step": _NUMBER_OR_NULL,
                "z_grid_step": _NUMBER_OR_NULL, "tolerance": _NUMBER, "max_iter": _INTEGER},
     "simulation": {"n_loads": _INTEGER, "horizon_jumps": _INTEGER, "seed": _INTEGER,
-                   "set_points": _NUMBERS_OR_NULL, "burn_in": _NUMBER,
+                   "set_points": _nonempty(_NUMBERS_OR_NULL), "burn_in": _NUMBER,
                    "record_occupation": _BOOLEAN, "record_trace": _BOOLEAN},
     "heuristic": {"epsilon": _NUMBER, "delta_j": _NUMBER_OR_NULL, "initial_level": _INTEGER,
                   "max_level": _INTEGER, "episode_jumps": _INTEGER, "n_loads": _INTEGER,
                   "seed": _INTEGER, "shape": _STRING, "domain": _NUMBER_PAIR},
-    "cftp": {"n_samples": _INTEGER, "set_points": _NUMBERS, "comfort_rates": _RATE_LISTS,
+    "cftp": {"n_samples": _INTEGER, "set_points": _nonempty(_NUMBERS),
+             "comfort_rates": _nonempty(_RATE_LISTS),
              "seed": _INTEGER, "max_doublings": _INTEGER, "smoothing_bandwidth": _NUMBER},
     "hjb": {"horizon": _NUMBER, "grid_step": _NUMBER, "time_step": _NUMBER_OR_NULL,
             "wind_power": _NUMBER_OR_NULL, "forced_power": _NUMBER_OR_NULL},
@@ -237,7 +244,7 @@ def cmd_simulate(cfg, env, params, out: Path, seed) -> int:
         n_loads=sim.get("n_loads", 1),
         horizon_jumps=sim.get("horizon_jumps", 10000),
         seed=eff_seed,
-        set_points=sim.get("set_points") or None,
+        set_points=sim.get("set_points"),
         record_occupation=sim.get("record_occupation", True),
         **_given(sim, "burn_in", "record_trace"))
     result = simulate(config, env, params, gamma)
@@ -295,9 +302,9 @@ def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
     blk = cfg.get("cftp", {})
     gamma = _gamma(cfg)
     eff_seed = seed if seed is not None else blk.get("seed", 0)
-    set_points = blk.get("set_points") or [params.theta_max]
+    set_points = blk.get("set_points", [params.theta_max])
     n = len(set_points)
-    comfort_rates = blk.get("comfort_rates") or [cfg["model"]["comfort_rates"]] * n
+    comfort_rates = blk.get("comfort_rates", [cfg["model"]["comfort_rates"]] * n)
     config = CftpConfig(
         wind_rates=tuple(cfg["model"]["wind_rates"]),
         load_params=tuple(params for _ in range(n)),

@@ -180,13 +180,16 @@ def _project_monotone(alphas: np.ndarray) -> np.ndarray:
     return np.clip(fit, 0.0, 1.0)
 
 
+_STALL_TOL = 1e-6   # adapt_step: a coordinate that moved less has stalled
+
+
 def adapt_step(alphas: np.ndarray, prev_alphas: np.ndarray, j: float, j_prev: float,
                epsilon: float, coordinate: int, rng: np.random.Generator,
-               stall_tol: float = 1e-6, exploration: float = 0.01) -> np.ndarray:
+               exploration: float = 0.01) -> np.ndarray:
     """One finite-difference descent update of a single coordinate.
 
-    The ratio update is undefined when the coordinate stalled; such steps
-    get a fresh uniform exploration perturbation of magnitude
+    The ratio update is undefined when the coordinate stalled (_STALL_TOL);
+    such steps get a fresh uniform exploration perturbation of magnitude
     ``exploration`` instead (it must exceed the 1/n_loads granularity of
     quantile-sampled episodes, or the next difference is exactly zero),
     and the result is projected back onto the monotone simplex.
@@ -195,7 +198,7 @@ def adapt_step(alphas: np.ndarray, prev_alphas: np.ndarray, j: float, j_prev: fl
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     new = np.asarray(alphas, dtype=float).copy()
     d = new[coordinate] - prev_alphas[coordinate]
-    if abs(d) < stall_tol:
+    if abs(d) < _STALL_TOL:
         # full-magnitude kick with a random sign; sub-magnitude draws would
         # vanish inside the quantile granularity and stall the recursion
         sign = 1.0 if rng.random() < 0.5 else -1.0

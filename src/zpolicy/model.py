@@ -22,9 +22,10 @@ state included; the perfect sampler, the simulator's accounting and the
 CLI all call them, and advance_temperatures is exact_flow for one
 environment state given by its indices.  flow_path is the same flow as a
 scalar recursion along a whole path of segments, for one load.  flow_paths
-gives the same temperatures for many loads at once: it steps chunks of the
-path in lockstep with exact_flow and stitches them where reruns meet the
-stored trajectories bit for bit; the simulator uses it on large runs.
+gives the same temperatures for many loads at once, and is what the
+simulator calls: on small runs it walks flow_path per load, on large ones
+it steps chunks of the path in lockstep with exact_flow and stitches them
+where reruns meet the stored trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ class LoadParams:
     def __post_init__(self):
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "comfort_levels", tuple(float(t) for t in self.comfort_levels))
+        lv = tuple(float(t) + 0.0 for t in self.comfort_levels)    # adding 0.0 turns -0.0 into 0.0
+        object.__setattr__(self, "comfort_levels", lv)
         if not (0 < self.h < np.inf and 0 < self.c < np.inf):
             raise ValueError(f"h and c must be finite and positive, got {self.h} and {self.c}")
-        lv = self.comfort_levels
         if not all(0 <= t < np.inf for t in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
             raise ValueError("comfort levels must be finite, nonnegative and strictly increasing")
 
@@ -243,6 +244,7 @@ def flow_path(x: float, z: float, h: float, c: float,
     return out
 
 
+_LOCKSTEP_WORK = 80000  # loads x segments from which flow_paths steps in lockstep
 _CHUNK = 128    # segments per chunk of flow_paths
 _FEW = 32       # reruns that flow_paths finishes one at a time
 
@@ -251,14 +253,15 @@ def flow_paths(x0, z: np.ndarray, h: float, c: float, theta: np.ndarray, ci: np.
                dt: np.ndarray, wind: np.ndarray) -> np.ndarray:
     """Temperatures of loads with set-points ``z`` along one path of
     segments, from the start temperatures ``x0`` (one, or one per load), as
-    a (segments + 1) x loads array: row k holds every load's entry
-    temperature of segment k, the last row the exits.  Column j is bitwise
-    flow_path(x0[j], z[j], ...), but the segments are not walked in order.
-    Starts and set-points must not be -0.0, where flow_path and exact_flow
-    can return zeros of opposite sign (run_episode adds 0.0 to both).
+    a C-contiguous (segments + 1) x loads array: row k holds every load's
+    entry temperature of segment k, the last row the exits.  Column j is
+    bitwise flow_path(x0[j], z[j], ...), with a -0.0 start or set-point read
+    as 0.0 (flow_path and exact_flow can give zeros of opposite sign there).
 
-    The path is cut into chunks of _CHUNK segments, and every chunk of
-    every load takes one step per exact_flow call: chunk 0 from x0, each
+    Below _LOCKSTEP_WORK loads x segments that is how it is computed, which
+    costs less than the lockstep's fixed number of calls.  From there on the
+    path is cut into chunks of _CHUNK segments, and every chunk of every
+    load takes one step per exact_flow call: chunk 0 from x0, each
     later chunk from a guess, the floor 0.  Then every chunk whose start
     differs from its predecessor's stored end reruns from that end, one
     lane per (chunk, load), and stops as soon as its temperature equals the
@@ -272,8 +275,13 @@ def flow_paths(x0, z: np.ndarray, h: float, c: float, theta: np.ndarray, ci: np.
     _FEW lanes, whose steps would cost a call each, finish one at a time
     with flow_path.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float) + 0.0          # adding 0.0 turns -0.0 into 0.0
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float) + 0.0, z.shape)
     n_seg, n_loads = len(dt), len(z)
+    if n_loads * n_seg < _LOCKSTEP_WORK:
+        cols = [a.tolist() for a in (theta, ci, dt, wind)]
+        return np.array([flow_path(a, b, h, c, *cols)
+                         for a, b in zip(x0.tolist(), z.tolist())]).T.copy()
     n_chunks = max(-(-n_seg // _CHUNK), 1)
     # pad to whole chunks with zero durations, which map every state to
     # itself; row t of each table holds step t of every chunk

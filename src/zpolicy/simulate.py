@@ -10,15 +10,14 @@ A run has two stages.  Sampling draws the path from default_rng(seed)
 and keeps it as a SampledEpisode: its comfort-level, cooling-rate,
 duration and wind columns, the burn-in index and the accounted time.
 Running replays the episode for a set-point vector.  Its recursion gives
-the entry temperature of every segment for every distinct set-point.  On
-large runs (distinct set-points x segments of at least _LOCKSTEP_WORK)
-model.flow_paths computes it in windows of whole blocks: chunks of the
-window step in lockstep and are stitched where reruns meet the stored
-trajectories bit for bit.  Below that, model.flow_path walks the segments
-in a scalar loop per distinct set-point, which costs less than the
-lockstep's fixed number of calls.  Both give the same bits.  The
-accounting then works on whole (segments x distinct loads) arrays, block
-by block, with each distinct load counted by its multiplicity:
+the entry temperature of every segment for every distinct set-point:
+model.flow_paths computes it in windows of whole blocks, one call per
+window, and picks per window between its scalar loop and its lockstep
+path, which give the same bits.  For each block, every distinct load's
+target in each segment (its hold point with wind off, Theta under wind)
+and the time it takes to reach it are derived once.  The accounting then
+works on whole (segments x distinct loads) arrays, block by block, with
+each distinct load counted by its multiplicity:
 
 - grid power comes from power_split and changes at most once per load and
   segment, so sorting each segment's event times gives the aggregate draw
@@ -31,7 +30,7 @@ by block, with each distinct load counted by its multiplicity:
 
 Windows carry the temperatures across and blocks the sums and the
 occupation, so the run's memory stays O(window x distinct loads) however
-long the path; a lockstep window holds about _WINDOW_CELLS load-segments.
+long the path; a window holds about _WINDOW_CELLS load-segments.
 The episode itself is O(segments), six numpy columns or 48 bytes a
 segment.  simulate samples an episode and runs it once; the heuristic
 samples one per replication seed and replays it for every candidate,
@@ -47,7 +46,7 @@ import numpy as np
 from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
-from .model import LoadParams, MarkovEnvironment, flow_path, flow_paths, power_split
+from .model import LoadParams, MarkovEnvironment, flow_paths, power_split
 
 __all__ = [
     "SimulationConfig",
@@ -174,20 +173,16 @@ def _factor_path(chain: _FactorChain, state: int, n: int,
 
 
 def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
-                            rng: np.random.Generator,
-                            initial_state: int | None = None) -> EnvironmentPath:
-    """Sample ``n_jumps`` transitions of the joint chain, starting from its
-    stationary distribution unless an initial state is given.
+                            rng: np.random.Generator) -> EnvironmentPath:
+    """Sample ``n_jumps`` transitions of the joint chain, starting from a
+    draw of its stationary distribution.
 
     The wind and comfort factors are independent chains: each is sampled
     for ``n_jumps`` jumps of its own and the sorted jump times are merged,
     which leaves at least ``n_jumps`` joint transitions.  The path ends
     early if both factors reach absorbing states.
     """
-    if initial_state is None:
-        pi = env.stationary()
-        initial_state = int(rng.choice(env.n_states, p=pi))
-    w0, c0 = env.split_index(initial_state)
+    w0, c0 = env.split_index(int(rng.choice(env.n_states, p=env.stationary())))
     wt, ws = _factor_path(_FactorChain(env.wind_generator), w0, n_jumps, rng)
     ct, cs = _factor_path(_FactorChain(env.comfort_generator), c0, n_jumps, rng)
     merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
@@ -203,10 +198,7 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
 
 
 _BLOCK = 4096   # environment segments per accounting block
-# run_episode steps the distinct loads in lockstep (model.flow_paths) from
-# this many load-segments per episode, below it with flow_path per load
-_LOCKSTEP_WORK = 80000
-_WINDOW_CELLS = 1 << 18     # load-segments per lockstep window, in whole blocks
+_WINDOW_CELLS = 1 << 18     # load-segments per recursion window, in whole blocks
 
 
 @dataclass(frozen=True)
@@ -256,7 +248,6 @@ class _Occupation:
     """
 
     def __init__(self, zd: np.ndarray, levels: np.ndarray, edges: np.ndarray):
-        self.zd = zd
         self.edges = edges
         self.n_bins = len(edges) + 1
         # edges are evenly spaced from 0 (np.linspace), so edges[k] is k*step
@@ -274,16 +265,14 @@ class _Occupation:
         self.keys = list(index)
         self.dwell = np.zeros(len(index))
 
-    def add(self, x, theta, ci, dur, wind, comfort, h: float, c: float):
-        """One block: entry temperatures x (segments x distinct loads) and the
-        segments' comfort level, wind cooling rate, duration, wind and comfort
-        states as columns."""
+    def add(self, x, target, event, ci, dur, wind, comfort, h: float, c: float):
+        """One block: entry temperatures x, targets and event times (segments x
+        distinct loads, as run_episode derives them) and the segments' wind
+        cooling rate, duration, wind and comfort states as columns."""
         off = wind == 0
-        target = np.where(off, np.minimum(self.zd, theta), theta)
         down = x > target
         # first stretch: to the hold point with wind off, down to Theta under wind
-        t1 = np.where(down | off,
-                      np.minimum(np.abs(x - target) / np.where(down, c, h), dur), 0.0)
+        t1 = np.where(down | off, event, 0.0)
         y = np.where(down, x - c * t1, x + h * t1)
         rem = dur - t1
         # second stretch: under wind, down toward the floor
@@ -354,22 +343,19 @@ class SimulationResult:
     trace_comfort: np.ndarray | None = None
 
 
-def _block_costs(x, zd, weight, theta, ci, dur, wind, h: float, c: float):
+def _block_costs(x, event, zd, weight, theta, ci, dur, wind, h: float, c: float):
     """(integral of (sum of grid power)^2, summed integral of (x - Theta)_+^2)
-    over one block, for entry temperatures x (segments x distinct loads)
-    counted with the multiplicities ``weight``.
+    over one block, for entry temperatures x and event times (segments x
+    distinct loads) counted with the multiplicities ``weight``.
 
     A load's grid power (power_split) changes at most once in a segment,
-    when it reaches its target: the hold point with wind off, Theta under
-    wind.  Sorting each row's event times makes the aggregate piecewise
-    constant between them.
+    at its event time, when it reaches its target.  Sorting each row's event
+    times makes the aggregate piecewise constant between them.
     """
-    target = np.where(wind == 0, np.minimum(zd, theta), theta)
     _, g0 = power_split(x, zd, theta, h, c, ci, wind)
     # at its target every load draws what one parked at Theta draws (h with
     # wind off, nothing under wind), so one column holds that power for all
     _, g1 = power_split(theta, theta, theta, h, c, ci, wind)
-    event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
     order = np.argsort(event, axis=1)
     steps = np.take_along_axis((g1 - g0) * weight, order, axis=1)
     level = np.cumsum(np.concatenate([(g0 @ weight)[:, None], steps], axis=1), axis=1)
@@ -402,22 +388,12 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
     trace = [np.empty((0, len(z)))]
     columns = (episode.theta, episode.ci, path.durations, path.wind)
     n_seg = len(path.start_times)
-    lockstep = len(zd) * n_seg >= _LOCKSTEP_WORK
-    # lockstep windows: whole blocks, as few as hold about _WINDOW_CELLS each
+    # windows: whole blocks, as few as hold about _WINDOW_CELLS each
     n_windows = max(round(len(zd) * n_seg / _WINDOW_CELLS), 1)
-    window = _BLOCK * -(-n_seg // (_BLOCK * n_windows)) if lockstep else _BLOCK
-    # adding 0.0 turns -0.0 into 0.0: flow_path keeps a -0.0 start or hold
-    # point where exact_flow gives 0.0, and the two recursions agree otherwise
-    zf = zd + 0.0
-    x_end = np.full(len(zd), config.initial_temperature + 0.0)
+    window = _BLOCK * -(-n_seg // (_BLOCK * n_windows))
+    x_end = config.initial_temperature
     for w0 in range(0, n_seg, window):
-        segs = [a[w0:w0 + window] for a in columns]
-        if lockstep:
-            xw = flow_paths(x_end, zf, h, c, *segs)
-        else:
-            lists = [a.tolist() for a in segs]
-            xw = np.array([flow_path(x0, zj, h, c, *lists)
-                           for x0, zj in zip(x_end.tolist(), zf.tolist())]).T.copy()
+        xw = flow_paths(x_end, zd, h, c, *(a[w0:w0 + window] for a in columns))
         x_end = xw[-1]
         for s in range(w0, min(w0 + window, n_seg), _BLOCK):
             stop = min(s + _BLOCK, n_seg)
@@ -425,12 +401,16 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
                 continue                                  # burn-in only
             acc = slice(max(first, s), stop)
             xs = xw[acc.start - w0:stop - w0]
-            cols = [a[acc, None] for a in columns]
-            g2, disc = _block_costs(xs, zd, weight, *cols, h, c)
+            theta, ci, dur, wind = (a[acc, None] for a in columns)
+            # each load's target, its hold point with wind off and Theta under
+            # wind, and the time it takes to reach it within the segment
+            target = np.where(wind == 0, np.minimum(zd, theta), theta)
+            event = np.minimum(np.where(xs > target, (xs - target) / c, (target - xs) / h), dur)
+            g2, disc = _block_costs(xs, event, zd, weight, theta, ci, dur, wind, h, c)
             int_g2 += g2
             int_disc += disc
             if occ is not None:
-                occ.add(xs, *cols, path.comfort[acc, None], h, c)
+                occ.add(xs, target, event, ci, dur, wind, path.comfort[acc, None], h, c)
             if config.record_trace:
                 trace.append(xs[:, inv])
 

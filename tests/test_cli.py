@@ -344,6 +344,22 @@ def test_bad_range_is_usage_error_that_names_its_key(tmp_path, capsys, block, ke
     assert word in err
 
 
+@pytest.mark.parametrize("command, block, key", [
+    ("simulate", "simulation", "set_points"),
+    ("compare", "simulation", "set_points"),
+    ("cftp", "cftp", "set_points"),
+    ("cftp", "cftp", "comfort_rates"),
+])
+def test_empty_list_is_usage_error_that_names_its_key(tmp_path, capsys, command, block, key):
+    # an empty list of loads is a config error, not the default that a null
+    # or absent key gives
+    cfg = tmp_path / "config.json"
+    cfg.write_text(_text(block, **{key: []}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: '{block}.{key}' must be a nonempty list of ")
+
+
 # one value of the wrong JSON type for every config key, each as close to
 # a valid one as JSON allows: a boolean where a number goes, a number
 # where a boolean goes, a boolean inside a list of numbers

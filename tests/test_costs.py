@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from zpolicy import (
-    SimulationConfig, ThresholdDistribution, continuum_cost, default_z_grid,
-    euler_lagrange, finite_cost, phi, sensitivity_curves, simulate,
+    LoadParams, SimulationConfig, ThresholdDistribution, build_environment, continuum_cost,
+    default_z_grid, euler_lagrange, finite_cost, phi, sensitivity_curves, simulate,
 )
 from zpolicy.costs import _dejump, _segment_slices
 from zpolicy.errors import UnsortedInput
@@ -105,6 +105,25 @@ def test_finite_cost_single_load_matches_simulation(ref_env, ref_params, ref_cur
                            set_points=np.array([100.0]))
     emp = simulate(cfg, ref_env, ref_params, 0.0).empirical_cost
     assert rep.power_cost == pytest.approx(emp.power_cost, rel=0.02)
+
+
+@pytest.mark.parametrize("levels, comfort_rates", [
+    ((100.0,), []),
+    pytest.param((50.0, 100.0), (0.02, 0.02), marks=pytest.mark.xfail(
+        strict=True, reason="with a switching comfort level the telescope assumes parked "
+                            "sets nested by set-point; sampled power is 23-28% higher")),
+], ids=["C1", "REF"])
+def test_finite_cost_power_matches_simulation_on_a_spread(levels, comfort_rates):
+    # 20 set-points spread over [52, 100]: with one comfort level the analytic
+    # and the sampled power agree (gaps of -0.1% to -2.6% over seeds 1-8);
+    # at REF they do not yet (+23% to +28%)
+    env = build_environment((0.04, 0.04), comfort_rates)
+    params = LoadParams(h=1.0, c=1.1, comfort_levels=levels)
+    z = np.linspace(52.0, 100.0, 20)
+    analytic = finite_cost(z, env, params, 0.0).power_cost
+    cfg = SimulationConfig(n_loads=20, horizon_jumps=300000, seed=1, set_points=z)
+    sampled = simulate(cfg, env, params, 0.0).empirical_cost.power_cost
+    assert sampled == pytest.approx(analytic, rel=0.06)
 
 
 def test_finite_cost_equal_set_points_degenerate(ref_env, ref_params, ref_curves):

@@ -362,6 +362,13 @@ def _path_columns(name, n_jumps, seed, zero_share=0.0):
             params.wind_cooling_rates(env.n_wind)[path.wind], dt, path.wind)
 
 
+@pytest.fixture
+def lockstep(monkeypatch):
+    """flow_paths on its lockstep path, whatever the run size."""
+    from zpolicy import model
+    monkeypatch.setattr(model, "_LOCKSTEP_WORK", 0)
+
+
 def _stacked_flow_path(x0, z, params, theta, ci, dt, wind):
     """flow_path per load, stacked as a (segments + 1) x loads array."""
     from zpolicy.model import flow_path
@@ -374,7 +381,7 @@ def _stacked_flow_path(x0, z, params, theta, ci, dt, wind):
 
 @pytest.mark.parametrize("name", list(_PATH_MODELS))
 @pytest.mark.parametrize("n_jumps, x0", [(3000, 0.0), (3000, 130.0), (700, "per load")])
-def test_flow_paths_matches_stacked_flow_path(name, n_jumps, x0):
+def test_flow_paths_matches_stacked_flow_path(name, n_jumps, x0, lockstep):
     # set-points on the comfort levels, at 0 and at Theta_C, starts at the
     # floor, above Theta_C or one per load, and a tenth of the segments of
     # zero duration
@@ -390,7 +397,7 @@ def test_flow_paths_matches_stacked_flow_path(name, n_jumps, x0):
 
 @pytest.mark.parametrize("name", list(_PATH_MODELS))
 @pytest.mark.parametrize("n_seg", [0, 1, 2, 127, 128, 129])
-def test_flow_paths_on_paths_shorter_than_a_few_chunks(name, n_seg):
+def test_flow_paths_on_paths_shorter_than_a_few_chunks(name, n_seg, lockstep):
     from zpolicy.model import flow_paths
     params, *cols = _path_columns(name, 200, seed=n_seg)
     cols = [a[:n_seg] for a in cols]
@@ -403,7 +410,8 @@ def test_flow_paths_on_paths_shorter_than_a_few_chunks(name, n_seg):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 128])
 @pytest.mark.parametrize("few", [0, 5, 10 ** 9])
 @pytest.mark.parametrize("name", ["REF", "FAST"])
-def test_flow_paths_with_any_chunk_length_and_finishing_share(name, chunk, few, monkeypatch):
+def test_flow_paths_with_any_chunk_length_and_finishing_share(name, chunk, few, monkeypatch,
+                                                              lockstep):
     # chunks of 1-3 segments leave most starts wrong, so reruns cross many
     # chunk ends; the last reruns run in lockstep (few=0), one at a time
     # from the start (few=1e9), or both
@@ -413,13 +421,40 @@ def test_flow_paths_with_any_chunk_length_and_finishing_share(name, chunk, few, 
     params, *cols = _path_columns(name, 1500, seed=chunk + few)
     z = np.array([0.0, 50.0, 61.0, 61.5, 100.0])
     got = model.flow_paths(110.0, z, params.h, params.c, *cols)
+    assert got.flags.c_contiguous
     assert got.tobytes() == _stacked_flow_path(110.0, z, params, *cols).tobytes()
 
 
-def test_flow_path_and_exact_flow_differ_from_a_signed_zero():
+@pytest.mark.parametrize("name", list(_PATH_MODELS))
+def test_flow_paths_on_both_sides_of_the_crossover(name, monkeypatch):
+    # one segment short of the crossover flow_paths walks flow_path per load
+    # (no exact_flow call), from it on it steps in lockstep; both give the
+    # same bits, read a -0.0 start or set-point as 0.0, and return a
+    # C-contiguous array (a transposed view would change the order in which
+    # sums over its rows add)
+    from zpolicy import model
+    params, *cols = _path_columns(name, 1200, seed=5, zero_share=0.1)
+    z = np.array([-0.0, 0.0, 50.0, 61.0, 100.0])
+    x0 = np.array([110.0, -0.0, -0.0, 0.0, 61.0])
+    calls = []
+    flow = model.exact_flow
+    monkeypatch.setattr(model, "exact_flow", lambda *a: calls.append(1) or flow(*a))
+    monkeypatch.setattr(model, "_LOCKSTEP_WORK", len(z) * 1000)
+    for n_seg in (999, 1000):
+        part = [a[:n_seg] for a in cols]
+        for start in (x0, -0.0):
+            want = _stacked_flow_path(np.asarray(start) + 0.0, z + 0.0, params, *part)
+            calls.clear()
+            got = model.flow_paths(start, z, params.h, params.c, *part)
+            assert bool(calls) == (n_seg == 1000)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def test_flow_path_and_exact_flow_differ_from_a_signed_zero(lockstep):
     # from -0.0 the scalar recursion and exact_flow return zeros of opposite
-    # sign, which is why flow_paths asks for starts and set-points other
-    # than -0.0 (run_episode adds 0.0 to both); from 0.0 all three agree
+    # sign, which is why flow_paths reads a -0.0 start or set-point as 0.0;
+    # from 0.0 all three agree
     from zpolicy.model import flow_paths
     params, theta, ci, dt, wind = _path_columns("REF", 400, seed=3)
     dt[:5], wind[:5] = 0.0, 0

@@ -389,16 +389,17 @@ def test_lockstep_and_per_load_recursions_give_the_same_run(name, block, chunk, 
                            initial_temperature=120.0)
     runs = []
     for work in (0, 10 ** 18):
-        monkeypatch.setattr(module, "_LOCKSTEP_WORK", work)
+        monkeypatch.setattr(model, "_LOCKSTEP_WORK", work)
         runs.append(simulate(cfg, env, params, GAMMA_REF))
     _same_run(*runs)
 
 
 def test_signed_zero_start_and_set_point_run_as_zero(monkeypatch, ref_env, ref_params):
-    # -0.0 is a valid start and set-point; both recursions run it as 0.0,
-    # where flow_path alone would keep the sign and exact_flow would not
+    # -0.0 is a valid start, set-point and comfort level; both recursions run
+    # it as 0.0, where flow_path alone would keep the sign and exact_flow
+    # would not
     import importlib
-    module = importlib.import_module("zpolicy.simulate")
+    model = importlib.import_module("zpolicy.model")
     runs = {}
     for zero in (-0.0, 0.0):
         cfg = SimulationConfig(n_loads=3, horizon_jumps=2000, seed=2,
@@ -406,27 +407,40 @@ def test_signed_zero_start_and_set_point_run_as_zero(monkeypatch, ref_env, ref_p
                                record_occupation=True, record_trace=True, burn_in=0.0,
                                initial_temperature=zero)
         for work in (0, 10 ** 18):
-            monkeypatch.setattr(module, "_LOCKSTEP_WORK", work)
+            monkeypatch.setattr(model, "_LOCKSTEP_WORK", work)
             runs[zero, work] = simulate(cfg, ref_env, ref_params, GAMMA_REF)
     _same_run(runs[-0.0, 0], runs[-0.0, 10 ** 18])
     assert runs[-0.0, 0].trace_x.tobytes() == runs[0.0, 0].trace_x.tobytes()
     assert not np.signbit(runs[-0.0, 0].trace_x).any()
+    # a comfort level of -0.0 is read as 0.0, so loads park at 0.0 under it
+    levels = {zero: LoadParams(ref_params.h, ref_params.c, (zero, 100.0)) for zero in (-0.0, 0.0)}
+    assert not np.signbit(levels[-0.0].comfort_levels[0])
+    cfg = SimulationConfig(n_loads=3, horizon_jumps=3000, seed=2,
+                           set_points=np.array([0.0, 30.0, 80.0]),
+                           record_occupation=True, record_trace=True, burn_in=0.0)
+    for work in (0, 10 ** 18):
+        monkeypatch.setattr(model, "_LOCKSTEP_WORK", work)
+        signed, plain = (simulate(cfg, ref_env, levels[zero], GAMMA_REF) for zero in (-0.0, 0.0))
+        _same_run(signed, plain)
+        assert not np.signbit(signed.trace_x).any()
 
 
 def test_recursion_switches_to_lockstep_at_the_work_crossover(monkeypatch, ref_env,
                                                                 ref_params):
-    # distinct set-points x segments decides; equal set-points count once
+    # distinct set-points x segments decides; equal set-points count once.
+    # Only the lockstep side calls exact_flow
     import importlib
     module = importlib.import_module("zpolicy.simulate")
+    model = importlib.import_module("zpolicy.model")
     calls = []
-    lockstep = module.flow_paths
-    monkeypatch.setattr(module, "flow_paths", lambda *a: calls.append(1) or lockstep(*a))
+    flow = model.exact_flow
+    monkeypatch.setattr(model, "exact_flow", lambda *a: calls.append(1) or flow(*a))
     for n_distinct, jumps in ((1, 500), (2, 500), (3, 500)):
         cfg = SimulationConfig(n_loads=6, horizon_jumps=jumps, seed=1,
                                set_points=np.repeat(np.linspace(60.0, 90.0, n_distinct),
                                                     6 // n_distinct))
         episode = module.sample_episode(cfg, ref_env, ref_params)
-        monkeypatch.setattr(module, "_LOCKSTEP_WORK",
+        monkeypatch.setattr(model, "_LOCKSTEP_WORK",
                             2 * len(episode.path.start_times))
         calls.clear()
         module.run_episode(episode, cfg.resolve_set_points(ref_params), GAMMA_REF)
