@@ -13,8 +13,8 @@ time -T, doubling T until the two flows meet at time 0.
 The environment chains are birth-death and hence reversible, so the path
 seen backward from a stationary time is again a chain with the same
 generator: the state at time 0 is drawn from the stationary law and the
-path is extended into the past by the simulator's factor-chain sampler
-run in reversed time.  Doubling the horizon appends older jumps to the
+path is extended into the past by the model's factor-chain sampler (the
+one the simulator's path sampler runs) in reversed time.  Doubling the horizon appends older jumps to the
 cached path and never alters the randomness already used, which is
 exactly the replay discipline coupling from the past requires.
 
@@ -41,9 +41,9 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
-    LoadParams, _birth_death_generator, exact_flow, power_split, stationary_law,
+    LoadParams, _birth_death_generator, _factor_path, _FactorChain, child_seed, exact_flow,
+    power_split, stationary_law,
 )
-from .simulate import _FactorChain, _factor_path, child_seed
 
 __all__ = [
     "CftpConfig",

@@ -10,10 +10,17 @@ every segment splits in two and the optimum so far seeds the finer level.
 Candidates are scored with common random numbers: replication r of every
 episode runs on the environment path of seed ``seed + r``.  That path is
 sampled once per replication seed, when the cost function is made, and
-replayed for every candidate (simulate.sample_episode / run_episode), so
-the cost function holds ``n_replications`` sampled episodes, 48 bytes per
-environment segment each (about 1 MB for a 20000-jump episode), for as
-long as it lives.
+replayed for every candidate (simulate.sample_episode / run_episode).
+The cost function holds ``n_replications`` sampled episodes for as long
+as it lives: 56 bytes per environment segment each (about 1 MB for a
+20000-jump episode), plus 32 bytes per accounted segment for each
+set-point the episode keeps, so that a candidate walks only the
+trajectories of set-points it has not kept.  An episode keeps at most
+n_loads set-points.  The candidates of a piecewise-constant search put
+their loads on the segment edges, at most 2^max_level + 1 set-points in
+all (about 5 MB at 20000 jumps and max_level 3); a piecewise-linear
+search keeps only the last candidate's (at most 23 MB for 40 loads at
+20000 jumps).
 """
 
 from __future__ import annotations
@@ -146,15 +153,20 @@ def estimate_cost(dist: PiecewiseDistribution, episodes: Sequence[SampledEpisode
                   gamma: float) -> CostEstimate:
     """Episode cost of the distribution, from ensemble aggregates only.
 
-    Each sampled episode (sample_episodes) runs quantile-sampled set-points
-    and returns the time-averaged aggregate cost; no per-load temperature
-    leaves the simulator.  The estimate is the mean over the episodes, with
-    its standard error (inf for one episode).
+    Each sampled episode (sample_episodes) runs the quantile-sampled
+    set-points and returns the time-averaged aggregate cost; no per-load
+    temperature leaves the simulator.  The set-points are resolved once,
+    on the first episode, so the episodes must share n_loads (ValueError
+    otherwise), as sample_episodes makes them.  The estimate is the mean
+    over the episodes, with its standard error (inf for one episode).
     """
     _check_replications(len(episodes))
-    u = dist.to_threshold_distribution()
-    totals = [run_episode(ep, replace(ep.config, distribution=u).resolve_set_points(ep.params),
-                          gamma).empirical_cost.total for ep in episodes]
+    first = episodes[0]
+    if any(ep.config.n_loads != first.config.n_loads for ep in episodes):
+        raise ValueError("episodes must share n_loads")
+    z = replace(first.config, distribution=dist.to_threshold_distribution()) \
+        .resolve_set_points(first.params)
+    totals = [run_episode(ep, z, gamma).empirical_cost.total for ep in episodes]
     se = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
         if len(totals) > 1 else float("inf")
     return CostEstimate(j_hat=float(np.mean(totals)), std_error=se)

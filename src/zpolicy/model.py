@@ -11,7 +11,10 @@ power topping up whatever the wind cannot supply.
 The environment is the product of two independent finite Markov chains
 (wind availability, active comfort level).  Its generator Q follows the
 column convention: Q maps probability column vectors, off-diagonal
-Q[k, l] is the rate l -> k, and every column sums to zero.
+Q[k, l] is the rate l -> k, and every column sums to zero.  One factor
+chain's jumps are sampled here too (_FactorChain, _factor_path), for the
+simulator's forward paths and the perfect sampler's backward ones, with
+child_seed, the splitting rule for per-replication seeds.
 
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
@@ -68,6 +71,63 @@ def _birth_death_generator(rates) -> np.ndarray:
         gen[k, k + 1] += down    # k+1 -> k
         gen[k + 1, k + 1] -= down
     return gen
+
+
+class _FactorChain:
+    """Jump tables of one factor chain, built once per generator: the mean
+    holding time of each state (inf once absorbing), and each state's next
+    states with their cumulative branch weights (an absorbing state's only
+    next state is itself)."""
+
+    def __init__(self, generator: np.ndarray):
+        rates = -np.diag(generator)
+        exits = np.clip(generator, 0.0, None)
+        np.fill_diagonal(exits, 0.0)
+        self.scales = np.full(len(rates), np.inf)
+        np.divide(1.0, rates, out=self.scales, where=rates > 0)
+        self.branches = []
+        for s in range(len(rates)):
+            t = np.flatnonzero(exits[:, s])
+            self.branches.append((t, np.cumsum(exits[t, s]) / exits[t, s].sum()) if len(t)
+                                 else (np.array([s]), np.array([np.inf])))
+        self.branching = any(len(t) > 1 for t, _ in self.branches)
+        self.successor = np.array([t[0] for t, _ in self.branches])
+
+
+def _factor_path(chain: _FactorChain, state: int, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` jumps of one factor chain started in ``state``: the jump times
+    (inf once an absorbing state is reached) and the ``n + 1`` states.
+
+    Each jump's exponential variate is drawn up front, followed by one
+    uniform per jump only when some state has more than one possible next
+    state; a 2-state chain therefore draws exactly ``n`` exponentials.
+    """
+    variates = rng.standard_exponential(n)
+    if chain.branching:
+        u = rng.random(n)
+        # step[k, s]: the state after jump k from state s
+        step = np.empty((n, len(chain.branches)), dtype=np.int64)
+        for s, (t, cum) in enumerate(chain.branches):
+            step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
+        walk = [int(state)]
+        for row in step.tolist():
+            walk.append(row[walk[-1]])
+        states = np.array(walk, dtype=np.int64)
+    else:
+        # one successor map f: states[k] = f^k(state), doubling k
+        states = np.empty(n + 1, dtype=np.int64)
+        states[0] = state
+        f, m = chain.successor, 1
+        while m <= n:
+            states[m:2 * m] = f[states[:min(m, n + 1 - m)]]
+            f, m = f[f], 2 * m
+    return (variates * chain.scales[states[:-1]]).cumsum(), states
+
+
+def child_seed(seed: int, replication: int) -> int:
+    """Documented splitting rule for per-replication seeds."""
+    return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

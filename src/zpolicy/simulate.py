@@ -8,16 +8,17 @@ follow identical trajectories.
 
 A run has two stages.  Sampling draws the path from default_rng(seed)
 and keeps it as a SampledEpisode: its comfort-level, cooling-rate,
-duration and wind columns, the burn-in index and the accounted time.
-Running replays the episode for a set-point vector.  Its recursion gives
-the entry temperature of every segment for every distinct set-point:
-model.flow_paths computes it in windows of whole blocks, one call per
-window, and picks per window between its scalar loop and its lockstep
-path, which give the same bits.  For each block, every distinct load's
-target in each segment (its hold point with wind off, Theta under wind)
-and the time it takes to reach it are derived once.  The accounting then
-works on whole (segments x distinct loads) arrays, block by block, with
-each distinct load counted by its multiplicity:
+duration and wind columns, the grid draw of a load at its target, the
+burn-in index and the accounted time.  Running replays the episode for a
+set-point vector.  Its recursion gives the entry temperature of every
+segment for every distinct set-point: model.flow_paths computes it in
+windows of whole blocks, one call per window, and picks per window
+between its scalar loop and its lockstep path, which give the same bits.
+For each block, every distinct load's event time (when it reaches its
+target: its hold point with wind off, Theta under wind), its grid draw
+before the event and its discomfort column are derived once.  The
+accounting then works on whole (segments x distinct loads) arrays, block
+by block, with each distinct load counted by its multiplicity:
 
 - grid power comes from power_split and changes at most once per load and
   segment, so sorting each segment's event times gives the aggregate draw
@@ -29,24 +30,33 @@ each distinct load counted by its multiplicity:
   edges.
 
 Windows carry the temperatures across and blocks the sums and the
-occupation, so the run's memory stays O(window x distinct loads) however
-long the path; a window holds about _WINDOW_CELLS load-segments.
-The episode itself is O(segments), six numpy columns or 48 bytes a
-segment.  simulate samples an episode and runs it once; the heuristic
+occupation, so one run's memory stays O(window x distinct loads) however
+long the path; a window holds about _WINDOW_CELLS load-segments.  The
+episode itself is O(segments), seven numpy columns or 56 bytes a
+segment.  simulate samples an episode and runs it once.  The heuristic
 samples one per replication seed and replays it for every candidate,
-bitwise as simulate would score that candidate.
+bitwise as simulate would score that candidate.  A replayed episode
+keeps, per distinct set-point and accounted segment, the entry
+temperature, the event time, the grid draw before the event and the
+discomfort column, 32 bytes, so a replay walks and derives only the
+set-points it has not kept.  It keeps every set-point run so far while
+they number at most n_loads, and else only the last run's, so its
+memory is bounded by one run over n_loads distinct set-points however
+many candidates it scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
-from .model import LoadParams, MarkovEnvironment, flow_paths, power_split
+from .model import (
+    LoadParams, MarkovEnvironment, _factor_path, _FactorChain, child_seed, flow_paths, power_split,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -61,11 +71,6 @@ __all__ = [
     "check_dominance",
     "child_seed",
 ]
-
-
-def child_seed(seed: int, replication: int) -> int:
-    """Documented splitting rule for per-replication seeds."""
-    return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,8 @@ class SimulationConfig:
             raise ValueError(f"occupation_edges must be at least 2, got {self.occupation_edges}")
 
     def resolve_set_points(self, params: LoadParams) -> np.ndarray:
-        """Ascending set-points; InvalidSetPoint unless all lie in [0, Theta_C]."""
+        """Ascending set-points, a -0.0 read as 0.0; InvalidSetPoint unless
+        all lie in [0, Theta_C]."""
         if self.set_points is not None:
             z = np.sort(np.asarray(self.set_points, dtype=float))
         elif self.distribution is not None:
@@ -105,7 +111,7 @@ class SimulationConfig:
         if len(z) != self.n_loads:
             raise ValueError("set_points length must equal n_loads")
         params.check_set_points(z)
-        return z
+        return z + 0.0          # adding 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -118,58 +124,6 @@ class EnvironmentPath:
     @property
     def total_time(self) -> float:
         return float(self.start_times[-1] + self.durations[-1])
-
-
-class _FactorChain:
-    """Jump tables of one factor chain, built once per generator: the mean
-    holding time of each state (inf once absorbing), and each state's next
-    states with their cumulative branch weights (an absorbing state's only
-    next state is itself)."""
-
-    def __init__(self, generator: np.ndarray):
-        rates = -np.diag(generator)
-        exits = np.clip(generator, 0.0, None)
-        np.fill_diagonal(exits, 0.0)
-        self.scales = np.full(len(rates), np.inf)
-        np.divide(1.0, rates, out=self.scales, where=rates > 0)
-        self.branches = []
-        for s in range(len(rates)):
-            t = np.flatnonzero(exits[:, s])
-            self.branches.append((t, np.cumsum(exits[t, s]) / exits[t, s].sum()) if len(t)
-                                 else (np.array([s]), np.array([np.inf])))
-        self.branching = any(len(t) > 1 for t, _ in self.branches)
-        self.successor = np.array([t[0] for t, _ in self.branches])
-
-
-def _factor_path(chain: _FactorChain, state: int, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` jumps of one factor chain started in ``state``: the jump times
-    (inf once an absorbing state is reached) and the ``n + 1`` states.
-
-    Each jump's exponential variate is drawn up front, followed by one
-    uniform per jump only when some state has more than one possible next
-    state; a 2-state chain therefore draws exactly ``n`` exponentials.
-    """
-    variates = rng.standard_exponential(n)
-    if chain.branching:
-        u = rng.random(n)
-        # step[k, s]: the state after jump k from state s
-        step = np.empty((n, len(chain.branches)), dtype=np.int64)
-        for s, (t, cum) in enumerate(chain.branches):
-            step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
-        walk = [int(state)]
-        for row in step.tolist():
-            walk.append(row[walk[-1]])
-        states = np.array(walk, dtype=np.int64)
-    else:
-        # one successor map f: states[k] = f^k(state), doubling k
-        states = np.empty(n + 1, dtype=np.int64)
-        states[0] = state
-        f, m = chain.successor, 1
-        while m <= n:
-            states[m:2 * m] = f[states[:min(m, n + 1 - m)]]
-            f, m = f[f], 2 * m
-    return (variates * chain.scales[states[:-1]]).cumsum(), states
 
 
 def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
@@ -201,21 +155,35 @@ _BLOCK = 4096   # environment segments per accounting block
 _WINDOW_CELLS = 1 << 18     # load-segments per recursion window, in whole blocks
 
 
+class _Kept:
+    """The columns a replayed episode keeps between runs: for each kept
+    set-point z[j] (ascending) and accounted segment s, columns[:, s, j]
+    holds its entry temperature, its event time, its grid draw before the
+    event and its discomfort a^3 - cooled^3 (see _columns)."""
+
+    def __init__(self):
+        self.z = np.empty(0)
+        self.columns = np.empty((4, 0, 0))
+
+
 @dataclass(frozen=True)
 class SampledEpisode:
     """An environment path drawn from default_rng(config.seed), with what
-    every run over it reads: the segments' comfort level ``theta`` and wind
-    cooling rate ``ci``, the first accounted segment and the accounted
-    time.  Only the config's seed, horizon and burn-in shape it;
-    run_episode reads the rest of the config."""
+    every run over it reads: the segments' comfort level ``theta``, wind
+    cooling rate ``ci`` and the grid draw ``g1`` of a load at its target,
+    the first accounted segment and the accounted time.  Only the config's
+    seed, horizon and burn-in shape it; run_episode reads the rest of the
+    config, and keeps its per-set-point columns in ``kept``."""
 
     config: SimulationConfig
     params: LoadParams
     path: EnvironmentPath
     theta: np.ndarray
     ci: np.ndarray
+    g1: np.ndarray
     first: int
     accounted_time: float
+    kept: _Kept = field(default_factory=_Kept, init=False, repr=False, compare=False)
 
 
 def sample_episode(config: SimulationConfig, env: MarkovEnvironment,
@@ -225,12 +193,15 @@ def sample_episode(config: SimulationConfig, env: MarkovEnvironment,
     path = sample_environment_path(env, config.horizon_jumps, rng)
     theta = np.asarray(params.comfort_levels)[path.comfort]
     ci = params.wind_cooling_rates(env.n_wind)[path.wind]
+    # at its target every load draws what one parked at Theta draws (h with
+    # wind off, nothing under wind), so one column holds that power for all
+    _, g1 = power_split(theta, theta, theta, params.h, params.c, ci, path.wind)
     n_seg = len(path.start_times)
     first = int(np.searchsorted(path.start_times, config.burn_in * path.total_time))
     # accounted time, summed in segment order as the parked totals are: a
     # load that never moves has an occupation CDF of exactly 1
     t_acc = float(np.cumsum(path.durations[first:])[-1]) if first < n_seg else 0.0
-    return SampledEpisode(config=config, params=params, path=path, theta=theta, ci=ci,
+    return SampledEpisode(config=config, params=params, path=path, theta=theta, ci=ci, g1=g1,
                           first=first, accounted_time=t_acc)
 
 
@@ -343,28 +314,40 @@ class SimulationResult:
     trace_comfort: np.ndarray | None = None
 
 
-def _block_costs(x, event, zd, weight, theta, ci, dur, wind, h: float, c: float):
-    """(integral of (sum of grid power)^2, summed integral of (x - Theta)_+^2)
-    over one block, for entry temperatures x and event times (segments x
-    distinct loads) counted with the multiplicities ``weight``.
+def _target(z, theta, wind):
+    """Each load's target in each segment: its hold point with wind off,
+    Theta under wind."""
+    return np.where(wind == 0, np.minimum(z, theta), theta)
 
-    A load's grid power (power_split) changes at most once in a segment,
-    at its event time, when it reaches its target.  Sorting each row's event
-    times makes the aggregate piecewise constant between them.
+
+def _columns(x, z, theta, ci, dur, wind, h: float, c: float):
+    """For entry temperatures x of one block (segments x set-points z): the
+    event time, at which a load reaches its target, capped at the segment's
+    duration; the grid draw before the event (power_split); and the
+    discomfort a^3 - cooled^3 of the excess a over Theta, which cools at c."""
+    target = _target(z, theta, wind)
+    event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
+    _, g0 = power_split(x, z, theta, h, c, ci, wind)
+    a = np.maximum(x - theta, 0.0)
+    cooled = a - c * np.minimum(a / c, dur)
+    return event, g0, a * a * a - cooled * cooled * cooled
+
+
+def _block_costs(event, g0, cubes, g1, dur, weight, c: float):
+    """(integral of (sum of grid power)^2, summed integral of (x - Theta)_+^2)
+    over one block, from its columns (segments x distinct loads, _columns)
+    counted with the multiplicities ``weight``.
+
+    A load's grid power changes at most once in a segment, from g0 to the
+    g1 of a load at its target, at its event time.  Sorting each row's
+    event times makes the aggregate piecewise constant between them.
+    Above Theta a load cools at c, so its discomfort integral is cubic.
     """
-    _, g0 = power_split(x, zd, theta, h, c, ci, wind)
-    # at its target every load draws what one parked at Theta draws (h with
-    # wind off, nothing under wind), so one column holds that power for all
-    _, g1 = power_split(theta, theta, theta, h, c, ci, wind)
     order = np.argsort(event, axis=1)
     steps = np.take_along_axis((g1 - g0) * weight, order, axis=1)
     level = np.cumsum(np.concatenate([(g0 @ weight)[:, None], steps], axis=1), axis=1)
     width = np.diff(np.take_along_axis(event, order, axis=1), axis=1, prepend=0.0, append=dur)
-    # above Theta a load cools at c: the integral of (a - c t)^2 in closed form
-    a = np.maximum(x - theta, 0.0)
-    cooled = a - c * np.minimum(a / c, dur)
-    return (float(np.sum(level * level * width)),
-            float(np.sum((a * a * a - cooled * cooled * cooled) @ weight)) / (3.0 * c))
+    return float(np.sum(level * level * width)), float(np.sum(cubes @ weight)) / (3.0 * c)
 
 
 def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> SimulationResult:
@@ -374,45 +357,78 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
 
     Loads with equal set-points follow one trajectory, so the recursion and
     the accounting run once per distinct set-point, counted by multiplicity.
+    The episode keeps every distinct set-point's columns, so a replay walks
+    only the set-points it has not kept.  It keeps all set-points run so
+    far while they number at most config.n_loads, and else this run's.
     """
+    return _run(episode, z, gamma, keep=True)
+
+
+def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> SimulationResult:
+    """run_episode; unless ``keep``, the episode's kept columns stay as they are."""
     config, params, path = episode.config, episode.params, episode.path
     zd, inv = np.unique(z, return_inverse=True)
     weight = np.bincount(inv).astype(float)
     h, c = params.h, params.c
     first, t_acc = episode.first, episode.accounted_time
+    n_seg = len(path.start_times)
     occ = _Occupation(zd, np.asarray(params.comfort_levels),
                       np.linspace(0.0, params.theta_max, config.occupation_edges)) \
         if config.record_occupation else None
+    # the distinct set-points the episode kept (at ``src``) and the fresh
+    # ones, which this run walks; ``store`` gets the columns of ``keep_z``
+    kept = episode.kept
+    hit = np.isin(zd, kept.z)
+    src, fresh = np.searchsorted(kept.z, zd[hit]), zd[~hit]
+    store = None
+    if keep and len(fresh):
+        union = np.union1d(kept.z, zd)
+        keep_z = union if len(union) <= config.n_loads else zd
+        stay = np.isin(kept.z, keep_z) & ~np.isin(kept.z, zd)
+        store = np.empty((4, n_seg - first, len(keep_z)))
 
     int_g2 = int_disc = 0.0
     trace = [np.empty((0, len(z)))]
     columns = (episode.theta, episode.ci, path.durations, path.wind)
-    n_seg = len(path.start_times)
     # windows: whole blocks, as few as hold about _WINDOW_CELLS each
-    n_windows = max(round(len(zd) * n_seg / _WINDOW_CELLS), 1)
+    n_windows = max(round(len(fresh) * n_seg / _WINDOW_CELLS), 1)
     window = _BLOCK * -(-n_seg // (_BLOCK * n_windows))
     x_end = config.initial_temperature
     for w0 in range(0, n_seg, window):
-        xw = flow_paths(x_end, zd, h, c, *(a[w0:w0 + window] for a in columns))
-        x_end = xw[-1]
+        if len(fresh):
+            xw = flow_paths(x_end, fresh, h, c, *(a[w0:w0 + window] for a in columns))
+            x_end = xw[-1]
         for s in range(w0, min(w0 + window, n_seg), _BLOCK):
             stop = min(s + _BLOCK, n_seg)
             if first >= stop:
                 continue                                  # burn-in only
             acc = slice(max(first, s), stop)
-            xs = xw[acc.start - w0:stop - w0]
-            theta, ci, dur, wind = (a[acc, None] for a in columns)
-            # each load's target, its hold point with wind off and Theta under
-            # wind, and the time it takes to reach it within the segment
-            target = np.where(wind == 0, np.minimum(zd, theta), theta)
-            event = np.minimum(np.where(xs > target, (xs - target) / c, (target - xs) / h), dur)
-            g2, disc = _block_costs(xs, event, zd, weight, theta, ci, dur, wind, h, c)
+            rows = slice(acc.start - first, stop - first)     # of the kept columns
+            theta, ci, dur, wind, g1 = (a[acc, None] for a in (*columns, episode.g1))
+            cols = None
+            if len(fresh):
+                xs = xw[acc.start - w0:stop - w0]
+                cols = (xs, *_columns(xs, fresh, theta, ci, dur, wind, h, c))
+            if len(src):
+                new, cols = cols, np.empty((4, stop - acc.start, len(zd)))
+                cols[:, :, hit] = kept.columns[:, rows, src]
+                if new is not None:
+                    cols[:, :, ~hit] = new
+            if store is not None:
+                store[:, rows, np.searchsorted(keep_z, zd)] = cols
+                if stay.any():
+                    store[:, rows, np.searchsorted(keep_z, kept.z[stay])] = \
+                        kept.columns[:, rows, stay]
+            g2, disc = _block_costs(*cols[1:], g1, dur, weight, c)
             int_g2 += g2
             int_disc += disc
             if occ is not None:
-                occ.add(xs, target, event, ci, dur, wind, path.comfort[acc, None], h, c)
+                occ.add(cols[0], _target(zd, theta, wind), cols[1], ci, dur, wind,
+                        path.comfort[acc, None], h, c)
             if config.record_trace:
-                trace.append(xs[:, inv])
+                trace.append(cols[0][:, inv])
+    if store is not None:
+        kept.z, kept.columns = keep_z, store
 
     n = len(z)
     report = CostReport(power_cost=int_g2 / max(t_acc, 1e-300) / n**2,
@@ -420,7 +436,7 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
     recorded = config.record_trace
     return SimulationResult(
         empirical_cost=report, set_points=z, total_time=path.total_time,
-        accounted_time=t_acc, n_segments=len(path.start_times), seed=config.seed,
+        accounted_time=t_acc, n_segments=n_seg, seed=config.seed,
         occupation_edges=occ.edges if occ else None,
         occupation_cdf=occ.cdf(t_acc)[inv] if occ else None,
         dwell_fractions=occ.fractions(inv, t_acc) if occ else None,
@@ -433,9 +449,10 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
 
 def simulate(config: SimulationConfig, env: MarkovEnvironment, params: LoadParams,
              gamma: float) -> SimulationResult:
-    """Run one replication; deterministic given the config seed."""
+    """Run one replication; deterministic given the config seed.  Its
+    episode is run once, so it keeps no columns."""
     z = config.resolve_set_points(params)
-    return run_episode(sample_episode(config, env, params), z, gamma)
+    return _run(sample_episode(config, env, params), z, gamma, keep=False)
 
 
 def empirical_cdf(result: SimulationResult):

@@ -339,3 +339,68 @@ def test_n_replications_must_be_positive(n_replications, ref_env, ref_params):
     dist = PiecewiseDistribution(level=0, alphas=np.array([0.5]), domain=(0.0, 100.0))
     with pytest.raises(ValueError, match="n_replications"):
         estimate_cost(dist, (), GAMMA_REF)
+
+
+def test_refinement_walks_each_set_point_once(ref_env, ref_params, monkeypatch):
+    # a search shaped as the benchmark's: 100 loads, 300-jump episodes,
+    # levels 2 to 3 at their full 60 steps.  Its 122 candidates use 9
+    # distinct set-points, the level-3 segment edges, and each trajectory is
+    # walked once
+    module = importlib.import_module("zpolicy.simulate")
+    walked = []
+    flow = module.flow_paths
+    monkeypatch.setattr(module, "flow_paths",
+                        lambda x0, z, *a: walked.extend(z.tolist()) or flow(x0, z, *a))
+    (episode,) = sample_episodes(SimulationConfig(n_loads=100, horizon_jumps=300, seed=4),
+                                 ref_env, ref_params, n_replications=1)
+    _, trace = successive_refinement(lambda d: estimate_cost(d, (episode,), GAMMA_REF),
+                                     initial_level=2, max_level=3, delta_j=-1e9, seed=4,
+                                     domain=(0.0, 100.0))
+    assert len(trace.steps) == 122
+    assert sorted(walked) == np.linspace(0.0, 100.0, 9).tolist()
+    assert episode.kept.z.tolist() == sorted(walked)
+
+
+def test_linear_refinement_keeps_at_most_one_candidates_columns(ref_env, ref_params,
+                                                                 monkeypatch):
+    # a linear-shape candidate has up to n_loads distinct set-points, most
+    # of them new, so the episode keeps only the last candidate's columns
+    module = importlib.import_module("zpolicy.heuristic")
+    episode_cfg = SimulationConfig(n_loads=30, horizon_jumps=200, seed=6)
+    episodes = sample_episodes(episode_cfg, ref_env, ref_params, n_replications=2)
+    kept = []
+    run = module.run_episode
+
+    def counted(episode, z, gamma):
+        result = run(episode, z, gamma)
+        n_acc = len(episode.path.start_times) - episode.first
+        kept.append((len(episode.kept.z), len(np.unique(z)),
+                     episode.kept.columns.nbytes // (32 * n_acc)))
+        return result
+
+    monkeypatch.setattr(module, "run_episode", counted)
+    _, trace = successive_refinement(lambda d: estimate_cost(d, episodes, GAMMA_REF),
+                                     initial_level=1, max_level=2, delta_j=-1e9, seed=2,
+                                     max_steps_per_level=10, shape="linear",
+                                     domain=(0.0, 100.0))
+    assert len(kept) == 2 * len(trace.steps)
+    # kept set-points, the run's distinct ones, and the kept columns' size
+    # in set-points of 4 float64 columns over the accounted segments
+    assert all(n == size <= distinct <= episode_cfg.n_loads for n, distinct, size in kept)
+
+
+def test_estimate_cost_resolves_set_points_once(ref_env, ref_params, monkeypatch):
+    # the replications share n_loads, so the quantiles are taken once per
+    # candidate; episodes of different sizes are refused
+    calls = []
+    resolve = SimulationConfig.resolve_set_points
+    monkeypatch.setattr(SimulationConfig, "resolve_set_points",
+                        lambda self, params: calls.append(1) or resolve(self, params))
+    episode = SimulationConfig(n_loads=10, horizon_jumps=100, seed=0)
+    episodes = sample_episodes(episode, ref_env, ref_params, n_replications=3)
+    dist = PiecewiseDistribution(level=0, alphas=np.array([0.5]), domain=(0.0, 100.0))
+    estimate_cost(dist, episodes, GAMMA_REF)
+    assert len(calls) == 1
+    mixed = episodes + sample_episodes(replace(episode, n_loads=11), ref_env, ref_params, 1)
+    with pytest.raises(ValueError, match="n_loads"):
+        estimate_cost(dist, mixed, GAMMA_REF)

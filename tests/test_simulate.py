@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -343,7 +345,7 @@ def test_factor_path_matches_frozen_sampler(name, ref_env, env_w3, env3):
     # the jump tables are built once per chain; the path, the variates it
     # reads and the state the generator is left in are the frozen sampler's
     from reference_cftp import factor_path
-    from zpolicy.simulate import _FactorChain, _factor_path
+    from zpolicy.model import _FactorChain, _factor_path
     q = {"ref": ref_env.wind_generator, "w3": env_w3.wind_generator,
          "c3": env3.comfort_generator, "non_birth_death": _non_birth_death_wind().wind_generator,
          "absorbing": np.array([[-0.5, 0.0, 0.0], [0.25, 0.0, 0.0], [0.25, 0.0, 0.0]])}[name]
@@ -463,3 +465,75 @@ def test_occupation_bins_match_searchsorted(n_edges, top):
                         rng.uniform(-0.1 * top, 1.1 * top, 20000)])
     assert np.array_equal(occ._bin(v), np.searchsorted(edges, v, side="right"))
 
+
+
+@pytest.mark.parametrize("name", ["ref", "w3", "c3"])
+@pytest.mark.parametrize("block, cells", [(4096, 1 << 18), (7, 40)])
+def test_replays_match_fresh_runs(name, block, cells, monkeypatch, env_w3, env3, params3,
+                                  ref_env, ref_params):
+    # a replayed episode walks only the set-points it has not kept, and
+    # every run over it, from kept columns, fresh ones or both, is bitwise
+    # the run simulate makes of its set-points: costs, trace, occupation
+    # and dwell.  It keeps all set-points run so far while they number at
+    # most n_loads (6), and else the last run's
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    env, params = _case(name, env_w3, env3, params3, ref_env, ref_params)
+    monkeypatch.setattr(module, "_BLOCK", block)
+    monkeypatch.setattr(module, "_WINDOW_CELLS", cells)
+    walked = []
+    flow = module.flow_paths
+    monkeypatch.setattr(module, "flow_paths",
+                        lambda x0, z, *a: walked.extend(z.tolist()) or flow(x0, z, *a))
+    cfg = SimulationConfig(n_loads=6, horizon_jumps=2000, seed=11, record_occupation=True,
+                           record_trace=True, burn_in=0.3, initial_temperature=120.0)
+    episode = module.sample_episode(cfg, env, params)
+    runs = [([0.0, 40.0, 70.0, 70.0, 88.5, 100.0], [0.0, 40.0, 70.0, 88.5, 100.0]),
+            ([0.0, 40.0, 55.0, 55.0, 70.0, 100.0], [0.0, 40.0, 55.0, 70.0, 88.5, 100.0]),
+            ([0.0, 0.0, 40.0, 40.0, 70.0, 100.0], [0.0, 40.0, 55.0, 70.0, 88.5, 100.0]),
+            ([10.0, 20.0, 30.0, 40.0, 50.0, 60.0], [10.0, 20.0, 30.0, 40.0, 50.0, 60.0])]
+    seen = set()
+    for z, kept in runs:
+        walked.clear()
+        got = module.run_episode(episode, np.array(z), GAMMA_REF)
+        assert sorted(set(walked)) == sorted(set(z) - seen)
+        _same_run(got, simulate(replace(cfg, set_points=np.array(z)), env, params, GAMMA_REF))
+        assert episode.kept.z.tolist() == kept
+        assert episode.kept.columns.shape == (4, len(got.trace_times), len(kept))
+        seen = set(kept)
+
+
+def test_one_simulate_call_keeps_no_columns(monkeypatch, ref_env, ref_params):
+    # simulate runs its episode once, so it keeps no per-set-point columns
+    # and its memory stays that of a window; run_episode keeps them
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    episodes = []
+    sample = module.sample_episode
+    monkeypatch.setattr(module, "sample_episode",
+                        lambda *a: episodes.append(sample(*a)) or episodes[-1])
+    cfg = SimulationConfig(n_loads=3, horizon_jumps=500, seed=3,
+                           set_points=np.array([30.0, 60.0, 60.0]))
+    result = simulate(cfg, ref_env, ref_params, GAMMA_REF)
+    (episode,) = episodes
+    assert episode.kept.z.size == 0 and episode.kept.columns.size == 0
+    again = module.run_episode(episode, result.set_points, GAMMA_REF)
+    assert again.empirical_cost == result.empirical_cost
+    assert episode.kept.z.tolist() == [30.0, 60.0]
+
+
+def test_negative_zero_set_point_reads_as_zero(ref_env, ref_params):
+    # resolve_set_points reads -0.0 as 0.0, so the result, its dwell keys
+    # and simulate.json carry 0.0, and the run is the one from 0.0
+    runs = {}
+    for zero in (-0.0, 0.0):
+        cfg = SimulationConfig(n_loads=2, horizon_jumps=2000, seed=2,
+                               set_points=np.array([zero, 80.0]), record_occupation=True,
+                               record_trace=True)
+        runs[zero] = simulate(cfg, ref_env, ref_params, GAMMA_REF)
+    signed = runs[-0.0]
+    assert not np.signbit(signed.set_points).any()
+    assert (0, 0.0) in signed.dwell_fractions
+    assert "(0, 0.0)" in list(map(str, signed.dwell_fractions))
+    assert "(0, -0.0)" not in list(map(str, signed.dwell_fractions))
+    _same_run(signed, runs[0.0])
