@@ -14,21 +14,27 @@ The environment chains are birth-death and hence reversible, so the path
 seen backward from a stationary time is again a chain with the same
 generator: the state at time 0 is drawn from the stationary law and the
 path is extended into the past by the model's factor-chain sampler (the
-one the simulator's path sampler runs) in reversed time.  Doubling the horizon appends older jumps to the
-cached path and never alters the randomness already used, which is
-exactly the replay discipline coupling from the past requires.
+one the simulator's path sampler runs) in reversed time.  Doubling the
+horizon appends older jumps to the paths drawn so far and never alters
+the randomness already used, which is exactly the replay discipline
+coupling from the past requires.
 
 Draws run in lockstep.  Every draw owns its random generator and reads it
 in the order a draw on its own would, so a sample does not depend on which
-other draws share its batch.  In each doubling round the segments of all
-unfinished draws are laid out on one grid, oldest first and aligned at
-time 0, and step k advances segment k of every draw with one call to
-``model.exact_flow`` on the (top, bottom) temperatures of all loads and
-draws; a draw with fewer segments is padded at the old end with
-zero-length segments, which the flow maps to themselves.  Draws that have
-coalesced leave, and only the rest double their horizon.  The chains'
-tables and stationary laws are built once per config.  CftpConfig
-validates itself on construction.
+other draws share its batch.  The backward paths of a block's unfinished
+draws are arrays of draws x chains x jumps, their ages padded with inf.
+They are extended in waves: each draw with a chain short of the horizon
+draws the next chunk of its first such chain from its own generator, and
+one walk of the model's sampler extends every such row.  In each doubling
+round the segments of all unfinished draws are read off those arrays and
+laid out on one grid, oldest first and aligned at time 0, and step k
+advances segment k of every draw with one call to ``model.exact_flow`` on
+the (top, bottom) temperatures of all loads and draws; a draw with fewer
+segments is padded at the old end with zero-length segments, which the
+flow maps to themselves.  Draws that have coalesced leave the arrays, and
+only the rest double their horizon.  The chains' tables and stationary
+laws are built once per config.  CftpConfig validates itself on
+construction.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
-    LoadParams, _birth_death_generator, _factor_path, _FactorChain, child_seed, exact_flow,
-    power_split, stationary_law,
+    LoadParams, _birth_death_generator, _draw_jumps, _FactorChain, _walk, child_seed, exact_flow,
+    grid_power, stationary_law,
 )
 
 __all__ = [
@@ -127,38 +133,57 @@ class JointSample:
     horizon: float               # past horizon that achieved coalescence
 
 
-def _extend(path: tuple, chain: _FactorChain, age: float,
-            rng: np.random.Generator) -> tuple:
-    """Jump ages and states of a backward chain, extended with fresh jumps
-    until it covers ``age``; the jumps already drawn are kept."""
-    ages, states = path
-    while ages[-1] < age:
-        more, new = _factor_path(chain, int(states[-1]), _CHUNK, rng)
-        ages = np.concatenate([ages, ages[-1] + more])
-        states = np.concatenate([states, new[1:]])
-    return ages, states
+def _extend(chains: _FactorChain, ages: np.ndarray, states: np.ndarray, drawn: np.ndarray,
+            rngs: list, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Backward paths extended with fresh jumps until every chain covers
+    ``horizon``; the jumps already drawn are kept.
+
+    ages[d, j, k] is the age of jump k of chain j in draw d (0 first, inf
+    past the drawn[d, j] entries) and states[d, j, k] the state it enters;
+    draw d reads rngs[d].  In each wave every draw with a chain short of
+    the horizon draws _CHUNK jumps of its first such chain, so it takes
+    its chains in order, one chunk at a time, as a draw on its own would;
+    one walk extends all of those rows.  ``drawn`` is updated in place and
+    the arrays are returned, widened when a chain needs more room.
+    """
+    while True:
+        ends = np.take_along_axis(ages, drawn[:, :, None] - 1, axis=2)[:, :, 0]
+        short = ends < horizon
+        d = np.flatnonzero(short.any(axis=1))
+        if not len(d):
+            return ages, states
+        j = short[d].argmax(axis=1)
+        at = drawn[d, j]
+        times, new = _walk(chains, j, states[d, j, at - 1],
+                           *_draw_jumps(chains, j, [rngs[k] for k in d.tolist()], _CHUNK))
+        more = int(at.max()) + _CHUNK - ages.shape[2]
+        if more > 0:
+            ages = np.concatenate([ages, np.full(ages.shape[:2] + (more,), np.inf)], axis=2)
+            states = np.concatenate([states, np.zeros(states.shape[:2] + (more,), dtype=np.int64)],
+                                    axis=2)
+        cols = (d[:, None], j[:, None], at[:, None] + np.arange(_CHUNK))
+        ages[cols] = ends[d, j][:, None] + times
+        states[cols] = new[:, 1:]
+        drawn[d, j] += _CHUNK
 
 
-def _segments(paths: list, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+def _segments(ages: np.ndarray, states: np.ndarray,
+              horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """The segments that tile [-horizon, 0] in each draw's backward paths
-    (paths[d][j]: the jump ages of chain j in draw d, 0 first, and its
-    states): the state of every chain (steps x chains x draws) and the
-    durations (steps x draws), oldest first.  Every draw ends its last step
-    at time 0; a draw with fewer segments is padded at the old end with
-    zero durations in state 0.
+    (draws x chains x jumps, as _extend keeps them): the state of every
+    chain (steps x chains x draws) and the durations (steps x draws),
+    oldest first.  Every draw ends its last step at time 0; a draw with
+    fewer segments is padded at the old end with zero durations in state 0.
 
     A segment starts at each distinct jump age below the horizon, and a
     chain's state on it is the one after its last jump at or before that
     age, so the segments are those of each draw on its own.
     """
-    n_draws, n_chains = len(paths), len(paths[0])
-    flat = [p for per_draw in paths for p in per_draw]
-    ages = np.concatenate([a for a, _ in flat])
-    keep = ages < horizon
-    entry = np.concatenate([s for _, s in flat])[keep]
-    ages = ages[keep]
-    draw, chain = np.divmod(np.repeat(np.arange(len(flat)), [len(a) for a, _ in flat])[keep],
-                            n_chains)
+    n_draws, n_chains, width = ages.shape
+    ages = ages.reshape(-1)
+    keep = np.flatnonzero(ages < horizon)
+    entry, ages = states.reshape(-1)[keep], ages[keep]
+    draw, chain = np.divmod(keep // width, n_chains)
     # by draw, age and chain; stable, so a chain's jumps keep their order
     order = np.lexsort((chain, ages, draw))
     ages, entry, draw, chain = ages[order], entry[order], draw[order], chain[order]
@@ -188,25 +213,20 @@ def _segments(paths: list, horizon: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Coupling:
-    """What every draw of one config shares: the factor chains (wind first,
-    then the comfort chains) and the cumulative sums of their stationary
-    laws, the per-load parameters and the first horizon."""
+    """What every draw of one config shares: the factor chains' tables
+    (wind first, then the comfort chains) and the cumulative sums of their
+    stationary laws, the per-load parameters and the first horizon."""
 
     def __init__(self, config: CftpConfig):
         comfort_rates = config.comfort_rates[:1] if config.shared_comfort \
             else config.comfort_rates
         generators = [_birth_death_generator(r) for r in (config.wind_rates, *comfort_rates)]
-        # equal generators (as the comfort chains usually are) share one table
-        built: dict = {}
-        for q in generators:
-            if q.tobytes() not in built:
-                cdf = np.cumsum(stationary_law(q))
-                built[q.tobytes()] = (_FactorChain(q), cdf / cdf[-1])
-        self.chains = [built[q.tobytes()][0] for q in generators]
+        self.chains = _FactorChain(*generators)
         # cdfs[j, k]: P(chain j is in a state <= k), padded with inf
-        self.cdfs = np.full((len(generators), max(len(q) for q in generators)), np.inf)
+        self.cdfs = np.full(self.chains.scales.shape, np.inf)
         for j, q in enumerate(generators):
-            self.cdfs[j, :len(q)] = built[q.tobytes()][1]
+            cdf = np.cumsum(stationary_law(q))
+            self.cdfs[j, :len(q)] = cdf / cdf[-1]
         self.h, self.c, self.z, self.levels, self.rates = config._tables()
         n = config.n_loads
         self.loads = np.arange(n)
@@ -227,18 +247,18 @@ class _Coupling:
         n, loads = len(self.loads), self.loads
         # the state at time 0 of each chain: its stationary law's inverse
         # CDF at one uniform per chain (the draw Generator.choice makes)
-        u = np.array([rng.random(len(self.chains)) for rng in rngs])
+        u = np.array([rng.random(len(self.cdfs)) for rng in rngs])
         now = (self.cdfs <= u[:, :, None]).sum(axis=2)
-        # per draw, per chain: (ages of its backward jumps, with 0 first; its states)
-        paths = [[(np.zeros(1), s[j:j + 1]) for j in range(len(s))] for s in now]
+        # the backward paths of the pending draws, as _extend keeps them
+        ages, states = np.zeros(now.shape + (1,)), now[:, :, None].copy()
+        drawn = np.ones(now.shape, dtype=np.int64)
         samples: list = [None] * len(rngs)
-        pending = list(range(len(rngs)))
+        pending = np.arange(len(rngs))
         horizon = self.horizon
         for _ in range(self.max_doublings):
-            for d in pending:
-                paths[d] = [_extend(p, ch, horizon, rngs[d])
-                            for p, ch in zip(paths[d], self.chains)]
-            state, dt = _segments([paths[d] for d in pending], horizon)
+            ages, states = _extend(self.chains, ages, states, drawn,
+                                   [rngs[d] for d in pending.tolist()], horizon)
+            state, dt = _segments(ages, states, horizon)
             wind = state[:, 0]
             theta = self.levels[loads[:, None], state[:, self.owner]]
             ci = self.rates[loads[:, None], wind[:, None]]
@@ -259,8 +279,9 @@ class _Coupling:
                 d = pending[j]
                 samples[d] = JointSample(temperatures=x[0, :, j].copy(), wind=int(now[d, 0]),
                                          comfort=now[d, self.owner], horizon=horizon)
-            pending = [d for d, m in zip(pending, met.tolist()) if not m]
-            if not pending:
+            # coalesced draws leave the paths, so memory follows the pending ones
+            pending, ages, states, drawn = (a[~met] for a in (pending, ages, states, drawn))
+            if not len(pending):
                 return samples
             horizon *= 2.0
         raise NoCoalescence(f"no coalescence by horizon {horizon}")
@@ -297,7 +318,7 @@ def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
     """Monte Carlo normalized cost from perfect samples.
 
     Each sample's grid power is classified per load by the model's
-    power_split; the standard error of the combined cost is reported.
+    grid_power; the standard error of the combined cost is reported.
     """
     if not samples:
         raise EmptySamples("need at least one sample")
@@ -307,7 +328,7 @@ def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
     loads = np.arange(n)
     h, c, z, levels, rates = config._tables()
     theta = levels[loads, np.array([s.comfort for s in samples])]
-    _, grid = power_split(x, z, theta, h, c, rates[loads, wind], wind)
+    grid = grid_power(x, z, theta, h, c, rates[loads, wind], wind)
     power = (grid.sum(axis=1) / n) ** 2
     disc = (np.maximum(x - theta, 0.0) ** 2).sum(axis=1) / n
     totals = power + gamma * disc

@@ -317,10 +317,11 @@ def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
     samples = cftp_samples(config, [np.random.default_rng(child_seed(eff_seed, k))
                                     for k in range(n_samples)])
     report = estimate_joint_cost(samples, config, gamma)
-    _write_csv(out / "samples.csv",
-               ["sample", "load", "temperature", "wind", "comfort"],
-               [(k, i, s.temperatures[i], s.wind, int(s.comfort[i]))
-                for k, s in enumerate(samples) for i in range(n)])
+    _write_columns(out / "samples.csv", ["sample", "load", "temperature", "wind", "comfort"],
+                   [np.repeat(np.arange(len(samples)), n), np.tile(np.arange(n), len(samples)),
+                    np.array([s.temperatures for s in samples]),
+                    np.repeat([s.wind for s in samples], n),
+                    np.array([s.comfort for s in samples], dtype=np.int64)])
     u_emp = ThresholdDistribution.from_quantiles(
         np.array(set_points), domain=(0.0, params.theta_max))
     smooth = smooth_distribution(u_emp, blk.get("smoothing_bandwidth",

@@ -11,21 +11,25 @@ power topping up whatever the wind cannot supply.
 The environment is the product of two independent finite Markov chains
 (wind availability, active comfort level).  Its generator Q follows the
 column convention: Q maps probability column vectors, off-diagonal
-Q[k, l] is the rate l -> k, and every column sums to zero.  One factor
-chain's jumps are sampled here too (_FactorChain, _factor_path), for the
-simulator's forward paths and the perfect sampler's backward ones, with
-child_seed, the splitting rule for per-replication seeds.
+Q[k, l] is the rate l -> k, and every column sums to zero.  Factor-chain
+jumps are sampled here too, for the simulator's forward paths and the
+perfect sampler's backward ones: _FactorChain holds the jump tables of
+one or more chains, _draw_jumps reads each row's variates from its own
+generator, and _walk turns a batch of rows into jump times and states
+(_factor_path is a batch of one).  child_seed is the splitting rule for
+per-replication seeds.
 
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
 level and the hold point are closed-form and no Euler stepping is used.
-The flow (exact_flow) and the power classification (power_split) are
-elementwise kernels in which every argument broadcasts, the environment
-state included; the perfect sampler, the simulator's accounting and the
-CLI all call them, and advance_temperatures is exact_flow for one
-environment state given by its indices.  flow_path is the same flow as a
-scalar recursion along a whole path of segments, for one load.  flow_paths
-gives the same temperatures for many loads at once, and is what the
+The flow (exact_flow) and the power classification (power_split, whose
+grid part is grid_power) are elementwise kernels in which every argument
+broadcasts, the environment state included; the perfect sampler, the
+simulator's accounting and the CLI all call them, and
+advance_temperatures is exact_flow for one environment state given by
+its indices.  flow_path is the same flow as a scalar recursion along a
+whole path of segments, for one load.  flow_paths gives the same
+temperatures for many loads at once, and is what the
 simulator calls: on small runs it walks flow_path per load, on large ones
 it steps chunks of the path in lockstep with exact_flow and stitches them
 where reruns meet the stored trajectories bit for bit.
@@ -74,55 +78,112 @@ def _birth_death_generator(rates) -> np.ndarray:
 
 
 class _FactorChain:
-    """Jump tables of one factor chain, built once per generator: the mean
-    holding time of each state (inf once absorbing), and each state's next
-    states with their cumulative branch weights (an absorbing state's only
-    next state is itself)."""
+    """Jump tables of one or more factor chains, one per generator, built
+    once and padded to the largest chain with absorbing states.  Per chain
+    and state: the mean holding time (inf once absorbing), the first next
+    state, and the next states with the cumulative branch weights short of
+    the last, by which a uniform picks among them (padded with the last
+    next state and inf); an absorbing state's only next state is itself."""
 
-    def __init__(self, generator: np.ndarray):
-        rates = -np.diag(generator)
-        exits = np.clip(generator, 0.0, None)
-        np.fill_diagonal(exits, 0.0)
-        self.scales = np.full(len(rates), np.inf)
+    def __init__(self, *generators: np.ndarray):
+        n = max(len(q) for q in generators)
+        padded = np.zeros((len(generators), n, n))
+        for j, q in enumerate(generators):
+            padded[j, :len(q), :len(q)] = q
+        rates = -np.diagonal(padded, axis1=1, axis2=2)
+        exits = np.clip(padded, 0.0, None)
+        exits[:, np.arange(n), np.arange(n)] = 0.0
+        self.scales = np.full(rates.shape, np.inf)
         np.divide(1.0, rates, out=self.scales, where=rates > 0)
-        self.branches = []
-        for s in range(len(rates)):
-            t = np.flatnonzero(exits[:, s])
-            self.branches.append((t, np.cumsum(exits[t, s]) / exits[t, s].sum()) if len(t)
-                                 else (np.array([s]), np.array([np.inf])))
-        self.branching = any(len(t) > 1 for t, _ in self.branches)
-        self.successor = np.array([t[0] for t, _ in self.branches])
+        fan = (exits > 0).sum(axis=1)
+        self.branching = fan.max(axis=1) > 1
+        width = max(int(fan.max()), 1)
+        self.targets = np.tile(np.arange(n)[:, None], (len(generators), 1, width))
+        self.cuts = np.full((len(generators), n, width - 1), np.inf)
+        for j, s in zip(*np.nonzero(fan)):
+            t = np.flatnonzero(exits[j, :, s])
+            self.targets[j, s] = t[np.minimum(np.arange(width), len(t) - 1)]
+            self.cuts[j, s, :len(t) - 1] = (np.cumsum(exits[j, t, s]) / exits[j, t, s].sum())[:-1]
+        self.successor = self.targets[:, :, 0]
+
+
+def _draw_jumps(chain: _FactorChain, index: np.ndarray, rngs: list,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The variates of ``n`` jumps of chain index[r] for every row r, read
+    from rngs[r] in row order: ``n`` exponentials, then ``n`` uniforms only
+    when that chain has a state with more than one possible next state (a
+    2-state chain draws exactly ``n`` exponentials); rows x n arrays, the
+    uniforms zero where none were drawn."""
+    variates, uniforms = np.empty((len(index), n)), np.zeros((len(index), n))
+    for r, (fork, rng) in enumerate(zip(chain.branching[index].tolist(), rngs)):
+        rng.standard_exponential(out=variates[r])
+        if fork:
+            rng.random(out=uniforms[r])
+    return variates, uniforms
+
+
+def _walk(chain: _FactorChain, index: np.ndarray, start, variates: np.ndarray,
+          uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jumps of a batch of rows: row r walks chain index[r] from state
+    start[r] with its variates and uniforms (rows x n, as _draw_jumps draws
+    them).  Returns the jump times, cumulative per row (inf once an
+    absorbing state is reached), and the rows x (n + 1) states.
+
+    A row of a chain with one next state per state follows its successor
+    map f: states[k] = f^k(start), doubling k.  A row of a branching chain
+    first builds each jump's step map, the next state of every state, by
+    how many of that state's cuts lie at or below the jump's uniform.  It
+    composes adjacent maps pairwise into maps of 2, 4, ... jumps, then
+    fills in the states from the longest maps down: the state in the middle
+    of each block is the map of its first half applied to the state at its
+    start.  Either way a row takes O(n * states) work and O(log n) numpy
+    calls serve every row.
+    """
+    n_rows, n = variates.shape
+    states = np.empty((n_rows, n + 1), dtype=np.int64)
+    states[:, 0] = start
+    fork = chain.branching[index]
+    plain = np.flatnonzero(~fork)
+    if len(plain):
+        f, walk, m = chain.successor[index[plain]], states[plain], 1
+        rows = np.arange(len(plain))[:, None]
+        while m <= n:
+            walk[:, m:2 * m] = f[rows, walk[:, :min(m, n + 1 - m)]]
+            f, m = f[rows, f], 2 * m
+        states[plain] = walk
+    fork = np.flatnonzero(fork)
+    if len(fork):
+        tab, size, width = index[fork], chain.targets.shape[1], 1 << (n - 1).bit_length()
+        # maps[0][r * width + k, s]: the state after jump k of row r from
+        # state s, with identities past jump n up to a power of two
+        picks = (chain.cuts[tab][:, None] <= uniforms[fork][:, :, None, None]).sum(axis=3)
+        step = np.empty((len(fork), width, size), dtype=np.int64)
+        step[:, :n] = chain.targets[tab[:, None, None], np.arange(size), picks]
+        step[:, n:] = np.arange(size)
+        # maps[l][r * (width >> l) + i]: the map of row r's jumps from
+        # i * 2^l up to (i + 1) * 2^l; a pair never spans two rows
+        maps = [step.reshape(-1, size)]
+        while len(maps[-1]) > len(fork):
+            first, then = maps[-1][0::2], maps[-1][1::2]
+            maps.append(then[np.arange(len(then))[:, None], first])
+        # the states at multiples of 2^l, from the start alone down to l = 0
+        begin = states[fork, 0]
+        at = begin
+        for q in maps[-2::-1]:
+            at = np.stack([at, q[0::2][np.arange(len(at)), at]], axis=1).reshape(-1)
+        end = maps[-1][np.arange(len(fork)), begin]
+        states[fork, 1:] = np.column_stack([at.reshape(len(fork), width)[:, 1:], end])[:, :n]
+    return (variates * chain.scales[index[:, None], states[:, :-1]]).cumsum(axis=1), states
 
 
 def _factor_path(chain: _FactorChain, state: int, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` jumps of one factor chain started in ``state``: the jump times
-    (inf once an absorbing state is reached) and the ``n + 1`` states.
-
-    Each jump's exponential variate is drawn up front, followed by one
-    uniform per jump only when some state has more than one possible next
-    state; a 2-state chain therefore draws exactly ``n`` exponentials.
-    """
-    variates = rng.standard_exponential(n)
-    if chain.branching:
-        u = rng.random(n)
-        # step[k, s]: the state after jump k from state s
-        step = np.empty((n, len(chain.branches)), dtype=np.int64)
-        for s, (t, cum) in enumerate(chain.branches):
-            step[:, s] = t[np.minimum(np.searchsorted(cum, u, side="right"), len(t) - 1)]
-        walk = [int(state)]
-        for row in step.tolist():
-            walk.append(row[walk[-1]])
-        states = np.array(walk, dtype=np.int64)
-    else:
-        # one successor map f: states[k] = f^k(state), doubling k
-        states = np.empty(n + 1, dtype=np.int64)
-        states[0] = state
-        f, m = chain.successor, 1
-        while m <= n:
-            states[m:2 * m] = f[states[:min(m, n + 1 - m)]]
-            f, m = f[f], 2 * m
-    return (variates * chain.scales[states[:-1]]).cumsum(), states
+    """``n`` jumps of the first chain of ``chain`` started in ``state``,
+    read from ``rng``: the jump times (inf once an absorbing state is
+    reached) and the ``n + 1`` states; a batch of one of _walk."""
+    index = np.zeros(1, dtype=np.int64)
+    times, states = _walk(chain, index, [state], *_draw_jumps(chain, index, [rng], n))
+    return times[0], states[0]
 
 
 def child_seed(seed: int, replication: int) -> int:
@@ -393,22 +454,28 @@ def flow_paths(x0, z: np.ndarray, h: float, c: float, theta: np.ndarray, ci: np.
     return out[:n_seg + 1]
 
 
-def power_split(x, z, theta, h, c, ci, wind):
-    """(wind power, grid power) under the threshold policy, elementwise;
-    every argument broadcasts, the wind state included.
+def grid_power(x, z, theta, h, c, ci, wind):
+    """Grid power under the threshold policy, elementwise; every argument
+    broadcasts, the wind state included.
 
     Grid power is h+c during a comfort violation with wind off, the
     difference c - ci when an intermediate wind state cannot supply the
     full forced-cooling rate, and h while parked at the hold point with
-    wind off; all other situations draw no grid power.  Under wind, the
-    wind supplies h + ci (h alone at the floor x = 0).
+    wind off; all other situations draw no grid power.
     """
-    on = np.asarray(wind) >= 1
-    wind_power = np.where(on, np.where(x <= 0.0, h, h + ci), 0.0)
     grid_on = np.where(x > theta, c - ci, 0.0)
     park = np.minimum(z, theta)
     grid_off = np.where(x > park, h + c, np.where(x == park, h, 0.0))
-    return wind_power, np.where(on, grid_on, grid_off)
+    return np.where(np.asarray(wind) >= 1, grid_on, grid_off)
+
+
+def power_split(x, z, theta, h, c, ci, wind):
+    """(wind power, grid power) under the threshold policy, elementwise,
+    with the grid power of grid_power.  Under wind, the wind supplies
+    h + ci (h alone at the floor x = 0); with wind off it supplies nothing.
+    """
+    wind_power = np.where(np.asarray(wind) >= 1, np.where(x <= 0.0, h, h + ci), 0.0)
+    return wind_power, grid_power(x, z, theta, h, c, ci, wind)
 
 
 def advance_temperatures(x: np.ndarray, z: np.ndarray, wind: int, comfort: int,

@@ -20,7 +20,7 @@ before the event and its discomfort column are derived once.  The
 accounting then works on whole (segments x distinct loads) arrays, block
 by block, with each distinct load counted by its multiplicity:
 
-- grid power comes from power_split and changes at most once per load and
+- grid power comes from grid_power and changes at most once per load and
   segment, so sorting each segment's event times gives the aggregate draw
   as a step function and the integral of its square exactly;
 - discomfort, the integral of (x - Theta)^2 above the comfort level, is
@@ -55,7 +55,7 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
 from .model import (
-    LoadParams, MarkovEnvironment, _factor_path, _FactorChain, child_seed, flow_paths, power_split,
+    LoadParams, MarkovEnvironment, _factor_path, _FactorChain, child_seed, flow_paths, grid_power,
 )
 
 __all__ = [
@@ -195,7 +195,7 @@ def sample_episode(config: SimulationConfig, env: MarkovEnvironment,
     ci = params.wind_cooling_rates(env.n_wind)[path.wind]
     # at its target every load draws what one parked at Theta draws (h with
     # wind off, nothing under wind), so one column holds that power for all
-    _, g1 = power_split(theta, theta, theta, params.h, params.c, ci, path.wind)
+    g1 = grid_power(theta, theta, theta, params.h, params.c, ci, path.wind)
     n_seg = len(path.start_times)
     first = int(np.searchsorted(path.start_times, config.burn_in * path.total_time))
     # accounted time, summed in segment order as the parked totals are: a
@@ -323,11 +323,11 @@ def _target(z, theta, wind):
 def _columns(x, z, theta, ci, dur, wind, h: float, c: float):
     """For entry temperatures x of one block (segments x set-points z): the
     event time, at which a load reaches its target, capped at the segment's
-    duration; the grid draw before the event (power_split); and the
+    duration; the grid draw before the event (grid_power); and the
     discomfort a^3 - cooled^3 of the excess a over Theta, which cools at c."""
     target = _target(z, theta, wind)
     event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
-    _, g0 = power_split(x, z, theta, h, c, ci, wind)
+    g0 = grid_power(x, z, theta, h, c, ci, wind)
     a = np.maximum(x - theta, 0.0)
     cooled = a - c * np.minimum(a / c, dur)
     return event, g0, a * a * a - cooled * cooled * cooled

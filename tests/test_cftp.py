@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -329,11 +331,18 @@ def _lockstep_case(name):
         return CftpConfig(wind_rates=(0.04, 0.04), load_params=(ref,) * 3,
                           comfort_rates=((0.02, 0.02),) * 3, set_points=(60.0, 80.0, 100.0),
                           seed=0, initial_horizon=10.0)
+    if name in ("long_horizon", "w3_long_horizon"):
+        # in the first doubling the wind chain draws about four chunks and
+        # each comfort chain two, so within one wave of extensions the
+        # draws sit on different chains
+        cfg = _ref_cftp_config(set_points=tuple(np.linspace(55.0, 95.0, 10))) \
+            if name == "long_horizon" else _lockstep_case("w3")
+        return replace(cfg, initial_horizon=6000.0)
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("name", ["ref2", "ref10", "w3", "c3", "shared", "heterogeneous",
-                                  "short_horizon"])
+                                  "short_horizon", "long_horizon", "w3_long_horizon"])
 def test_lockstep_draws_match_frozen_sampler(name):
     from reference_cftp import cftp_sample as reference
     cfg = _lockstep_case(name)
@@ -342,6 +351,24 @@ def test_lockstep_draws_match_frozen_sampler(name):
     _same([cftp_sample(cfg, rng) for rng in _rngs(41, 3)], want[:3])
     if name == "short_horizon":
         assert len({s.horizon for s in want}) >= 3
+
+
+@pytest.mark.parametrize("name", ["w3", "heterogeneous", "short_horizon", "long_horizon",
+                                  "w3_long_horizon"])
+def test_draws_leave_generators_as_frozen_sampler_does(name):
+    # every draw reads its generator as far as the frozen sampler does, in
+    # a batch and in a batch of one
+    from reference_cftp import cftp_sample as reference
+    cfg = _lockstep_case(name)
+    want, batched, alone = _rngs(53, 12), _rngs(53, 12), _rngs(53, 12)
+    for rng in want:
+        reference(cfg, rng)
+    cftp_samples(cfg, batched)
+    for rng in alone:
+        cftp_sample(cfg, rng)
+    for w, b, a in zip(want, batched, alone):
+        assert b.bit_generator.state == w.bit_generator.state
+        assert a.bit_generator.state == w.bit_generator.state
 
 
 def test_block_size_does_not_change_samples(monkeypatch):

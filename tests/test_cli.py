@@ -207,6 +207,26 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
     assert (out / "hjb_surfaces.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def test_cftp_samples_match_row_by_row_writer(tmp_path):
+    from zpolicy import cftp_samples
+    from zpolicy.cftp import CftpConfig
+    from zpolicy.cli import _build, _write_csv, child_seed, load_config
+
+    cfg = _write_config(tmp_path, cftp={"n_samples": 30, "set_points": [70.0, 90.0, 0.0],
+                                        "seed": 4})
+    out = tmp_path / "out"
+    assert main(["cftp", "--config", str(cfg), "--out", str(out)]) == 0
+
+    _, params = _build(load_config(str(cfg)))
+    config = CftpConfig(wind_rates=(0.04, 0.04), load_params=(params,) * 3,
+                        comfort_rates=((0.02, 0.02),) * 3, set_points=(70.0, 90.0, 0.0), seed=4)
+    samples = cftp_samples(config, [np.random.default_rng(child_seed(4, k)) for k in range(30)])
+    _write_csv(tmp_path / "rows.csv", ["sample", "load", "temperature", "wind", "comfort"],
+               [(k, i, s.temperatures[i], s.wind, int(s.comfort[i]))
+                for k, s in enumerate(samples) for i in range(3)])
+    assert (out / "samples.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def _run_cli(*argv):
     """The CLI run as ``python -m zpolicy.cli`` in a child process."""
     import zpolicy
