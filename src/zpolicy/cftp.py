@@ -47,7 +47,7 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
-    LoadParams, _birth_death_generator, _draw_jumps, _FactorChain, _walk, child_seed, exact_flow,
+    LoadParams, _birth_death_generator, _draw_jumps, _FactorChain, _walk, child_rngs, exact_flow,
     grid_power, stationary_law,
 )
 
@@ -386,8 +386,7 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
 
     def report(zv: np.ndarray) -> CostReport:
         cfg = replace(config, set_points=tuple(float(v) for v in zv))
-        samples = cftp_samples(cfg, [np.random.default_rng(child_seed(config.seed, k))
-                                     for k in range(n_samples)])
+        samples = cftp_samples(cfg, child_rngs(config.seed, n_samples))
         return estimate_joint_cost(samples, cfg, gamma)
 
     def total(i: int, v: float) -> float:

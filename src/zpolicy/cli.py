@@ -25,7 +25,8 @@ from .costs import continuum_cost, default_z_grid, sensitivity_curves
 from .distributions import ThresholdDistribution
 from .heuristic import make_simulation_cost_fn, successive_refinement
 from .hjb import classify_policy, solve_hjb
-from .model import LoadParams, build_environment, power_split
+from .model import LoadParams, build_environment, child_rngs, power_split
+# child_seed(seed, k) seeds cmd_cftp's sample k; callers import it from here
 from .simulate import SimulationConfig, child_seed, empirical_cdf, simulate
 from .stationary import solve_stationary, verify_conservation
 from .variational import fixed_point
@@ -278,10 +279,17 @@ def cmd_simulate(cfg, env, params, out: Path, seed) -> int:
 
 
 def cmd_compare(cfg, env, params, out: Path, seed) -> int:
-    """Analytic stationary CDF against a long single-load simulation."""
+    """Analytic stationary CDF against a long single-load simulation.
+    ValueError unless the simulation block has one load and at most one
+    set-point, since the comparison would ignore the rest."""
     sim = cfg.get("simulation", {})
     eff_seed = seed if seed is not None else sim.get("seed", 0)
     zs = sim.get("set_points") or [params.theta_max]
+    if len(zs) != 1:
+        raise ValueError(f"'simulation.set_points' must hold one set-point for compare, "
+                         f"got {len(zs)}")
+    if sim.get("n_loads", 1) != 1:
+        raise ValueError(f"'simulation.n_loads' must be 1 for compare, got {sim['n_loads']}")
     z = float(zs[0])
     dist = solve_stationary(z, env, params)
     config = SimulationConfig(n_loads=1, horizon_jumps=sim.get("horizon_jumps", 200000),
@@ -314,8 +322,7 @@ def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
     n_samples = blk.get("n_samples", 1000)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    samples = cftp_samples(config, [np.random.default_rng(child_seed(eff_seed, k))
-                                    for k in range(n_samples)])
+    samples = cftp_samples(config, child_rngs(eff_seed, n_samples))
     report = estimate_joint_cost(samples, config, gamma)
     _write_columns(out / "samples.csv", ["sample", "load", "temperature", "wind", "comfort"],
                    [np.repeat(np.arange(len(samples)), n), np.tile(np.arange(n), len(samples)),

@@ -17,7 +17,8 @@ perfect sampler's backward ones: _FactorChain holds the jump tables of
 one or more chains, _draw_jumps reads each row's variates from its own
 generator, and _walk turns a batch of rows into jump times and states
 (_factor_path is a batch of one).  child_seed is the splitting rule for
-per-replication seeds.
+per-replication seeds, and child_rngs builds one generator per sample
+from it.
 
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
@@ -189,6 +190,11 @@ def _factor_path(chain: _FactorChain, state: int, n: int,
 def child_seed(seed: int, replication: int) -> int:
     """Documented splitting rule for per-replication seeds."""
     return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
+
+
+def child_rngs(seed: int, n: int) -> list[np.random.Generator]:
+    """One generator per sample k < n, seeded with child_seed(seed, k)."""
+    return [np.random.default_rng(child_seed(seed, k)) for k in range(n)]
 
 
 @dataclass(frozen=True)

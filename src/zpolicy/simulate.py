@@ -36,13 +36,14 @@ episode itself is O(segments), seven numpy columns or 56 bytes a
 segment.  simulate samples an episode and runs it once.  The heuristic
 samples one per replication seed and replays it for every candidate,
 bitwise as simulate would score that candidate.  A replayed episode
-keeps, per distinct set-point and accounted segment, the entry
-temperature, the event time, the grid draw before the event and the
-discomfort column, 32 bytes, so a replay walks and derives only the
-set-points it has not kept.  It keeps every set-point run so far while
-they number at most n_loads, and else only the last run's, so its
-memory is bounded by one run over n_loads distinct set-points however
-many candidates it scores.
+keeps one column table: per kept set-point and accounted segment, the
+entry temperature, the event time, the grid draw before the event and
+the discomfort column, 32 bytes.  A replay walks only the set-points not
+in the table, writes their columns into it and reads every block from
+it.  The table holds every set-point run so far while they number at
+most n_loads, and else only the last run's, so its memory is bounded by
+one run over n_loads distinct set-points however many candidates it
+scores.  simulate's one run keeps none.
 """
 
 from __future__ import annotations
@@ -156,10 +157,11 @@ _WINDOW_CELLS = 1 << 18     # load-segments per recursion window, in whole block
 
 
 class _Kept:
-    """The columns a replayed episode keeps between runs: for each kept
-    set-point z[j] (ascending) and accounted segment s, columns[:, s, j]
+    """The column table a replayed episode keeps between runs: for each
+    kept set-point z[j] (ascending) and accounted segment s, columns[:, s, j]
     holds its entry temperature, its event time, its grid draw before the
-    event and its discomfort a^3 - cooled^3 (see _columns)."""
+    event and its discomfort a^3 - cooled^3 (see _columns).  A keeping run
+    reads every block from it; a one-shot run starts from an empty one."""
 
     def __init__(self):
         self.z = np.empty(0)
@@ -357,15 +359,15 @@ def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> Simulat
 
     Loads with equal set-points follow one trajectory, so the recursion and
     the accounting run once per distinct set-point, counted by multiplicity.
-    The episode keeps every distinct set-point's columns, so a replay walks
-    only the set-points it has not kept.  It keeps all set-points run so
-    far while they number at most config.n_loads, and else this run's.
+    The episode keeps each distinct set-point's columns in one table, so a
+    replay walks only those it has not kept: all set-points run so far
+    while they number at most config.n_loads, and else this run's.
     """
     return _run(episode, z, gamma, keep=True)
 
 
 def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> SimulationResult:
-    """run_episode; unless ``keep``, the episode's kept columns stay as they are."""
+    """run_episode; unless ``keep``, from an empty table: episode.kept is not read or changed."""
     config, params, path = episode.config, episode.params, episode.path
     zd, inv = np.unique(z, return_inverse=True)
     weight = np.bincount(inv).astype(float)
@@ -375,17 +377,20 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
     occ = _Occupation(zd, np.asarray(params.comfort_levels),
                       np.linspace(0.0, params.theta_max, config.occupation_edges)) \
         if config.record_occupation else None
-    # the distinct set-points the episode kept (at ``src``) and the fresh
-    # ones, which this run walks; ``store`` gets the columns of ``keep_z``
-    kept = episode.kept
-    hit = np.isin(zd, kept.z)
-    src, fresh = np.searchsorted(kept.z, zd[hit]), zd[~hit]
-    store = None
+    # the table holds the columns of the set-points tz, and this run walks
+    # the fresh ones.  A keeping run with fresh set-points builds a new
+    # table, filled up front with the kept columns it retains
+    kept = episode.kept if keep else _Kept()
+    fresh = np.setdiff1d(zd, kept.z)
+    tz, table = kept.z, kept.columns
     if keep and len(fresh):
         union = np.union1d(kept.z, zd)
-        keep_z = union if len(union) <= config.n_loads else zd
-        stay = np.isin(kept.z, keep_z) & ~np.isin(kept.z, zd)
-        store = np.empty((4, n_seg - first, len(keep_z)))
+        tz = union if len(union) <= config.n_loads else zd
+        table = np.empty((4, n_seg - first, len(tz)))
+        retained = np.isin(kept.z, tz)
+        if retained.any():
+            table[:, :, np.searchsorted(tz, kept.z[retained])] = kept.columns[:, :, retained]
+    put, take = np.searchsorted(tz, fresh), np.searchsorted(tz, zd)
 
     int_g2 = int_disc = 0.0
     trace = [np.empty((0, len(z)))]
@@ -403,22 +408,17 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
             if first >= stop:
                 continue                                  # burn-in only
             acc = slice(max(first, s), stop)
-            rows = slice(acc.start - first, stop - first)     # of the kept columns
+            rows = slice(acc.start - first, stop - first)     # of the table
             theta, ci, dur, wind, g1 = (a[acc, None] for a in (*columns, episode.g1))
-            cols = None
             if len(fresh):
                 xs = xw[acc.start - w0:stop - w0]
                 cols = (xs, *_columns(xs, fresh, theta, ci, dur, wind, h, c))
-            if len(src):
-                new, cols = cols, np.empty((4, stop - acc.start, len(zd)))
-                cols[:, :, hit] = kept.columns[:, rows, src]
-                if new is not None:
-                    cols[:, :, ~hit] = new
-            if store is not None:
-                store[:, rows, np.searchsorted(keep_z, zd)] = cols
-                if stay.any():
-                    store[:, rows, np.searchsorted(keep_z, kept.z[stay])] = \
-                        kept.columns[:, rows, stay]
+                if keep:
+                    table[:, rows, put] = cols
+            if keep:
+                # np.take, not table[:, rows, take]: the fancy index is not
+                # C-contiguous, and g0 @ weight would move by an ulp
+                cols = np.take(table[:, rows], take, axis=2)
             g2, disc = _block_costs(*cols[1:], g1, dur, weight, c)
             int_g2 += g2
             int_disc += disc
@@ -427,8 +427,8 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
                         path.comfort[acc, None], h, c)
             if config.record_trace:
                 trace.append(cols[0][:, inv])
-    if store is not None:
-        kept.z, kept.columns = keep_z, store
+    if keep:
+        kept.z, kept.columns = tz, table
 
     n = len(z)
     report = CostReport(power_cost=int_g2 / max(t_acc, 1e-300) / n**2,

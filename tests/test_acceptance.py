@@ -336,8 +336,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
     import json
     from zpolicy.cli import main
 
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({
+    cfg = {
         "model": {"h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
                   "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]},
         "solver": {"gamma": GAMMA_REF, "z_grid_step": 1.0},
@@ -348,14 +347,21 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         "heuristic": {"episode_jumps": 1500, "n_loads": 15, "seed": 3,
                       "max_level": 1},
         "hjb": {"horizon": 8.0, "grid_step": 10.0, "time_step": 2.0},
-    }))
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    # compare runs one load at one set-point
+    compare_path = tmp_path / "compare.json"
+    compare_path.write_text(json.dumps({**cfg, "simulation": {
+        **cfg["simulation"], "n_loads": 1, "set_points": [60.0]}}))
     identical = True
     for command in ("distribution", "curves", "optimize", "simulate",
                     "cftp", "heuristic", "hjb", "compare"):
+        path = compare_path if command == "compare" else cfg_path
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{command}_{tag}"
-            rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+            rc = main([command, "--config", str(path), "--out", str(out)])
             assert rc == 0, command
             outs.append(out)
         for f in sorted(outs[0].iterdir()):

@@ -133,6 +133,20 @@ def test_compare_reports_cdf_distance(tmp_path):
     assert (out / "cdf_comparison.csv").exists()
 
 
+@pytest.mark.parametrize("simulation, key", [
+    ({"n_loads": 2, "set_points": [60.0, 90.0]}, "simulation.set_points"),
+    ({"n_loads": 2, "set_points": [60.0]}, "simulation.n_loads"),
+])
+def test_compare_refuses_what_it_would_ignore(tmp_path, capsys, simulation, key):
+    # compare runs one load at one set-point, so a longer ensemble is a
+    # config error that names its key, not a comparison of its first load
+    cfg = _write_config(tmp_path, simulation={"horizon_jumps": 200, **simulation})
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert key in err
+
+
 def test_cftp_command(tmp_path):
     cfg = _write_config(tmp_path, cftp={
         "n_samples": 40, "set_points": [70.0, 90.0], "seed": 4})
@@ -587,16 +601,22 @@ SMALL_RUNS = {
     "heuristic": {"n_loads": 20, "episode_jumps": 200, "max_level": 1, "seed": 3},
     "hjb": {"grid_step": 10.0, "horizon": 2.0},
 }
+# compare runs one load at one set-point
+SMALL_COMPARE = {**SMALL_RUNS["simulation"], "n_loads": 1, "set_points": [60.0]}
 
 
 @pytest.mark.parametrize("n_wind, n_comfort", CHAIN_SIZES)
 def test_every_command_on_every_chain_size(tmp_path, n_wind, n_comfort):
     # each command exits 0 and writes the same bytes when run again
-    cfg = _write_config(tmp_path, model=chain_model(n_wind, n_comfort), **SMALL_RUNS)
+    model = chain_model(n_wind, n_comfort)
+    cfg = _write_config(tmp_path, model=model, **SMALL_RUNS)
+    one = _write_config(tmp_path, "compare.json", model=model,
+                        **{**SMALL_RUNS, "simulation": SMALL_COMPARE})
     for command in sorted(_COMMANDS):
+        path = one if command == "compare" else cfg
         outs = [tmp_path / command / run for run in ("first", "second")]
         for out in outs:
-            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0, command
         names = sorted(p.name for p in outs[0].iterdir())
         assert names and names == sorted(p.name for p in outs[1].iterdir()), command
         for name in names:

@@ -522,6 +522,30 @@ def test_one_simulate_call_keeps_no_columns(monkeypatch, ref_env, ref_params):
     assert episode.kept.z.tolist() == [30.0, 60.0]
 
 
+def test_one_shot_run_neither_reads_nor_changes_kept_columns(ref_env, ref_params):
+    # a run that does not keep starts from an empty table: over an episode
+    # that holds kept columns, here poisoned with NaN, it returns bitwise
+    # what simulate returns, for kept and fresh set-points alike, and
+    # leaves the kept table as it was
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    cfg = SimulationConfig(n_loads=3, horizon_jumps=2000, seed=7, record_occupation=True,
+                           record_trace=True, burn_in=0.2)
+    episode = module.sample_episode(cfg, ref_env, ref_params)
+    for z in ([30.0, 60.0, 60.0], [60.0, 80.0, 90.0]):
+        module.run_episode(episode, np.array(z), GAMMA_REF)
+    kept = episode.kept
+    assert kept.z.tolist() == [60.0, 80.0, 90.0]
+    kept.columns = np.full_like(kept.columns, np.nan)
+    z_kept, columns = kept.z, kept.columns
+    for z in ([60.0, 80.0, 90.0], [30.0, 60.0, 90.0], [10.0, 20.0, 30.0]):
+        got = module._run(episode, np.array(z), GAMMA_REF, keep=False)
+        _same_run(got, simulate(replace(cfg, set_points=np.array(z)), ref_env, ref_params,
+                                GAMMA_REF))
+        assert episode.kept is kept and kept.z is z_kept and kept.columns is columns
+        assert kept.z.tolist() == [60.0, 80.0, 90.0] and np.isnan(columns).all()
+
+
 def test_negative_zero_set_point_reads_as_zero(ref_env, ref_params):
     # resolve_set_points reads -0.0 as 0.0, so the result, its dwell keys
     # and simulate.json carry 0.0, and the run is the one from 0.0
