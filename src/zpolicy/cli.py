@@ -1,9 +1,13 @@
 """Command-line pipeline: experiment configs in, CSV/JSON artifacts out.
 
-Every output embeds the config hash, the effective seed and the tool
-version; rerunning a command with the same config and seed is
-byte-identical (no timestamps, shortest-roundtrip float formatting).
-Plotting is out of scope: CSV is the interchange format.
+Each command ``cmd_<name>(args, cfg, env, params)`` computes and returns
+``(seed, payload, tables)``: the seed its JSON reports, the payload of
+``<name>.json``, and its CSV files as name -> (header, columns).  ``main``
+writes them all, and only once the command has returned, so a command
+that fails writes nothing.  Every JSON output embeds the config hash, the
+effective seed and the tool version; rerunning a command with the same
+config and seed is byte-identical (no timestamps, shortest-roundtrip float
+formatting).  Plotting is out of scope: CSV is the interchange format.
 
 Exit codes: 0 success, 1 usage/config error, 2 computation failure.
 """
@@ -136,22 +140,18 @@ def _meta(cfg: dict, seed) -> dict:
     return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                         else v for v in row])
-
-
 def _write_columns(path: Path, header: list[str], columns):
-    """The CSV that _write_csv writes for the rows of the flattened
-    columns.  Each column's distinct values, told apart by bit pattern so
-    that -0.0 and 0.0 stay apart, become text once: str() of the Python
-    number, as csv writes it (repr and str agree on floats)."""
+    """One CSV row per position of the flattened columns, each value as
+    str() of its Python number, as csv writes it (repr and str agree on
+    floats).  A numeric array's distinct values, told apart by bit pattern
+    so that -0.0 and 0.0 stay apart, become text once; any other sequence
+    is written value by value, so a Python int stays an int.  Nothing is
+    quoted: no value may hold a comma, a quote or a line break."""
     texts = []
     for col in columns:
+        if not isinstance(col, np.ndarray):
+            texts.append(list(map(str, col)))
+            continue
         flat = np.ravel(col)
         _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
                                       return_index=True, return_inverse=True)
@@ -168,52 +168,50 @@ def _write_json(path: Path, payload: dict):
         f.write("\n")
 
 
-def _dist_rows(u: ThresholdDistribution):
-    rows = [(float(x), float(v), "") for x, v in zip(u.x, u.values)]
-    for loc, left, right in u.jumps:
-        rows.append((float(loc), float(right), f"jump from {left!r}"))
-    return rows
+def _dist_table(u: ThresholdDistribution):
+    """The z, u, note table of a threshold distribution: its nodes, then
+    each jump at its location with its right value."""
+    jumps = u.jumps
+    return ["z", "u", "note"], [
+        np.concatenate([u.x, [loc for loc, _, _ in jumps]]),
+        np.concatenate([u.values, [right for _, _, right in jumps]]),
+        [""] * len(u.x) + [f"jump from {left!r}" for _, left, _ in jumps]]
 
 
-def cmd_distribution(cfg, env, params, out: Path, seed, z: float | None = None) -> int:
-    if z is None:
-        z = cfg["model"]["comfort_levels"][-1]
+def cmd_distribution(args, cfg, env, params):
+    z = cfg["model"]["comfort_levels"][-1] if args.z is None else args.z
     solver = cfg.get("solver", {})
     dist = solve_stationary(z, env, params, grid_step=solver.get("grid_step"))
-    rows = []
-    for seg in dist.segments:
-        for s in range(env.n_states):
-            for xv, dv in zip(seg.x, seg.densities[s]):
-                rows.append((xv, s, dv))
-    _write_csv(out / "densities.csv", ["x", "state", "density"], rows)
-    _write_csv(out / "masses.csv", ["location", "state", "mass"],
-               [(loc, s, m) for (loc, s), m in sorted(dist.point_masses.items())])
-    _write_json(out / "distribution.json", {
-        **_meta(cfg, seed), "z": z,
-        "conservation_residual": verify_conservation(dist),
-        "total_mass": dist.total_mass(),
-        "mass_locations": dist.mass_locations(),
-    })
-    return 0
+    n = env.n_states
+    blocks = [(np.tile(seg.x, n), np.repeat(np.arange(n), len(seg.x)), seg.densities)
+              for seg in dist.segments]
+    masses = sorted(dist.point_masses.items())
+    return args.seed, {
+        "z": z, "conservation_residual": verify_conservation(dist),
+        "total_mass": dist.total_mass(), "mass_locations": dist.mass_locations(),
+    }, {
+        "densities": (["x", "state", "density"],
+                      [np.concatenate(col, axis=None) for col in zip(*blocks)] or [[], [], []]),
+        "masses": (["location", "state", "mass"],
+                   [[loc for (loc, _), _ in masses], [s for (_, s), _ in masses],
+                    np.array([m for _, m in masses])]),
+    }
 
 
-def cmd_curves(cfg, env, params, out: Path, seed) -> int:
+def cmd_curves(args, cfg, env, params):
     solver = cfg.get("solver", {})
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
     curves = sensitivity_curves(env, params, z_grid=zg,
                                 grid_step=solver.get("grid_step"))
-    rows = zip(curves.z_grid, curves.phi, curves.phi_prime, curves.d1,
-               *(curves.d_theta[j] for j in range(env.n_comfort)),
-               curves.d_hat, curves.w)
     header = ["z", "phi", "phi_prime", "d1"] + \
         [f"d_theta{j + 1}" for j in range(env.n_comfort)] + ["d_hat", "w"]
-    _write_csv(out / "curves.csv", header, rows)
-    _write_json(out / "curves.json", {**_meta(cfg, seed),
-                                      "w_nonpositive": curves.w_nonpositive})
-    return 0
+    return args.seed, {"w_nonpositive": curves.w_nonpositive}, {
+        "curves": (header, [curves.z_grid, curves.phi, curves.phi_prime, curves.d1,
+                            *curves.d_theta, curves.d_hat, curves.w]),
+    }
 
 
-def cmd_optimize(cfg, env, params, out: Path, seed) -> int:
+def cmd_optimize(args, cfg, env, params):
     solver = cfg.get("solver", {})
     gamma = _gamma(cfg)
     zg = default_z_grid(params, step=solver.get("z_grid_step"))
@@ -223,9 +221,8 @@ def cmd_optimize(cfg, env, params, out: Path, seed) -> int:
                      **_given(solver, "max_iter", tol="tolerance"))
     u_star = fp.projection.distribution
     cost = continuum_cost(u_star, curves, gamma)
-    _write_csv(out / "u_star.csv", ["z", "u", "note"], _dist_rows(u_star))
-    _write_json(out / "optimize.json", {
-        **_meta(cfg, seed), "gamma": gamma,
+    return args.seed, {
+        "gamma": gamma,
         "power_cost": cost.power_cost, "discomfort_cost": cost.discomfort_cost,
         "total_cost": cost.total,
         "kappas": [float(k) for k in fp.projection.kappas],
@@ -233,30 +230,22 @@ def cmd_optimize(cfg, env, params, out: Path, seed) -> int:
         "fixed_point_trace": [{"iteration": it, "coordinate": j, "v": v, "v_up": vu,
                                "v_down": vd} for (it, j, v, vu, vd) in fp.trace],
         "jumps": [list(j) for j in u_star.jumps],
-    })
-    return 0
+    }, {"u_star": _dist_table(u_star)}
 
 
-def cmd_simulate(cfg, env, params, out: Path, seed) -> int:
+def cmd_simulate(args, cfg, env, params):
     sim = cfg.get("simulation", {})
     gamma = _gamma(cfg)
-    eff_seed = seed if seed is not None else sim.get("seed", 0)
+    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     config = SimulationConfig(
         n_loads=sim.get("n_loads", 1),
         horizon_jumps=sim.get("horizon_jumps", 10000),
-        seed=eff_seed,
+        seed=seed,
         set_points=sim.get("set_points"),
         record_occupation=sim.get("record_occupation", True),
         **_given(sim, "burn_in", "record_trace"))
     result = simulate(config, env, params, gamma)
-    _write_json(out / "simulate.json", {
-        **_meta(cfg, eff_seed),
-        "power_cost": result.empirical_cost.power_cost,
-        "discomfort_cost": result.empirical_cost.discomfort_cost,
-        "total_cost": result.empirical_cost.total,
-        "set_points": [float(z) for z in result.set_points],
-        "total_time": result.total_time, "n_segments": result.n_segments,
-    })
+    tables = {}
     if result.trace_x is not None:
         n_rows, n = len(result.trace_times), config.n_loads
         x = result.trace_x.reshape(n_rows, n)
@@ -266,24 +255,29 @@ def cmd_simulate(cfg, env, params, out: Path, seed) -> int:
             x, result.set_points, np.asarray(params.comfort_levels)[comfort][:, None],
             params.h, params.c, params.wind_cooling_rates(env.n_wind)[wind][:, None],
             wind[:, None])
-        _write_columns(out / "trace.csv",
-                       ["t", "load", "x", "wind", "comfort", "grid_power", "wind_power"],
-                       [np.repeat(result.trace_times, n), np.tile(np.arange(n), n_rows), x,
-                        np.repeat(wind, n), np.repeat(comfort, n), grid_power, wind_power])
+        tables["trace"] = (
+            ["t", "load", "x", "wind", "comfort", "grid_power", "wind_power"],
+            [np.repeat(result.trace_times, n), np.tile(np.arange(n), n_rows), x,
+             np.repeat(wind, n), np.repeat(comfort, n), grid_power, wind_power])
     if result.occupation_cdf is not None:
         edges, n = result.occupation_edges, config.n_loads
-        _write_columns(out / "occupation_cdf.csv", ["x", "load", "cdf"],
-                       [np.tile(edges, n), np.repeat(np.arange(n), len(edges)),
-                        result.occupation_cdf])
-    return 0
+        tables["occupation_cdf"] = (["x", "load", "cdf"], [
+            np.tile(edges, n), np.repeat(np.arange(n), len(edges)), result.occupation_cdf])
+    return seed, {
+        "power_cost": result.empirical_cost.power_cost,
+        "discomfort_cost": result.empirical_cost.discomfort_cost,
+        "total_cost": result.empirical_cost.total,
+        "set_points": [float(z) for z in result.set_points],
+        "total_time": result.total_time, "n_segments": result.n_segments,
+    }, tables
 
 
-def cmd_compare(cfg, env, params, out: Path, seed) -> int:
+def cmd_compare(args, cfg, env, params):
     """Analytic stationary CDF against a long single-load simulation.
     ValueError unless the simulation block has one load and at most one
     set-point, since the comparison would ignore the rest."""
     sim = cfg.get("simulation", {})
-    eff_seed = seed if seed is not None else sim.get("seed", 0)
+    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     zs = sim.get("set_points") or [params.theta_max]
     if len(zs) != 1:
         raise ValueError(f"'simulation.set_points' must hold one set-point for compare, "
@@ -293,23 +287,20 @@ def cmd_compare(cfg, env, params, out: Path, seed) -> int:
     z = float(zs[0])
     dist = solve_stationary(z, env, params)
     config = SimulationConfig(n_loads=1, horizon_jumps=sim.get("horizon_jumps", 200000),
-                              seed=eff_seed, set_points=np.array([z]),
-                              record_occupation=True)
+                              seed=seed, set_points=np.array([z]),
+                              record_occupation=True, **_given(sim, "burn_in"))
     result = simulate(config, env, params, _gamma(cfg))
     edges, per_load, _ = empirical_cdf(result)
     analytic = dist.cdf(edges)
-    sup = float(np.max(np.abs(per_load[0] - analytic)))
-    _write_csv(out / "cdf_comparison.csv", ["x", "empirical", "analytic"],
-               zip(edges, per_load[0], analytic))
-    _write_json(out / "compare.json", {**_meta(cfg, eff_seed), "z": z,
-                                       "sup_cdf_distance": sup})
-    return 0
+    return seed, {"z": z, "sup_cdf_distance": float(np.max(np.abs(per_load[0] - analytic)))}, {
+        "cdf_comparison": (["x", "empirical", "analytic"], [edges, per_load[0], analytic]),
+    }
 
 
-def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
+def cmd_cftp(args, cfg, env, params):
     blk = cfg.get("cftp", {})
     gamma = _gamma(cfg)
-    eff_seed = seed if seed is not None else blk.get("seed", 0)
+    seed = args.seed if args.seed is not None else blk.get("seed", 0)
     set_points = blk.get("set_points", [params.theta_max])
     n = len(set_points)
     comfort_rates = blk.get("comfort_rates", [cfg["model"]["comfort_rates"]] * n)
@@ -318,55 +309,55 @@ def cmd_cftp(cfg, env, params, out: Path, seed) -> int:
         load_params=tuple(params for _ in range(n)),
         comfort_rates=tuple(tuple(r) for r in comfort_rates),
         set_points=tuple(float(z) for z in set_points),
-        seed=eff_seed, **_given(blk, "max_doublings"))
+        seed=seed, **_given(blk, "max_doublings"))
     n_samples = blk.get("n_samples", 1000)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    samples = cftp_samples(config, child_rngs(eff_seed, n_samples))
-    report = estimate_joint_cost(samples, config, gamma)
-    _write_columns(out / "samples.csv", ["sample", "load", "temperature", "wind", "comfort"],
-                   [np.repeat(np.arange(len(samples)), n), np.tile(np.arange(n), len(samples)),
-                    np.array([s.temperatures for s in samples]),
-                    np.repeat([s.wind for s in samples], n),
-                    np.array([s.comfort for s in samples], dtype=np.int64)])
+    # smoothing reads only the set-points, so a bad bandwidth fails before sampling
     u_emp = ThresholdDistribution.from_quantiles(
         np.array(set_points), domain=(0.0, params.theta_max))
     smooth = smooth_distribution(u_emp, blk.get("smoothing_bandwidth",
                                                 params.theta_max / 20.0))
-    _write_csv(out / "smoothed.csv", ["z", "u", "note"], _dist_rows(smooth))
-    _write_json(out / "cftp.json", {
-        **_meta(cfg, eff_seed), "n_samples": n_samples,
+    samples = cftp_samples(config, child_rngs(seed, n_samples))
+    report = estimate_joint_cost(samples, config, gamma)
+    return seed, {
+        "n_samples": n_samples,
         "power_cost": report.power_cost, "discomfort_cost": report.discomfort_cost,
         "total_cost": report.total, "std_error": report.std_error,
-    })
-    return 0
+    }, {
+        "samples": (["sample", "load", "temperature", "wind", "comfort"], [
+            np.repeat(np.arange(len(samples)), n), np.tile(np.arange(n), len(samples)),
+            np.array([s.temperatures for s in samples]),
+            np.repeat([s.wind for s in samples], n),
+            np.array([s.comfort for s in samples], dtype=np.int64)]),
+        "smoothed": _dist_table(smooth),
+    }
 
 
-def cmd_heuristic(cfg, env, params, out: Path, seed) -> int:
+def cmd_heuristic(args, cfg, env, params):
     blk = cfg.get("heuristic", {})
     gamma = _gamma(cfg)
-    eff_seed = seed if seed is not None else blk.get("seed", 0)
+    seed = args.seed if args.seed is not None else blk.get("seed", 0)
     domain = tuple(blk.get("domain", (0.0, params.theta_max)))
     cost_fn = make_simulation_cost_fn(
         env, params, gamma, n_loads=blk.get("n_loads", 40),
-        horizon_jumps=blk.get("episode_jumps", 20000), seed=eff_seed)
+        horizon_jumps=blk.get("episode_jumps", 20000), seed=seed)
     best, trace = successive_refinement(
-        cost_fn, seed=eff_seed, domain=domain,
+        cost_fn, seed=seed, domain=domain,
         **_given(blk, "initial_level", "max_level", "epsilon", "delta_j", "shape"))
-    _write_csv(out / "adaptation.csv", ["step", "level", "j_hat", "alphas"],
-               [(k, lv, j, " ".join(repr(float(a)) for a in al))
-                for (k, lv, al, j) in trace.steps])
-    _write_csv(out / "heuristic_distribution.csv", ["z", "u", "note"],
-               _dist_rows(best.to_threshold_distribution()))
-    _write_json(out / "heuristic.json", {
-        **_meta(cfg, eff_seed), "best_j": trace.best[1], "level": best.level,
+    step, level, alphas, j_hat = zip(*trace.steps)
+    return seed, {
+        "best_j": trace.best[1], "level": best.level,
         "alphas": [float(a) for a in best.alphas],
         "refinements": [list(r) for r in trace.refinements],
-    })
-    return 0
+    }, {
+        "adaptation": (["step", "level", "j_hat", "alphas"], [
+            step, level, j_hat, [" ".join(repr(float(a)) for a in al) for al in alphas]]),
+        "heuristic_distribution": _dist_table(best.to_threshold_distribution()),
+    }
 
 
-def cmd_hjb(cfg, env, params, out: Path, seed) -> int:
+def cmd_hjb(args, cfg, env, params):
     blk = cfg.get("hjb", {})
     values, policy = solve_hjb(
         env, params, horizon=blk.get("horizon", 40.0),
@@ -374,20 +365,18 @@ def cmd_hjb(cfg, env, params, out: Path, seed) -> int:
         **_given(blk, "time_step", "wind_power", "forced_power"))
     labels = classify_policy(policy, params)
     n_env, nx = env.n_states, len(values.x)
-    _write_columns(out / "hjb_surfaces.csv",
-                   ["env_state", "x1", "x2", "value", "wind1", "wind2",
-                    "grid1", "grid2", "label"],
-                   [np.repeat(np.arange(n_env), nx * nx),
-                    np.tile(np.repeat(values.x, nx), n_env),
-                    np.tile(values.x, n_env * nx), values.values,
-                    policy.wind[..., 0], policy.wind[..., 1],
-                    policy.grid[..., 0], policy.grid[..., 1], labels])
-    _write_json(out / "hjb.json", {
-        **_meta(cfg, seed), "horizon": values.horizon,
+    return args.seed, {
+        "horizon": values.horizon,
         "desynchronizing_cells": int((labels == 1).sum()),
         "synchronizing_cells": int((labels == -1).sum()),
-    })
-    return 0
+    }, {
+        "hjb_surfaces": (
+            ["env_state", "x1", "x2", "value", "wind1", "wind2", "grid1", "grid2", "label"],
+            [np.repeat(np.arange(n_env), nx * nx), np.tile(np.repeat(values.x, nx), n_env),
+             np.tile(values.x, n_env * nx), values.values,
+             policy.wind[..., 0], policy.wind[..., 1],
+             policy.grid[..., 0], policy.grid[..., 1], labels]),
+    }
 
 
 _COMMANDS = {
@@ -417,9 +406,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         env, params = _build(cfg)
-        if args.command == "distribution":
-            return cmd_distribution(cfg, env, params, out, args.seed, args.z)
-        return _COMMANDS[args.command](cfg, env, params, out, args.seed)
+        seed, payload, tables = _COMMANDS[args.command](args, cfg, env, params)
+        for name, (header, columns) in tables.items():
+            _write_columns(out / f"{name}.csv", header, columns)
+        _write_json(out / f"{args.command}.json", {**_meta(cfg, seed), **payload})
+        return 0
     except errors.ZPolicyError as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -193,7 +193,8 @@ def test_hjb_bad_config_is_usage_error(tmp_path, bad):
 
 def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
     from zpolicy import classify_policy, solve_hjb
-    from zpolicy.cli import _build, _write_csv, load_config
+    from reference_cli import _write_csv
+    from zpolicy.cli import _build, load_config
 
     cfg = _write_config(tmp_path, model={
         "h": 1.0, "c": 1.1, "comfort_levels": [50.0, 100.0],
@@ -224,7 +225,8 @@ def test_hjb_surfaces_match_row_by_row_writer(tmp_path):
 def test_cftp_samples_match_row_by_row_writer(tmp_path):
     from zpolicy import cftp_samples
     from zpolicy.cftp import CftpConfig
-    from zpolicy.cli import _build, _write_csv, child_seed, load_config
+    from reference_cli import _write_csv
+    from zpolicy.cli import _build, child_seed, load_config
 
     cfg = _write_config(tmp_path, cftp={"n_samples": 30, "set_points": [70.0, 90.0, 0.0],
                                         "seed": 4})
@@ -472,7 +474,8 @@ def test_hjb_default_time_step_follows_grid_and_wind(tmp_path, monkeypatch, hjb,
 
 def test_trace_matches_row_by_row_power_split(tmp_path):
     # three wind states, so the intermediate state's grid top-up appears
-    from zpolicy.cli import _build, _write_csv, load_config
+    from reference_cli import _write_csv
+    from zpolicy.cli import _build, load_config
     from zpolicy.model import power_split
 
     cfg = _write_config(tmp_path, model={
@@ -508,7 +511,7 @@ def test_trace_matches_row_by_row_power_split(tmp_path):
 
 
 def test_occupation_csv_matches_row_by_row_writer(tmp_path):
-    from zpolicy.cli import _write_csv
+    from reference_cli import _write_csv
     cfg = _write_config(tmp_path, simulation={
         "n_loads": 100, "horizon_jumps": 300, "seed": 4,
         "set_points": [float(z) for z in np.linspace(30.0, 100.0, 100)]})
@@ -577,7 +580,8 @@ def test_library_defaults_reach_the_library_unchanged(tmp_path, monkeypatch, com
 
 
 def test_write_columns_matches_row_by_row_writer(tmp_path):
-    from zpolicy.cli import _write_columns, _write_csv
+    from reference_cli import _write_csv
+    from zpolicy.cli import _write_columns
     floats = np.array([0.0, -0.0, 1e-05, 1e16, np.nan, 0.1, 0.0, -0.0, 1e-05, 2.5,
                        -1e16, np.inf, 1e16, np.nan, 0.30000000000000004, -0.0])
     ints = np.array([3, 0, -2, 3, 7, 0, 0, 12, 3, 1, 1, -2, 5, 5, 0, 3])
@@ -622,3 +626,163 @@ def test_every_command_on_every_chain_size(tmp_path, n_wind, n_comfort):
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
                 (command, name)
+
+
+# the CSVs the CLI once wrote row by row, each with the command that writes
+# it; the integer config gives whole numbers as JSON integers, so that a
+# Python int reaches the writer (a mass at the set-point min(z, level))
+_ROW_CSVS = {"densities": "distribution", "masses": "distribution", "curves": "curves",
+             "u_star": "optimize", "cdf_comparison": "compare", "smoothed": "cftp",
+             "adaptation": "heuristic", "heuristic_distribution": "heuristic"}
+_ROW_CONFIGS = {
+    "float": {"model": _REF_MODEL, "solver": {"gamma": 0.1, "z_grid_step": 5.0},
+              "simulation": {"n_loads": 1, "horizon_jumps": 2000, "seed": 3,
+                             "set_points": [80.0]},
+              "heuristic": {"n_loads": 20, "episode_jumps": 200, "max_level": 1, "seed": 3},
+              "cftp": {"n_samples": 5, "set_points": [70.0, 90.0, 70.0],
+                       "smoothing_bandwidth": 2.5}},
+    "integer": {"model": {"h": 1, "c": 2, "comfort_levels": [50, 100],
+                          "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]},
+                "solver": {"gamma": 1, "z_grid_step": 5},
+                "simulation": {"n_loads": 1, "horizon_jumps": 2000, "seed": 3,
+                               "set_points": [60]},
+                "heuristic": {"n_loads": 20, "episode_jumps": 200, "max_level": 1, "seed": 3,
+                              "epsilon": 1, "domain": [0, 100]},
+                "cftp": {"n_samples": 5, "set_points": [60, 90], "smoothing_bandwidth": 5}},
+}
+
+
+def _library_rows(name, cfg):
+    """The header and rows of CSV ``name``, rebuilt from the library result
+    as the CLI built them when it wrote row by row."""
+    from reference_cli import _dist_rows
+    from zpolicy import (
+        SimulationConfig, ThresholdDistribution, default_z_grid, empirical_cdf, fixed_point,
+        make_simulation_cost_fn, sensitivity_curves, simulate, smooth_distribution,
+        solve_stationary, successive_refinement,
+    )
+    from zpolicy.cli import _build, _given
+    env, params = _build(cfg)
+    gamma, sim, blk = cfg["solver"]["gamma"], cfg["simulation"], cfg["heuristic"]
+    if name in ("densities", "masses"):
+        dist = solve_stationary(cfg["model"]["comfort_levels"][-1], env, params)
+        if name == "densities":
+            return ["x", "state", "density"], [
+                (xv, s, dv) for seg in dist.segments for s in range(env.n_states)
+                for xv, dv in zip(seg.x, seg.densities[s])]
+        return ["location", "state", "mass"], [
+            (loc, s, m) for (loc, s), m in sorted(dist.point_masses.items())]
+    if name in ("curves", "u_star"):
+        curves = sensitivity_curves(env, params, z_grid=default_z_grid(
+            params, step=cfg["solver"]["z_grid_step"]))
+        if name == "u_star":
+            return ["z", "u", "note"], _dist_rows(
+                fixed_point(env, params, gamma, curves=curves).projection.distribution)
+        return ["z", "phi", "phi_prime", "d1", "d_theta1", "d_theta2", "d_hat", "w"], list(
+            zip(curves.z_grid, curves.phi, curves.phi_prime, curves.d1, *curves.d_theta,
+                curves.d_hat, curves.w))
+    if name == "cdf_comparison":
+        z = float(sim["set_points"][0])
+        result = simulate(SimulationConfig(n_loads=1, horizon_jumps=sim["horizon_jumps"],
+                                           seed=sim["seed"], set_points=np.array([z]),
+                                           record_occupation=True), env, params, gamma)
+        edges, per_load, _ = empirical_cdf(result)
+        analytic = solve_stationary(z, env, params).cdf(edges)
+        return ["x", "empirical", "analytic"], list(zip(edges, per_load[0], analytic))
+    if name == "smoothed":
+        u_emp = ThresholdDistribution.from_quantiles(
+            np.array(cfg["cftp"]["set_points"]), domain=(0.0, params.theta_max))
+        return ["z", "u", "note"], _dist_rows(
+            smooth_distribution(u_emp, cfg["cftp"]["smoothing_bandwidth"]))
+    cost_fn = make_simulation_cost_fn(env, params, gamma, n_loads=blk["n_loads"],
+                                      horizon_jumps=blk["episode_jumps"], seed=blk["seed"])
+    best, trace = successive_refinement(
+        cost_fn, seed=blk["seed"], domain=tuple(blk.get("domain", (0.0, params.theta_max))),
+        **_given(blk, "max_level", "epsilon"))
+    if name == "adaptation":
+        return ["step", "level", "j_hat", "alphas"], [
+            (k, lv, j, " ".join(repr(float(a)) for a in al)) for (k, lv, al, j) in trace.steps]
+    return ["z", "u", "note"], _dist_rows(best.to_threshold_distribution())
+
+
+@pytest.mark.parametrize("config", list(_ROW_CONFIGS))
+@pytest.mark.parametrize("name", list(_ROW_CSVS))
+def test_csv_matches_frozen_row_writer(tmp_path, name, config):
+    from reference_cli import _write_csv
+    cfg = _ROW_CONFIGS[config]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([_ROW_CSVS[name], "--config", str(path), "--out", str(out)]) == 0
+    header, rows = _library_rows(name, cfg)
+    assert rows
+    _write_csv(tmp_path / "rows.csv", header, rows)
+    assert (out / f"{name}.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_compare_honours_burn_in(tmp_path):
+    texts = []
+    for burn_in in (0.1, 0.5):
+        cfg = _write_config(tmp_path, simulation={
+            "n_loads": 1, "horizon_jumps": 5000, "seed": 2, "set_points": [80.0],
+            "burn_in": burn_in})
+        out = tmp_path / str(burn_in)
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append((out / "cdf_comparison.csv").read_bytes())
+    assert texts[0] != texts[1]
+
+
+def test_cftp_rejects_bandwidth_before_sampling(tmp_path, monkeypatch, capsys):
+    from zpolicy import cli
+
+    def sampler(*args, **kwargs):
+        raise AssertionError("cftp_samples ran")
+
+    monkeypatch.setattr(cli, "cftp_samples", sampler)
+    cfg = _write_config(tmp_path, cftp={"n_samples": 2, "set_points": [70.0],
+                                        "smoothing_bandwidth": 0})
+    assert main(["cftp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "bandwidth" in capsys.readouterr().err
+
+
+def test_failed_cftp_writes_nothing(tmp_path):
+    cfg = _write_config(tmp_path, cftp={"n_samples": 2, "set_points": [70.0],
+                                        "smoothing_bandwidth": 0})
+    out = tmp_path / "o"
+    assert main(["cftp", "--config", str(cfg), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_optimize_without_convergence_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, model={
+        "h": 1.0, "c": 1.1, "comfort_levels": [40.0, 70.0, 100.0],
+        "wind_rates": [0.04, 0.04], "comfort_rates": [[0.02, 0.02], [0.02, 0.02]]},
+        solver={"gamma": 0.1, "max_iter": 1, "tolerance": 1e-15})
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("computation failed: NoConvergence")
+    assert list(out.iterdir()) == []
+
+
+def test_singular_curves_exit_2(tmp_path, monkeypatch, capsys):
+    from zpolicy import stationary
+    monkeypatch.setattr(stationary, "_NEG_DENSITY_TOL", -1e9)
+    cfg = _write_config(tmp_path, solver={"gamma": 0.1, "z_grid_step": 5.0})
+    out = tmp_path / "o"
+    assert main(["curves", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("computation failed: SingularSystem")
+    assert list(out.iterdir()) == []
+
+
+def test_distribution_at_zero_has_masses_only(tmp_path, ref_env, ref_params):
+    # a load parked at 0 has no density segments: densities.csv is its header
+    from reference_cli import _write_csv
+    from zpolicy import solve_stationary
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["distribution", "--config", str(cfg), "--out", str(out), "--z", "0"]) == 0
+    assert (out / "densities.csv").read_bytes() == b"x,state,density\r\n"
+    dist = solve_stationary(0.0, ref_env, ref_params)
+    _write_csv(tmp_path / "rows.csv", ["location", "state", "mass"],
+               [(loc, s, m) for (loc, s), m in sorted(dist.point_masses.items())])
+    assert (out / "masses.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -133,6 +133,15 @@ def test_point_mass_curves_reference(ref_env, ref_params):
     assert np.abs(curves.delta_theta[0][zg <= 50.0]).max() <= 1e-12
 
 
+def test_negative_mass_raises_singular_system_naming_its_set_point(
+        ref_env, ref_params, monkeypatch):
+    from zpolicy import stationary
+    from zpolicy.errors import SingularSystem
+    monkeypatch.setattr(stationary, "_NEG_DENSITY_TOL", -1e9)
+    with pytest.raises(SingularSystem, match=r"^z=60\.0: "):
+        point_mass_curves(ref_env, ref_params, [60.0, 70.0, 80.0])
+
+
 def test_point_mass_curves_parallel_matches_serial(ref_env, ref_params):
     zg = np.linspace(55.0, 100.0, 10)
     serial = point_mass_curves(ref_env, ref_params, zg, workers=1)

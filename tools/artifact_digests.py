@@ -1,0 +1,95 @@
+"""Digest every artifact and exit code of the zpolicy CLI on fixed runs.
+
+    python3 tools/artifact_digests.py SRC_DIR SEED... > digests.json
+
+Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
+``perfbench/`` next to this directory (read only), and runs through
+``zpolicy.cli.main``, each in a fresh directory under a temporary one:
+
+- every operation of every workload, with the configs each SEED gives;
+- every operation again with ``--seed 7``, on the first SEED's configs;
+- every command on an integer-valued config, whose whole numbers are
+  JSON integers.
+
+Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
+as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
+that both write the same bytes and fail the same way.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# whole numbers as JSON integers, so that a command's int and float
+# paths are both written; compare runs one load at one set-point
+INTEGER = {
+    "model": {"h": 1, "c": 2, "comfort_levels": [50, 100],
+              "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]},
+    "solver": {"gamma": 1, "z_grid_step": 5},
+    "simulation": {"n_loads": 2, "horizon_jumps": 2000, "seed": 3, "set_points": [60, 90],
+                   "record_trace": True},
+    "heuristic": {"n_loads": 20, "episode_jumps": 200, "initial_level": 0, "max_level": 1,
+                  "seed": 3, "epsilon": 1, "domain": [0, 100]},
+    "cftp": {"n_samples": 50, "seed": 3, "set_points": [60, 90], "smoothing_bandwidth": 5},
+    "hjb": {"horizon": 2, "grid_step": 10, "wind_power": 3},
+}
+INTEGER_COMPARE = {**INTEGER, "simulation": {"n_loads": 1, "horizon_jumps": 2000, "seed": 3,
+                                             "set_points": [60]}}
+COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
+            "compare")
+
+
+def run(cli, tmp: Path, label: str, command: str, config: dict, args=()) -> dict:
+    out = tmp / label
+    path = tmp / f"{label}.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main([command, "--config", str(path), "--out", str(out), *args])
+    files = sorted(out.iterdir()) if out.is_dir() else []
+    return {"exit": code, "stderr": err.getvalue(),
+            **{f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    src, seeds = Path(argv[0]).resolve(), [int(s) for s in argv[1:]]
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from zpolicy import cli
+    if Path(cli.__file__).resolve().parents[1] != src:
+        print(f"error: zpolicy imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return 1
+    import workloads
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for workload, make in workloads.WORKLOADS.items():
+            for seed in seeds:
+                for op in make(seed):
+                    label = f"{workload}.{op.name}.seed{seed}"
+                    digests[label] = run(cli, tmp, label, op.command, op.config, op.args)
+                    if seed == seeds[0]:
+                        label += ".cli_seed7"
+                        digests[label] = run(cli, tmp, label, op.command, op.config,
+                                             (*op.args, "--seed", "7"))
+        for command in COMMANDS:
+            config = INTEGER_COMPARE if command == "compare" else INTEGER
+            digests[f"integer.{command}"] = run(cli, tmp, f"integer.{command}", command, config)
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
