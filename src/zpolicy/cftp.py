@@ -64,6 +64,7 @@ __all__ = [
 _COALESCE_TOL = 1e-9
 _CHUNK = 64          # backward jumps drawn per chain extension
 _BLOCK = 2048        # draws x loads advanced in lockstep
+_SMOOTH_BLOCK = 32   # kernel nodes per block of the smoothing quadrature
 
 
 @dataclass(frozen=True)
@@ -361,11 +362,18 @@ def smooth_distribution(u: ThresholdDistribution, bandwidth: float,
     else:
         raise ValueError(f"unknown kernel '{kernel}'")
     g = g / np.trapezoid(g, s)
-    # u extended by 0 below and 1 above its domain
-    ext = np.where(zg[None, :] - s[:, None] < lo, 0.0,
-                   np.where(zg[None, :] - s[:, None] > hi, 1.0,
-                            u(np.clip(zg[None, :] - s[:, None], lo, hi))))
-    vals = np.trapezoid(g[:, None] * ext, s, axis=0)
+    # np.trapezoid(g[:, None] * ext, s, axis=0), ext being u(zg - s)
+    # extended by 0 below and 1 above its domain, built a block of kernel
+    # nodes at a time so that it stays in cache; the trapezoid terms are
+    # added row by row in order from 0.0, as that reduction adds them
+    d = np.diff(s)
+    vals = np.zeros(n_grid)
+    for i in range(0, len(d), _SMOOTH_BLOCK):
+        t = zg - s[i:i + _SMOOTH_BLOCK + 1, None]
+        y = g[i:i + _SMOOTH_BLOCK + 1, None] * np.where(
+            t < lo, 0.0, np.where(t > hi, 1.0, u(np.clip(t, lo, hi))))
+        for term in d[i:i + _SMOOTH_BLOCK, None] * (y[1:] + y[:-1]) / 2.0:
+            vals += term
     vals = np.clip(vals, 0.0, 1.0)
     vals = np.maximum.accumulate(vals)
     return ThresholdDistribution.from_grid(zg, vals, domain=(lo, hi))

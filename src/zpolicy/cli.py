@@ -30,7 +30,8 @@ from .distributions import ThresholdDistribution
 from .heuristic import make_simulation_cost_fn, successive_refinement
 from .hjb import classify_policy, solve_hjb
 from .model import LoadParams, build_environment, child_rngs, power_split
-# child_seed(seed, k) seeds cmd_cftp's sample k; callers import it from here
+# child_seed(seed, k) is the seed of cmd_cftp's sample k, which child_rngs
+# builds for every sample at once; callers import child_seed from here
 from .simulate import SimulationConfig, child_seed, empirical_cdf, simulate
 from .stationary import solve_stationary, verify_conservation
 from .variational import fixed_point
@@ -159,7 +160,8 @@ def _write_columns(path: Path, header: list[str], columns):
         texts.append(words[inverse].tolist())
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)
-        f.writelines(f"{row}\r\n" for row in map(",".join, zip(*texts)))
+        # every row ends in \r\n, as csv ends it; no rows, no body
+        f.write("\r\n".join([*map(",".join, zip(*texts)), ""]))
 
 
 def _write_json(path: Path, payload: dict):
@@ -234,7 +236,11 @@ def cmd_optimize(args, cfg, env, params):
 
 
 def cmd_simulate(args, cfg, env, params):
+    """ValueError unless the simulation block gives set_points: the config
+    has no other way to place the loads."""
     sim = cfg.get("simulation", {})
+    if sim.get("set_points") is None:
+        raise ValueError("'simulation.set_points' is required for simulate")
     gamma = _gamma(cfg)
     seed = args.seed if args.seed is not None else sim.get("seed", 0)
     config = SimulationConfig(

@@ -18,7 +18,7 @@ one or more chains, _draw_jumps reads each row's variates from its own
 generator, and _walk turns a batch of rows into jump times and states
 (_factor_path is a batch of one).  child_seed is the splitting rule for
 per-replication seeds, and child_rngs builds one generator per sample
-from it.
+from it, running numpy's SeedSequence hash for every sample at once.
 
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
@@ -38,6 +38,7 @@ where reruns meet the stored trajectories bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,9 +193,84 @@ def child_seed(seed: int, replication: int) -> int:
     return int(np.random.SeedSequence([seed, replication]).generate_state(1)[0])
 
 
+# numpy's SeedSequence with its pool of four 32-bit words, an algorithm
+# numpy keeps stable, run on uint32 arrays: one column per sample
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """The pool SeedSequence mixes from each column of the entropy words."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ out >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _seed_state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """SeedSequence.generate_state(n_words) of each column of a pool."""
+    hash_const, out = _INIT_B, []
+    for i in range(n_words):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out.append(value ^ value >> 16)
+    return out
+
+
 def child_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """One generator per sample k < n, seeded with child_seed(seed, k)."""
-    return [np.random.default_rng(child_seed(seed, k)) for k in range(n)]
+    """One generator per sample k < n, seeded with child_seed(seed, k):
+    default_rng(child_seed(seed, k)), state for state, with both hashes of
+    every sample run at once.  A negative seed raises ValueError, as
+    SeedSequence does."""
+    # numpy.random is imported here, so that importing the package does not load it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """The seed words PCG64 asks of SeedSequence(child_seed(seed, k))."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")     # SeedSequence's message
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # the entropy [seed, k]: the seed's words, low first, then k's one word (n < 2**32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    child = _seed_state(_seed_pool(entropy), 1)
+    # PCG64 takes four uint64 words, each two uint32 words low first
+    state = np.stack(_seed_state(_seed_pool(child), 8), axis=1)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [Generator(PCG64(Words(w))) for w in state]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ draw at a time, a Python loop over its segments with one flow call each,
 and a path sampler that rebuilt its tables on every call.  Its flow and
 path sampler are frozen here too.  The tests compare the current
 cftp_samples and optimize_thresholds against it; it is not used by the
-package.
+package.  So are the per-sample generators built one SeedSequence hash
+pair at a time (child_rngs) and the smoothing quadrature over the whole
+kernel at once (smooth_distribution), before both were vectorized.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from zpolicy.cftp import CftpConfig, JointSample, estimate_joint_cost
 from zpolicy.costs import CostReport
+from zpolicy.distributions import ThresholdDistribution
 from zpolicy.errors import NoCoalescence
 from zpolicy.model import _birth_death_generator, stationary_law
 from zpolicy.simulate import child_seed
@@ -168,3 +171,35 @@ def optimize_thresholds(config: CftpConfig, gamma: float, n_samples: int = 200,
                 z[i] = zi
                 best = fi
     return z, report(z)
+
+
+def child_rngs(seed: int, n: int) -> list[np.random.Generator]:
+    """One generator per sample k < n, seeded with child_seed(seed, k)."""
+    return [np.random.default_rng(child_seed(seed, k)) for k in range(n)]
+
+
+def smooth_distribution(u: ThresholdDistribution, bandwidth: float,
+                        kernel: str = "box", n_grid: int = 801) -> ThresholdDistribution:
+    """The kernel-smoothed distribution, its quadrature on 201 x n_grid arrays."""
+    lo, hi = u.domain
+    zg = np.linspace(lo, hi, n_grid)
+    b = float(bandwidth)
+    if not 0.0 < b < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {b}")
+    # quadrature nodes over the kernel support
+    s = np.linspace(-b, b, 201)
+    if kernel == "box":
+        g = np.full_like(s, 1.0 / (2 * b))
+    elif kernel == "triangular":
+        g = (1.0 - np.abs(s) / b) / b
+    else:
+        raise ValueError(f"unknown kernel '{kernel}'")
+    g = g / np.trapezoid(g, s)
+    # u extended by 0 below and 1 above its domain
+    ext = np.where(zg[None, :] - s[:, None] < lo, 0.0,
+                   np.where(zg[None, :] - s[:, None] > hi, 1.0,
+                            u(np.clip(zg[None, :] - s[:, None], lo, hi))))
+    vals = np.trapezoid(g[:, None] * ext, s, axis=0)
+    vals = np.clip(vals, 0.0, 1.0)
+    vals = np.maximum.accumulate(vals)
+    return ThresholdDistribution.from_grid(zg, vals, domain=(lo, hi))

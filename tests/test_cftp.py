@@ -408,3 +408,77 @@ def test_optimize_thresholds_matches_frozen_reference():
     z_ref, report_ref = reference(cfg, **kwargs)
     assert z.tobytes() == z_ref.tobytes()
     assert report == report_ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3])
+@pytest.mark.parametrize("n", [0, 1, 7, 2500])
+def test_child_rngs_match_frozen_generators(seed, n):
+    # the vectorized seeding gives sample k the generator child_seed(seed, k)
+    # gives it, state for state, before and after a draw
+    from reference_cftp import child_rngs as reference
+    from zpolicy.model import child_rngs
+    got, want = child_rngs(seed, n), reference(seed, n)
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        assert g.bit_generator.state == w.bit_generator.state
+        assert g.standard_exponential() == w.standard_exponential()
+        assert g.bit_generator.state == w.bit_generator.state
+
+
+def test_child_rngs_refuse_a_negative_seed():
+    from reference_cftp import child_rngs as reference
+    from zpolicy.model import child_rngs
+    messages = []
+    for rngs in (child_rngs, reference):
+        with pytest.raises(ValueError) as info:
+            rngs(-1, 3)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+_SMOOTHED = {
+    # the CLI's empirical law: jumps at 0 and at Theta_C
+    "step": ThresholdDistribution.from_quantiles([0.0, 40.0, 100.0, 100.0], (0.0, 100.0)),
+    "uniform": ThresholdDistribution.uniform((0.0, 100.0)),
+    "ramp": ThresholdDistribution.from_grid([0.0, 20.0, 60.0, 100.0], [0.0, 0.0, 0.7, 0.7],
+                                            domain=(0.0, 100.0)),
+}
+
+
+def _same_distribution(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.domain == b.domain
+
+
+@pytest.mark.parametrize("kernel", ["box", "triangular"])
+@pytest.mark.parametrize("bandwidth", [0.25, 5.0, 150.0])
+def test_smoothing_matches_frozen_quadrature(kernel, bandwidth):
+    from reference_cftp import smooth_distribution as reference
+    for u in _SMOOTHED.values():
+        for n_grid in (2, 801, 2001):
+            _same_distribution(smooth_distribution(u, bandwidth, kernel, n_grid),
+                               reference(u, bandwidth, kernel, n_grid))
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_smoothing_block_size_does_not_change_the_result(monkeypatch, block):
+    import zpolicy.cftp as cftp
+    from reference_cftp import smooth_distribution as reference
+    monkeypatch.setattr(cftp, "_SMOOTH_BLOCK", block)
+    for kernel in ("box", "triangular"):
+        _same_distribution(cftp.smooth_distribution(_SMOOTHED["step"], 5.0, kernel),
+                           reference(_SMOOTHED["step"], 5.0, kernel))
+
+
+@pytest.mark.parametrize("kwargs", [{"bandwidth": 0.0}, {"bandwidth": -1.0},
+                                    {"bandwidth": np.nan}, {"bandwidth": np.inf},
+                                    {"bandwidth": 5.0, "kernel": "gaussian"}])
+def test_smoothing_refuses_bad_bandwidths_and_kernels(kwargs):
+    from reference_cftp import smooth_distribution as reference
+    messages = []
+    for smooth in (smooth_distribution, reference):
+        with pytest.raises(ValueError) as info:
+            smooth(_SMOOTHED["uniform"], **kwargs)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

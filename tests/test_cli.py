@@ -147,6 +147,17 @@ def test_compare_refuses_what_it_would_ignore(tmp_path, capsys, simulation, key)
     assert key in err
 
 
+def test_simulate_needs_set_points(tmp_path, capsys):
+    # the config has no other way to place the loads, so leaving them out
+    # is a config error that names the key
+    cfg = _write_config(tmp_path, simulation={"n_loads": 2, "horizon_jumps": 100})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert "simulation.set_points" in err
+    assert not (tmp_path / "o" / "simulate.json").exists()
+
+
 def test_cftp_command(tmp_path):
     cfg = _write_config(tmp_path, cftp={
         "n_samples": 40, "set_points": [70.0, 90.0], "seed": 4})
@@ -594,6 +605,17 @@ def test_write_columns_matches_row_by_row_writer(tmp_path):
     text = (tmp_path / "rows.csv").read_bytes()
     assert b"-0.0" in text and b"nan" in text and b"1e-05" in text and b"1e+16" in text
     assert (tmp_path / "columns.csv").read_bytes() == text
+
+
+@pytest.mark.parametrize("columns", [[np.array([]), []], [np.array([1.5]), ["x"]]],
+                         ids=["no rows", "one row"])
+def test_write_columns_matches_row_by_row_writer_on_short_tables(tmp_path, columns):
+    # a table with no rows is its header alone
+    from reference_cli import _write_csv
+    from zpolicy.cli import _write_columns
+    _write_columns(tmp_path / "columns.csv", ["a", "b"], columns)
+    _write_csv(tmp_path / "rows.csv", ["a", "b"], zip(*(list(col) for col in columns)))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # small runs of every command: short simulations, few CFTP samples, a

@@ -4,17 +4,28 @@ import sys
 from pathlib import Path
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: the package itself needs numpy alone
+def _modules_after_import(prefix: str) -> str:
+    """The sorted list, as printed, of the modules in package ``prefix``
+    that a fresh ``import zpolicy`` loads."""
     import zpolicy
     code = ("import sys, zpolicy\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))")
     # the child imports the package the tests import, installed or not
     src = str(Path(zpolicy.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the package itself needs numpy alone
+    assert _modules_after_import("scipy") == "[]"
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random is loaded only when a generator is first built
+    assert _modules_after_import("numpy.random") == "[]"
 
 
 def test_every_public_name_resolves():
