@@ -26,6 +26,19 @@ beats the strict minimum.  A candidate with an empty box is left out of
 the table.  The boundary caps are applied only in the rows or columns
 where they are finite.
 
+The grid holds the multiples of grid_step in [0, Theta_C], Theta_C the top
+comfort level: a node above it would lie outside the state space.
+
+A candidate's Hamiltonian is (g1 + g2)**2 + T1 + T2, with one upwind term
+per load, T_i = f_i * D_i: the drift times the forward difference where
+f_i > 0 and the backward one elsewhere (the Markov-chain approximation of
+Kushner & Dupuis).  It is bitwise the sum of the two signed products
+max(f, 0) * D+ and min(f, 0) * D-: in every cell one of them is a signed
+zero, every partial sum starts at (g1 + g2)**2 >= +0.0 and so is never
+-0.0, and adding a signed zero to such a sum leaves it as it is.  The
+extra-power candidates keep the two products for their own load, whose
+drift changes with V, and take the other load's term from their order.
+
 A time step computes the one-sided gradients of the whole (n_env, nx, nx)
 stack, scores only the gradient-dependent terms, and records the policy
 only on the last step, the one returned, where the first of equal
@@ -112,8 +125,8 @@ class _WindOrder(NamedTuple):
     wind: tuple[np.ndarray, np.ndarray]       # wind power per load
     grid: tuple[np.ndarray, np.ndarray]       # forced and holding grid power per load
     grid_total: np.ndarray                    # their sum
-    f_pos: tuple[np.ndarray, np.ndarray]      # max(f, 0) per load, with no extra grid power
-    f_neg: tuple[np.ndarray, np.ndarray]      # min(f, 0) per load, with no extra grid power
+    f: tuple[np.ndarray, np.ndarray]          # drift per load, with no extra grid power
+    up: tuple[np.ndarray, np.ndarray]         # f > 0 per load: where it reads the forward difference
     power_sq: np.ndarray                      # (g1 + g2)**2, with no extra grid power
     extras: tuple[_Extra, ...]
 
@@ -205,8 +218,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
                                          _cap_in(top_cap[li], box)))
             orders.append(_WindOrder(
                 wind=(pw[0], pw[1]), grid=g, grid_total=g_base[0] + g_base[1],
-                f_pos=(np.maximum(f[0], 0.0), np.maximum(f[1], 0.0)),
-                f_neg=(np.minimum(f[0], 0.0), np.minimum(f[1], 0.0)),
+                f=(f[0], f[1]), up=(f[0] > 0, f[1] > 0),
                 power_sq=(g[0] + g[1]) ** 2, extras=tuple(extras)))
         table.append(orders)
     return table
@@ -223,8 +235,9 @@ class _Workspace:
         self.grads = (self.d1[:, 1:, :], self.d1[:, :-1, :],
                       self.d2[:, :, 1:], self.d2[:, :, :-1])
         self.ham = np.empty((n_env, nx, nx))      # the cheapest Hamiltonian
-        self.coupling = np.empty((n_env, nx, nx))
-        self.terms = np.empty((4, nx, nx))        # drift terms with no extra grid power
+        # a state with no coupling rate keeps its zero row
+        self.coupling = np.zeros((n_env, nx, nx))
+        self.terms = np.empty((2, nx, nx))        # upwind term per load, no extra grid power
         self.cand = np.empty((nx, nx))
         self.flat = np.empty((4, nx * nx))        # box-shaped scratch, contiguous
 
@@ -267,7 +280,9 @@ def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
                  ws: _Workspace) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(Hamiltonian, powers) of an extra-power candidate on its box.  The
     extra changes only its own load's drift terms, so the other load's
-    come from the order's candidate with no extra grid power."""
+    upwind term comes from the order's candidate with no extra grid power.
+    Its own load keeps the max/min products: its drift changes sign from
+    step to step, so a masked select would cost more than it saves."""
     li, box = ex.load, ex.box
     work, g, pos, cand = ws.boxes(ex.room.shape)
     # the clipped half-gradient: half the load's backward difference
@@ -284,15 +299,15 @@ def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
     neg *= ws.grads[2 * li + 1][e][box]
     np.add(grid[0], grid[1], out=cand)
     np.square(cand, out=cand)
-    terms = [t[box] for t in ws.terms]
-    terms[2 * li], terms[2 * li + 1] = pos, neg
-    for t in terms:
+    terms = [[t[box]] for t in ws.terms]        # in load order
+    terms[li] = [pos, neg]
+    for t in (*terms[0], *terms[1]):
         cand += t
     return cand, (order.wind[0][box], order.wind[1][box], *grid)
 
 
 def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
-                   rates: list[tuple[int, int, float]], dx: float, dt: float,
+                   rates: list[list[tuple[int, float]]], dx: float, dt: float,
                    h: float, ws: _Workspace,
                    policy: tuple[np.ndarray, np.ndarray] | None) -> None:
     """One explicit step from V(t + dt) to V(t), in place.  Each cell takes
@@ -308,13 +323,15 @@ def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
             chosen = (policy[0][e, :, :, 0], policy[0][e, :, :, 1],
                       policy[1][e, :, :, 0], policy[1][e, :, :, 1])
         for k, order in enumerate(orders):
-            for t, f, grad in zip(terms, (order.f_pos[0], order.f_neg[0],
-                                          order.f_pos[1], order.f_neg[1]), grads):
-                np.multiply(f, grad, out=t)
+            # the upwind term f * D: the forward difference where f > 0,
+            # the backward one elsewhere
+            for t, f, up, fwd, bwd in zip(terms, order.f, order.up, grads[0::2], grads[1::2]):
+                np.copyto(t, bwd)
+                np.copyto(t, fwd, where=up)
+                t *= f
             cand = best if k == 0 else ws.cand
             np.add(order.power_sq, terms[0], out=cand)
-            for t in terms[1:]:
-                cand += t
+            cand += terms[1]
             powers = (*order.wind, *order.grid)
             if k == 0:
                 for arr, new in zip(chosen, powers):
@@ -325,13 +342,16 @@ def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
                 cand, powers = _score_extra(ex, order, e, h, ws)
                 _keep_cheaper(best[ex.box], cand, [arr[ex.box] for arr in chosen], powers)
     # sum over e2 of q[e2, e] * (V[e2] - V[e]), over the rates that are not
-    # zero: the others add a signed zero, which leaves the sum as it is
+    # zero: the others add a signed zero, which leaves the sum as it is.
+    # Each state's first term is written straight into its row.
     coupling, diff = ws.coupling, ws.cand       # no candidate is scored from here on
-    coupling.fill(0.0)
-    for e, e2, rate in rates:
-        np.subtract(v[e2], v[e], out=diff)
-        diff *= rate
-        coupling[e] += diff
+    for e, row in enumerate(rates):
+        for k, (e2, rate) in enumerate(row):
+            term = coupling[e] if k == 0 else diff
+            np.subtract(v[e2], v[e], out=term)
+            term *= rate
+            if k:
+                coupling[e] += term
     ham = ws.ham
     ham += coupling
     ham *= dt
@@ -372,7 +392,10 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
         raise UnstableScheme(
             f"time_step {time_step} > grid_step/(h+c+W) = {grid_step / (h + c + w_pow)}")
 
+    # the multiples of grid_step in [0, Theta_C]: a node that the candidate
+    # table would count as above Theta_C lies outside the state space
     x = np.arange(0.0, params.theta_max + 0.5 * grid_step, grid_step)
+    x = x[x <= params.theta_max + 1e-12]
     nx = len(x)
     table = _candidate_table(env, params, x, w_pow, m_pow)
     n_steps = int(np.ceil(horizon / time_step))
@@ -380,8 +403,8 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     wind_split = np.zeros((env.n_states, nx, nx, 2))
     grid_power = np.zeros((env.n_states, nx, nx, 2))
     q = env.generator
-    rates = [(e, e2, q[e2, e]) for e in range(env.n_states)
-             for e2 in range(env.n_states) if e2 != e and q[e2, e] != 0.0]
+    rates = [[(e2, q[e2, e]) for e2 in range(env.n_states) if e2 != e and q[e2, e] != 0.0]
+             for e in range(env.n_states)]
     ws = _Workspace(env.n_states, nx)
     for k in range(n_steps):
         last = k == n_steps - 1

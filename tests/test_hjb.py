@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zpolicy import (
     LoadParams, build_environment, classify_policy, coolest_first_heuristic,
@@ -8,7 +9,10 @@ from zpolicy import (
 from zpolicy.errors import UnstableScheme
 
 import reference_costs
-from conftest import CHAIN_SIZES, chain_instance
+from conftest import CHAIN_SIZES, chain_instance, same_bits
+
+# floats whose products and sums stay finite, with both signed zeros drawn often
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
 
 
 def _solve_small(ref_env, ref_params, horizon=30.0, grid_step=4.0,
@@ -62,6 +66,7 @@ def _reference_solve_hjb(env, params, horizon, grid_step, time_step,
     m_pow = forced_power if forced_power is not None else h + c
     top = params.theta_max
     x = np.arange(0.0, top + 0.5 * grid_step, grid_step)
+    x = x[x <= top + 1e-12]
     nx = len(x)
     n_env = env.n_states
     q = env.generator
@@ -175,9 +180,16 @@ _REF_ENV = build_environment((0.04, 0.04), (0.02, 0.02))
     (_REF_ENV, LoadParams(h=0.9, c=1.1, comfort_levels=(2.5, 100.0)),
      {"wind_power": 0.3, "horizon": 20.0}),
     (_REF_ENV, LoadParams(h=0.9, c=1.1, comfort_levels=(50.0, 100.0)), {"wind_power": 0.19}),
+    # no wind and no forced power: many Hamiltonian cells are all +0.0
+    (_REF_ENV, _REF_PARAMS, {"wind_power": 0.0}),
+    (_REF_ENV, _REF_PARAMS, {"forced_power": 0.0}),
+    (build_environment((0.04, 0.04), []), LoadParams(h=1.0, c=1.1, comfort_levels=(100.0,)), {}),
+    # one environment state: no coupling rate at all
+    (build_environment([], []), LoadParams(h=1.0, c=1.1, comfort_levels=(100.0,)), {}),
 ], ids=["ref", "c3", "w3_asymmetric", "wind_power_0.7", "wind_power_3.0",
         "forced_power_3.5", "bench_grid", "one_wind_state", "grid_misses_comfort",
-        "floor_cap_binds", "top_cap_binds"])
+        "floor_cap_binds", "top_cap_binds", "wind_power_0", "forced_power_0",
+        "one_comfort_level", "single_state"])
 def test_matches_per_state_reference_exactly(env, params, kwargs):
     args = {"horizon": 12.0, "grid_step": 2.5, "time_step": 0.5, **kwargs}
     values, policy = solve_hjb(env, params, **args)
@@ -185,6 +197,38 @@ def test_matches_per_state_reference_exactly(env, params, kwargs):
     assert np.array_equal(values.values, ref_values)
     assert np.array_equal(policy.wind, ref_wind)
     assert np.array_equal(policy.grid, ref_grid)
+
+
+@pytest.mark.parametrize("grid_step", [1.0, 2.5, 3.0, 10.0 / 3.0, 3.5, 6.0, 0.7, 60.0, 100.0])
+def test_grid_covers_zero_to_top_comfort_level(ref_env, ref_params, grid_step):
+    # the multiples of grid_step up to Theta_C and no further; a grid that
+    # divides Theta_C keeps the bits of np.arange
+    top = ref_params.theta_max
+    values, policy = solve_hjb(ref_env, ref_params, horizon=2.0, grid_step=grid_step)
+    x = values.x
+    assert x[0] == 0.0 and x[-1] <= top + 1e-12 < x[-1] + grid_step
+    assert same_bits(x, np.arange(len(x)) * grid_step)
+    assert same_bits(policy.x, x) and values.values.shape[1:] == (len(x), len(x))
+    if (top / grid_step).is_integer():
+        assert same_bits(x, np.arange(0.0, top + 0.5 * grid_step, grid_step))
+    # in the top comfort state nothing lies above the comfort level, so no
+    # cell is forced and none draws the full power h + c from the grid
+    for e in range(ref_env.n_states):
+        if ref_env.split_index(e)[1] == ref_env.n_comfort - 1:
+            assert policy.grid[e].max() < ref_params.h + ref_params.c
+
+
+@given(st.lists(st.tuples(_SIGNED, _SIGNED, _SIGNED, _SIGNED), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_upwind_term_is_the_signed_products_bit_for_bit(cells):
+    # the fold behind the solver's single upwind term: with a partial sum
+    # that is not -0.0, one of max(f, 0) * a and min(f, 0) * b is a signed
+    # zero, and adding a signed zero leaves the sum as it is
+    f, a, b, ps = np.array(cells).T
+    ps = np.abs(ps)
+    two_products = (ps + np.maximum(f, 0.0) * a) + np.minimum(f, 0.0) * b
+    one_term = ps + f * np.where(f > 0, a, b)
+    assert same_bits(two_products, one_term)
 
 
 def test_wind_allocation_within_each_states_budget(env_w3, ref_params):
