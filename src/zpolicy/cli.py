@@ -116,8 +116,7 @@ def _build(cfg: dict):
     m = cfg["model"]
     env = build_environment(m["wind_rates"], m["comfort_rates"])
     params = LoadParams(h=m["h"], c=m["c"], comfort_levels=m["comfort_levels"])
-    if len(params.comfort_levels) != env.n_comfort:
-        raise ValueError(f"comfort_levels needs one level per comfort state ({env.n_comfort})")
+    params.check_environment(env)
     return env, params
 
 

@@ -18,26 +18,29 @@ grid power on load 1, then on load 2.  Everything about a candidate that
 does not depend on V is built once, before the time loop, into a
 candidate table: the boundary masks, the wind split, the forced and
 holding grid power, each load's room for extra grid power, and the whole
-drift of the candidate with no extra grid power.  An extra-power
+drift of the candidate with no extra grid power, each as a (2, nx, nx)
+stack with one layer per load.  The wind split is _wind_split, the rule
+the coolest-first heuristic uses too: the budget goes to the loads in a
+priority order, each up to h + c, or h at the floor.  An extra-power
 candidate is scored only on its box, the bounding box of the cells where
 its load has room for extra power: outside it the extra is zero, so the
 Hamiltonian is a copy of its order's first candidate, and a copy never
 beats the strict minimum.  A candidate with an empty box is left out of
-the table.  The boundary caps are applied only in the rows or columns
+the table.  Its boundary caps are applied only in the rows or columns
 where they are finite.
 
 The grid holds the multiples of grid_step in [0, Theta_C], Theta_C the top
 comfort level: a node above it would lie outside the state space.
 
-A candidate's Hamiltonian is (g1 + g2)**2 + T1 + T2, with one upwind term
-per load, T_i = f_i * D_i: the drift times the forward difference where
-f_i > 0 and the backward one elsewhere (the Markov-chain approximation of
-Kushner & Dupuis).  It is bitwise the sum of the two signed products
-max(f, 0) * D+ and min(f, 0) * D-: in every cell one of them is a signed
-zero, every partial sum starts at (g1 + g2)**2 >= +0.0 and so is never
--0.0, and adding a signed zero to such a sum leaves it as it is.  The
-extra-power candidates keep the two products for their own load, whose
-drift changes with V, and take the other load's term from their order.
+Every candidate's Hamiltonian is (g1 + g2)**2 + T1 + T2, with one upwind
+term per load, T_i = f_i * D_i (_upwind): the drift times the forward
+difference where f_i > 0 and the backward one elsewhere (the Markov-chain
+approximation of Kushner & Dupuis).  It is bitwise the sum of the two
+signed products max(f, 0) * D+ and min(f, 0) * D-: in every cell one of
+them is a signed zero, every partial sum starts at (g1 + g2)**2 >= +0.0
+and so is never -0.0, and adding a signed zero to such a sum leaves it as
+it is.  An extra-power candidate takes the other load's term from its
+order.
 
 A time step computes the one-sided gradients of the whole (n_env, nx, nx)
 stack, scores only the gradient-dependent terms, and records the policy
@@ -122,12 +125,12 @@ class _Extra(NamedTuple):
 class _WindOrder(NamedTuple):
     """One wind order of one environment state: every array of its
     candidates that does not depend on V."""
-    wind: tuple[np.ndarray, np.ndarray]       # wind power per load
-    grid: tuple[np.ndarray, np.ndarray]       # forced and holding grid power per load
-    grid_total: np.ndarray                    # their sum
-    f: tuple[np.ndarray, np.ndarray]          # drift per load, with no extra grid power
-    up: tuple[np.ndarray, np.ndarray]         # f > 0 per load: where it reads the forward difference
-    power_sq: np.ndarray                      # (g1 + g2)**2, with no extra grid power
+    wind: np.ndarray          # wind power per load, (2, nx, nx)
+    grid: np.ndarray          # forced and holding grid power per load
+    grid_total: np.ndarray    # their sum, (nx, nx)
+    f: np.ndarray             # drift per load, with no extra grid power
+    up: np.ndarray            # f > 0: where each load reads the forward difference
+    power_sq: np.ndarray      # (g1 + g2)**2, with no extra grid power
     extras: tuple[_Extra, ...]
 
 
@@ -148,6 +151,17 @@ def _cap_in(cap: np.ndarray, box: tuple[slice, slice]) -> _Cap | None:
     return None if finite is None else _Cap(finite, cut[finite])
 
 
+def _upwind(f: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, out: np.ndarray,
+            up: np.ndarray | None = None) -> np.ndarray:
+    """The upwind term f * D into ``out``: D is the forward difference
+    where f > 0 (``up``, when the caller has it) and the backward one
+    elsewhere."""
+    np.copyto(out, bwd)
+    np.copyto(out, fwd, where=f > 0 if up is None else up)
+    out *= f
+    return out
+
+
 def _drift(h: float, power: np.ndarray, floor: _Cap | None, top: _Cap | None,
            out: np.ndarray) -> np.ndarray:
     """dx/dt of one load, into ``out``: h minus its power capped at h on the
@@ -164,61 +178,56 @@ def _drift(h: float, power: np.ndarray, floor: _Cap | None, top: _Cap | None,
     return f
 
 
+def _wind_split(budget, need: np.ndarray, order) -> np.ndarray:
+    """The wind budget given to the loads in ``order``, each up to its
+    ``need`` (loads along the first axis), until none is left."""
+    split = np.empty_like(need)
+    remaining = budget
+    for i in order:
+        split[i] = np.minimum(remaining, need[i])
+        remaining = remaining - split[i]
+    return split
+
+
 def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
                      w_pow: float, m_pow: float) -> list[list[_WindOrder]]:
     """The wind orders of every environment state, in the order the
     backward step scores them."""
     h, c = params.h, params.c
-    top = params.theta_max
     cap = h + c                                   # per-load total power cap
-    nx = len(x)
-    x1 = x[:, None] * np.ones((1, nx))
-    x2 = np.ones((nx, 1)) * x[None, :]
-    at_floor = (x1 <= 1e-12, x2 <= 1e-12)
+    temps = np.stack(np.meshgrid(x, x, indexing="ij"))     # (2, nx, nx): x1, x2
+    at_floor = temps <= 1e-12
+    floor_cap = np.where(at_floor, h, np.inf)
+    need = np.where(at_floor, h, cap)
     share = params.wind_cooling_rates(env.n_wind) / c    # of the full-wind budget
-    everywhere = (slice(None), slice(None))
     table = []
     for e in range(env.n_states):
         iw, jc = env.split_index(e)
         theta = params.comfort_levels[jc]
-        forced = (x1 > theta + 1e-12, x2 > theta + 1e-12)
-        at_top = (np.isclose(x1, theta) | np.isclose(x1, top),
-                  np.isclose(x2, theta) | np.isclose(x2, top))
-        floor_cap = [np.where(at_floor[li], h, np.inf) for li in (0, 1)]
-        top_cap = [np.where(at_top[li] & ~forced[li], 0.0, np.inf) for li in (0, 1)]
+        forced = temps > theta + 1e-12
+        # mandatory holding power at the active top (f <= 0 there)
+        holding = (np.isclose(temps, theta) | np.isclose(temps, params.theta_max)) & ~forced
+        top_cap = np.where(holding, 0.0, np.inf)
         orders = []
         for order in ([(0, 1), (1, 0)] if iw >= 1 else [(0, 1)]):
-            # wind allocation with boundary caps, first-listed load first;
             # wind off has a budget of 0, so each load gets 0
-            pw = [None, None]
-            remaining = np.full((nx, nx), w_pow * share[iw])
-            for li in order:
-                pw[li] = np.minimum(remaining, np.where(at_floor[li], h, cap))
-                remaining = remaining - pw[li]
-            g_base = []
-            for li in (0, 1):
-                base = np.where(forced[li], np.clip(m_pow - pw[li], 0.0, None), 0.0)
-                # mandatory holding power at the active top (f <= 0 there)
-                lb = np.where(at_top[li] & ~forced[li], np.clip(h - pw[li], 0.0, None), 0.0)
-                g_base.append(np.where(forced[li], base, lb))
-            g = (g_base[0] + 0.0, g_base[1] + 0.0)   # plus zero extra: -0.0 becomes 0.0
-            f = [_drift(h, pw[li] + g[li], _cap_in(floor_cap[li], everywhere),
-                        _cap_in(top_cap[li], everywhere), np.empty((nx, nx)))
-                 for li in (0, 1)]
+            pw = _wind_split(w_pow * share[iw], need, order)
+            g_base = np.where(forced, np.clip(m_pow - pw, 0.0, None),
+                              np.where(holding, np.clip(h - pw, 0.0, None), 0.0))
+            g = g_base + 0.0                      # plus zero extra: -0.0 becomes 0.0
+            f = np.minimum(h - np.minimum(pw + g, floor_cap), top_cap)
+            room = np.where(forced, 0.0, np.clip(cap - pw - g_base, 0.0, None))
+            room = np.where(at_floor, np.clip(h - pw - g_base, 0.0, None), room)
             extras = []
             for li in (0, 1):
-                room = np.clip(cap - pw[li] - g_base[li], 0.0, None)
-                room = np.where(forced[li], 0.0, room)
-                room = np.where(at_floor[li], np.clip(h - pw[li] - g_base[li], 0.0, None), room)
                 # outside the box the extra is 0, so the candidate is a copy
                 # of the one with no extra grid power, and a copy never wins
-                box = _bounding_box(room > 0)
+                box = _bounding_box(room[li] > 0)
                 if box is not None:
-                    extras.append(_Extra(li, box, room[box], _cap_in(floor_cap[li], box),
+                    extras.append(_Extra(li, box, room[li][box], _cap_in(floor_cap[li], box),
                                          _cap_in(top_cap[li], box)))
             orders.append(_WindOrder(
-                wind=(pw[0], pw[1]), grid=g, grid_total=g_base[0] + g_base[1],
-                f=(f[0], f[1]), up=(f[0] > 0, f[1] > 0),
+                wind=pw, grid=g, grid_total=g_base[0] + g_base[1], f=f, up=f > 0,
                 power_sq=(g[0] + g[1]) ** 2, extras=tuple(extras)))
         table.append(orders)
     return table
@@ -279,12 +288,10 @@ def _keep_cheaper(best: np.ndarray, cand: np.ndarray, chosen, powers) -> None:
 def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
                  ws: _Workspace) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(Hamiltonian, powers) of an extra-power candidate on its box.  The
-    extra changes only its own load's drift terms, so the other load's
-    upwind term comes from the order's candidate with no extra grid power.
-    Its own load keeps the max/min products: its drift changes sign from
-    step to step, so a masked select would cost more than it saves."""
+    extra changes only its own load's drift, so the other load's upwind
+    term comes from the order's candidate with no extra grid power."""
     li, box = ex.load, ex.box
-    work, g, pos, cand = ws.boxes(ex.room.shape)
+    work, g, own, cand = ws.boxes(ex.room.shape)
     # the clipped half-gradient: half the load's backward difference
     extra = np.multiply(0.5, ws.grads[2 * li + 1][e][box], out=work)
     extra -= order.grid_total[box]
@@ -293,16 +300,12 @@ def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
     grid = [order.grid[0][box], order.grid[1][box]]
     grid[li] = np.add(grid[li], extra, out=g)
     f = _drift(h, np.add(order.wind[li][box], g, out=work), ex.floor, ex.top, out=work)
-    np.maximum(f, 0.0, out=pos)
-    pos *= ws.grads[2 * li][e][box]
-    neg = np.minimum(f, 0.0, out=work)
-    neg *= ws.grads[2 * li + 1][e][box]
+    terms = [t[box] for t in ws.terms]
+    terms[li] = _upwind(f, ws.grads[2 * li][e][box], ws.grads[2 * li + 1][e][box], own)
     np.add(grid[0], grid[1], out=cand)
     np.square(cand, out=cand)
-    terms = [[t[box]] for t in ws.terms]        # in load order
-    terms[li] = [pos, neg]
-    for t in (*terms[0], *terms[1]):
-        cand += t
+    cand += terms[0]
+    cand += terms[1]
     return cand, (order.wind[0][box], order.wind[1][box], *grid)
 
 
@@ -323,12 +326,8 @@ def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
             chosen = (policy[0][e, :, :, 0], policy[0][e, :, :, 1],
                       policy[1][e, :, :, 0], policy[1][e, :, :, 1])
         for k, order in enumerate(orders):
-            # the upwind term f * D: the forward difference where f > 0,
-            # the backward one elsewhere
             for t, f, up, fwd, bwd in zip(terms, order.f, order.up, grads[0::2], grads[1::2]):
-                np.copyto(t, bwd)
-                np.copyto(t, fwd, where=up)
-                t *= f
+                _upwind(f, fwd, bwd, t, up)
             cand = best if k == 0 else ws.cand
             np.add(order.power_sq, terms[0], out=cand)
             cand += terms[1]
@@ -368,11 +367,12 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     state i gets W * wind_cooling_rates(n_wind)[i] / c, its share in the
     model.  time_step defaults to 0.9 of the bound grid_step / (h + c + W).
 
-    Raises ValueError unless horizon, grid_step and time_step are finite
-    and positive, grid_step is at most the top comfort level, and
-    wind_power and forced_power are finite and nonnegative; raises
+    Raises ValueError unless params and env agree, horizon, grid_step and
+    time_step are finite and positive, grid_step is at most the top comfort
+    level, and wind_power and forced_power are finite and nonnegative; raises
     UnstableScheme unless time_step <= grid_step / (h + c + W).
     """
+    params.check_environment(env)
     h, c = params.h, params.c
     w_pow = wind_power if wind_power is not None else h + c
     m_pow = forced_power if forced_power is not None else h + c
@@ -446,28 +446,19 @@ def coolest_first_heuristic(x, wind: int, comfort: int, params: LoadParams,
     active comfort level always get forced cooling, grid-supplemented.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
     h, c = params.h, params.c
     theta = params.comfort_levels[comfort]
     share = params.wind_cooling_rates(n_wind)[wind] / c
     w_avail = (wind_power if wind_power is not None else h + c) * share
     need = np.where(x > 1e-12, h + c, h)
 
-    wind_alloc = np.zeros(n)
     if w_avail >= need.sum():
-        wind_alloc[:] = need
+        wind_alloc = need
     elif w_avail > 0:
-        if x.mean() > activation_threshold:
-            order = np.argsort(x, kind="stable")            # coolest first
-        else:
-            order = np.argsort(-x, kind="stable")           # hottest first
-        rem = w_avail
-        for i in order:
-            take = min(rem, need[i])
-            wind_alloc[i] = take
-            rem -= take
-            if rem <= 0:
-                break
+        hot = x.mean() > activation_threshold
+        wind_alloc = _wind_split(w_avail, need, np.argsort(x if hot else -x, kind="stable"))
+    else:
+        wind_alloc = np.zeros(len(x))
     grid_alloc = np.where(x > theta + 1e-12,
                           np.clip(h + c - wind_alloc, 0.0, None), 0.0)
     return wind_alloc, grid_alloc

@@ -16,9 +16,10 @@ jumps are sampled here too, for the simulator's forward paths and the
 perfect sampler's backward ones: _FactorChain holds the jump tables of
 one or more chains, _draw_jumps reads each row's variates from its own
 generator, and _walk turns a batch of rows into jump times and states
-(_factor_path is a batch of one).  child_seed is the splitting rule for
-per-replication seeds, and child_rngs builds one generator per sample
-from it, running numpy's SeedSequence hash for every sample at once.
+(the simulator's wind and comfort chains are two rows of one batch).
+child_seed is the splitting rule for per-replication seeds, and
+child_rngs builds one generator per sample from it, running numpy's
+SeedSequence hash for every sample at once.
 
 Temperature evolution between environment jumps is integrated exactly:
 the drift is piecewise constant in x, so hit times at 0, the comfort
@@ -63,10 +64,10 @@ def _birth_death_generator(rates) -> np.ndarray:
     pairs the chain has one state and its generator is 0.
     """
     arr = list(rates)
-    if len(arr) == 2 and np.isscalar(arr[0]):
-        pairs = [(float(arr[0]), float(arr[1]))]
-    else:
-        pairs = [(float(u), float(d)) for (u, d) in arr]
+    pairs = [arr] if len(arr) == 2 and all(np.isscalar(v) for v in arr) else arr
+    if not all(np.ndim(pair) == 1 and len(pair) == 2 for pair in pairs):
+        raise ValueError(f"rates must be a pair or a sequence of pairs, got {rates}")
+    pairs = [(float(u), float(d)) for (u, d) in pairs]
     n = len(pairs) + 1
     gen = np.zeros((n, n))
     for k, (up, down) in enumerate(pairs):
@@ -176,16 +177,6 @@ def _walk(chain: _FactorChain, index: np.ndarray, start, variates: np.ndarray,
         end = maps[-1][np.arange(len(fork)), begin]
         states[fork, 1:] = np.column_stack([at.reshape(len(fork), width)[:, 1:], end])[:, :n]
     return (variates * chain.scales[index[:, None], states[:, :-1]]).cumsum(axis=1), states
-
-
-def _factor_path(chain: _FactorChain, state: int, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` jumps of the first chain of ``chain`` started in ``state``,
-    read from ``rng``: the jump times (inf once an absorbing state is
-    reached) and the ``n + 1`` states; a batch of one of _walk."""
-    index = np.zeros(1, dtype=np.int64)
-    times, states = _walk(chain, index, [state], *_draw_jumps(chain, index, [rng], n))
-    return times[0], states[0]
 
 
 def child_seed(seed: int, replication: int) -> int:
@@ -336,7 +327,8 @@ def build_environment(wind_rates, comfort_rates) -> MarkovEnvironment:
     chains are specified as sequences of (up, down) rate pairs and form
     birth-death generators.
 
-    Raises NonPositiveRate if any rate is <= 0.
+    Raises NonPositiveRate if any rate is <= 0, and ValueError if a rate
+    spec is neither a flat pair nor a sequence of pairs.
     """
     env = MarkovEnvironment(
         wind_generator=_birth_death_generator(wind_rates),
@@ -367,8 +359,10 @@ class LoadParams:
         object.__setattr__(self, "comfort_levels", lv)
         if not (0 < self.h < np.inf and 0 < self.c < np.inf):
             raise ValueError(f"h and c must be finite and positive, got {self.h} and {self.c}")
-        if not all(0 <= t < np.inf for t in lv) or any(a >= b for a, b in zip(lv, lv[1:])):
-            raise ValueError("comfort levels must be finite, nonnegative and strictly increasing")
+        if not lv or not all(0 <= t < np.inf for t in lv) \
+                or any(a >= b for a, b in zip(lv, lv[1:])):
+            raise ValueError("comfort levels must be one or more finite, nonnegative, "
+                             "strictly increasing numbers")
 
     @property
     def theta_max(self) -> float:
@@ -380,6 +374,12 @@ class LoadParams:
         bad = ~((z >= 0.0) & (z <= self.theta_max))
         if bad.any():
             raise InvalidSetPoint(f"z={z[bad][0]} outside [0, {self.theta_max}]")
+
+    def check_environment(self, env: MarkovEnvironment) -> None:
+        """Raise ValueError unless there is one comfort level per state of
+        the environment's comfort chain."""
+        if len(self.comfort_levels) != env.n_comfort:
+            raise ValueError(f"comfort_levels needs one level per comfort state ({env.n_comfort})")
 
     def wind_cooling_rates(self, n_wind: int) -> np.ndarray:
         """Net cooling rate per wind state: i*c/(W-1), so 0 when off and c at

@@ -56,7 +56,8 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
 from .model import (
-    LoadParams, MarkovEnvironment, _factor_path, _FactorChain, child_seed, flow_paths, grid_power,
+    LoadParams, MarkovEnvironment, _draw_jumps, _FactorChain, _walk, child_seed, flow_paths,
+    grid_power,
 )
 
 __all__ = [
@@ -132,14 +133,15 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
     """Sample ``n_jumps`` transitions of the joint chain, starting from a
     draw of its stationary distribution.
 
-    The wind and comfort factors are independent chains: each is sampled
-    for ``n_jumps`` jumps of its own and the sorted jump times are merged,
-    which leaves at least ``n_jumps`` joint transitions.  The path ends
-    early if both factors reach absorbing states.
+    The wind and comfort factors are independent chains, walked as two
+    rows of one batch, wind's drawn first: each takes ``n_jumps`` jumps and
+    the merged sorted jump times leave at least ``n_jumps`` joint
+    transitions.  The path ends early if both factors reach absorbing states.
     """
     w0, c0 = env.split_index(int(rng.choice(env.n_states, p=env.stationary())))
-    wt, ws = _factor_path(_FactorChain(env.wind_generator), w0, n_jumps, rng)
-    ct, cs = _factor_path(_FactorChain(env.comfort_generator), c0, n_jumps, rng)
+    chain, rows = _FactorChain(env.wind_generator, env.comfort_generator), np.arange(2)
+    variates = _draw_jumps(chain, rows, [rng, rng], n_jumps)
+    (wt, ct), (ws, cs) = _walk(chain, rows, [w0, c0], *variates)
     merged = np.sort(np.concatenate([wt, ct]))[:n_jumps]
     starts = np.concatenate([[0.0], merged[np.isfinite(merged)]])
     wind = ws[np.searchsorted(wt, starts, side="right")]
@@ -190,7 +192,9 @@ class SampledEpisode:
 
 def sample_episode(config: SimulationConfig, env: MarkovEnvironment,
                    params: LoadParams) -> SampledEpisode:
-    """Sample the episode of one replication; deterministic given the seed."""
+    """Sample the episode of one replication; deterministic given the seed.
+    Raises ValueError unless params and env agree (check_environment)."""
+    params.check_environment(env)
     rng = np.random.default_rng(config.seed)
     path = sample_environment_path(env, config.horizon_jumps, rng)
     theta = np.asarray(params.comfort_levels)[path.comfort]

@@ -347,10 +347,12 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
     """Solve the stationary density/mass system for set-point ``z``.
 
     Raises InvalidSetPoint for z outside [0, Theta_C], ValueError unless
-    grid_step is None (Theta_C/400) or finite and positive, and
-    SingularSystem if the assembled system loses rank beyond the single
-    conservation redundancy or produces significantly negative densities.
+    params and env agree and grid_step is None (Theta_C/400) or finite and
+    positive, and SingularSystem if the assembled system loses rank beyond
+    the single conservation redundancy or produces significantly negative
+    densities.
     """
+    params.check_environment(env)
     params.check_set_points(z)
     grid_step = _grid_step(params, grid_step)
     n_states = env.n_states
@@ -442,6 +444,7 @@ def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
     ``solve_stationary`` applied to each z.  ``workers`` is accepted for
     compatibility and has no effect.
     """
+    params.check_environment(env)
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be strictly ascending")

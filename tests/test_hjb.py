@@ -7,6 +7,7 @@ from zpolicy import (
     solve_hjb,
 )
 from zpolicy.errors import UnstableScheme
+from zpolicy.hjb import _upwind
 
 import reference_costs
 from conftest import CHAIN_SIZES, chain_instance, same_bits
@@ -227,8 +228,8 @@ def test_upwind_term_is_the_signed_products_bit_for_bit(cells):
     f, a, b, ps = np.array(cells).T
     ps = np.abs(ps)
     two_products = (ps + np.maximum(f, 0.0) * a) + np.minimum(f, 0.0) * b
-    one_term = ps + f * np.where(f > 0, a, b)
-    assert same_bits(two_products, one_term)
+    for up in (None, f > 0):
+        assert same_bits(two_products, ps + _upwind(f, a, b, np.empty_like(f), up))
 
 
 def test_wind_allocation_within_each_states_budget(env_w3, ref_params):
@@ -380,6 +381,59 @@ def test_heuristic_budget_per_wind_state_on_w3(ref_params):
                                                 activation_threshold=50.0, n_wind=3)
         assert wind_alloc.tolist() == [budget, 0.0]
     assert full * share[1] == pytest.approx(0.5 * full)
+
+
+def _reference_coolest_first(x, wind, comfort, params, activation_threshold,
+                             wind_power=None, *, n_wind):
+    """The coolest-first rule as written before the HJB's wind split served it."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    h, c = params.h, params.c
+    theta = params.comfort_levels[comfort]
+    share = params.wind_cooling_rates(n_wind)[wind] / c
+    w_avail = (wind_power if wind_power is not None else h + c) * share
+    need = np.where(x > 1e-12, h + c, h)
+    wind_alloc = np.zeros(n)
+    if w_avail >= need.sum():
+        wind_alloc[:] = need
+    elif w_avail > 0:
+        if x.mean() > activation_threshold:
+            order = np.argsort(x, kind="stable")
+        else:
+            order = np.argsort(-x, kind="stable")
+        rem = w_avail
+        for i in order:
+            take = min(rem, need[i])
+            wind_alloc[i] = take
+            rem -= take
+            if rem <= 0:
+                break
+    grid_alloc = np.where(x > theta + 1e-12, np.clip(h + c - wind_alloc, 0.0, None), 0.0)
+    return wind_alloc, grid_alloc
+
+
+def test_heuristic_matches_frozen_rule_bit_for_bit(ref_params):
+    # 1-7 loads, some at the floor and at a comfort level, 1-4 wind states,
+    # and full-wind budgets of 0, exactly the loads' need, or random
+    rng = np.random.default_rng(22)
+    h, c = ref_params.h, ref_params.c
+    for _ in range(3000):
+        n, n_wind = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        x = rng.uniform(0.0, 110.0, n)
+        pick = rng.random(n)
+        x[pick < 0.2] = 0.0
+        x[(pick >= 0.2) & (pick < 0.35)] = 100.0
+        x[(pick >= 0.35) & (pick < 0.45)] = 50.0
+        wind = int(rng.integers(n_wind))
+        share = ref_params.wind_cooling_rates(n_wind)[wind] / c
+        need = np.where(x > 1e-12, h + c, h).sum()
+        budget = [0.0, need / share if share > 0 else None, None,
+                  float(rng.uniform(0.0, 10.0))][int(rng.integers(4))]
+        args = (x, wind, int(rng.integers(2)), ref_params, float(rng.uniform(0.0, 100.0)), budget)
+        got = coolest_first_heuristic(*args, n_wind=n_wind)
+        want = _reference_coolest_first(*args, n_wind=n_wind)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and same_bits(a, b)
 
 
 @pytest.mark.parametrize("n_wind, n_comfort",

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpolicy import LoadParams, advance_temperatures, build_environment
+from zpolicy import (
+    LoadParams, SimulationConfig, advance_temperatures, build_environment, finite_cost,
+    point_mass_curves, sample_episode, sensitivity_curves, simulate, solve_hjb, solve_stationary,
+)
 from zpolicy.errors import NonPositiveRate
 from zpolicy.model import _birth_death_generator, exact_flow, power_split
 
@@ -66,6 +69,43 @@ def test_nonpositive_rate_rejected():
 def test_load_params_reject_nonfinite(h, c, levels):
     with pytest.raises(ValueError):
         LoadParams(h=h, c=c, comfort_levels=levels)
+
+
+def test_load_params_need_a_comfort_level():
+    with pytest.raises(ValueError, match="one or more"):
+        LoadParams(h=1.0, c=1.1, comfort_levels=())
+
+
+@pytest.mark.parametrize("rates", [(0.1,), (0.1, 0.2, 0.3), [(0.1, 0.2), (0.3,)],
+                                   [(0.1, 0.2, 0.3)], [0.1, (0.2, 0.3)]])
+def test_rate_spec_that_is_no_pair_rejected(rates):
+    for wind, comfort in ((rates, (0.02, 0.02)), ((0.04, 0.04), rates)):
+        with pytest.raises(ValueError, match="pair"):
+            build_environment(wind, comfort)
+
+
+@pytest.mark.parametrize("levels, comfort_rates", [
+    ((40.0, 70.0, 100.0), (0.02, 0.02)),              # 2 comfort states, 3 levels
+    ((50.0, 100.0), [(0.02, 0.02), (0.02, 0.02)]),   # 3 comfort states, 2 levels
+])
+def test_environment_and_load_that_disagree_fail_early(levels, comfort_rates):
+    env = build_environment((0.04, 0.04), comfort_rates)
+    params = LoadParams(h=1.0, c=1.1, comfort_levels=levels)
+    config = SimulationConfig(n_loads=2, horizon_jumps=100, seed=0, set_points=(60.0, 90.0))
+    calls = [
+        lambda: params.check_environment(env),
+        lambda: solve_stationary(60.0, env, params),
+        lambda: solve_stationary(0.0, env, params),
+        lambda: point_mass_curves(env, params, [60.0]),
+        lambda: sensitivity_curves(env, params),
+        lambda: finite_cost([60.0, 90.0], env, params, gamma=0.0),
+        lambda: sample_episode(config, env, params),
+        lambda: simulate(config, env, params, gamma=0.0),
+        lambda: solve_hjb(env, params, horizon=2.0, grid_step=10.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"one level per comfort state \({env.n_comfort}\)"):
+            call()
 
 
 def test_wind_cooling_rates(ref_params):

@@ -345,15 +345,16 @@ def test_factor_path_matches_frozen_sampler(name, ref_env, env_w3, env3):
     # the jump tables are built once per chain; the path, the variates it
     # reads and the state the generator is left in are the frozen sampler's
     from reference_cftp import factor_path
-    from zpolicy.model import _FactorChain, _factor_path
+    from zpolicy.model import _draw_jumps, _FactorChain, _walk
     q = {"ref": ref_env.wind_generator, "w3": env_w3.wind_generator,
          "c3": env3.comfort_generator, "non_birth_death": _non_birth_death_wind().wind_generator,
          "absorbing": np.array([[-0.5, 0.0, 0.0], [0.25, 0.0, 0.0], [0.25, 0.0, 0.0]])}[name]
-    chain = _FactorChain(q)
+    chain, row = _FactorChain(q), np.zeros(1, dtype=np.int64)
     for n in (1, 2, 64, 5000):
         for start in range(len(q)):
             got_rng, want_rng = np.random.default_rng([n, start]), np.random.default_rng([n, start])
-            got = _factor_path(chain, start, n, got_rng)
+            times, states = _walk(chain, row, [start], *_draw_jumps(chain, row, [got_rng], n))
+            got = times[0], states[0]
             want = factor_path(q, start, n, want_rng)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()

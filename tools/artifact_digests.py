@@ -9,7 +9,10 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
 - every operation of every workload, with the configs each SEED gives;
 - every operation again with ``--seed 7``, on the first SEED's configs;
 - every command on an integer-valued config, whose whole numbers are
-  JSON integers.
+  JSON integers;
+- ``hjb`` on the benchmark's W3, C3 and FAST models, on a grid step that
+  does not divide the top comfort level, and with ``wind_power`` and
+  ``forced_power`` set.
 
 Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
 as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
@@ -43,6 +46,13 @@ INTEGER = {
 }
 INTEGER_COMPARE = {**INTEGER, "simulation": {"n_loads": 1, "horizon_jumps": 2000, "seed": 3,
                                              "set_points": [60]}}
+# hjb runs that reach what the benchmark's one REF run does not: wind
+# states, comfort levels, fast switching, a last node short of Theta_C and
+# both power keys
+HJB = (("w3", "W3", {}), ("c3", "C3", {}), ("fast", "FAST", {}),
+       ("grid_step_3.5", "REF", {"grid_step": 3.5}),
+       ("powers", "REF", {"wind_power": 0.7, "forced_power": 3.5}),
+       ("no_power", "REF", {"wind_power": 0, "forced_power": 0}))
 COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
             "compare")
 
@@ -87,6 +97,10 @@ def main(argv=None) -> int:
         for command in COMMANDS:
             config = INTEGER_COMPARE if command == "compare" else INTEGER
             digests[f"integer.{command}"] = run(cli, tmp, f"integer.{command}", command, config)
+        for name, model, hjb in HJB:
+            config = {"model": getattr(workloads, model),
+                      "hjb": {"horizon": 10.0, "grid_step": 2.5, **hjb}}
+            digests[f"hjb.{name}"] = run(cli, tmp, f"hjb.{name}", "hjb", config)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
