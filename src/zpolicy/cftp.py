@@ -22,19 +22,19 @@ coupling from the past requires.
 Draws run in lockstep.  Every draw owns its random generator and reads it
 in the order a draw on its own would, so a sample does not depend on which
 other draws share its batch.  The backward paths of a block's unfinished
-draws are arrays of draws x chains x jumps, their ages padded with inf.
-They are extended in waves: each draw with a chain short of the horizon
-draws the next chunk of its first such chain from its own generator, and
-one walk of the model's sampler extends every such row.  In each doubling
-round the segments of all unfinished draws are read off those arrays and
-laid out on one grid, oldest first and aligned at time 0, and step k
-advances segment k of every draw with one call to ``model.exact_flow`` on
-the (top, bottom) temperatures of all loads and draws; a draw with fewer
-segments is padded at the old end with zero-length segments, which the
-flow maps to themselves.  Draws that have coalesced leave the arrays, and
-only the rest double their horizon.  The chains' tables and stationary
-laws are built once per config.  CftpConfig validates itself on
-construction.
+draws are one flat list of jumps, each holding its row (one chain of one
+draw), its age and the state it enters.  The list grows in waves: each draw
+with a chain short of the horizon draws the next chunk of its first such
+chain from its own generator, and one walk of the model's sampler extends
+every such row.  In each doubling round the segments of all unfinished draws
+are read off the jumps below the horizon and laid out on one grid, oldest
+first and aligned at time 0, and step k advances segment k of every draw
+with one call to ``model.exact_flow`` on the (top, bottom) temperatures of
+all loads and draws; a draw with fewer segments is padded at the old end
+with zero-length segments, which the flow maps to themselves.  Draws that
+have coalesced leave the list, and only the rest double their horizon.  The
+chains' tables and stationary laws are built once per config.  CftpConfig
+validates itself on construction.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import CostReport
+from .costs import CostReport, standard_error
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
@@ -74,9 +74,10 @@ class CftpConfig:
 
     Raises ValueError unless there is at least one load, set_points and
     comfort_rates give one entry per load, each comfort chain has as many
-    states as its load has comfort levels, initial_horizon is None or
-    finite and positive, and max_doublings is at least 1; raises
-    InvalidSetPoint unless every set-point lies in [0, Theta_C] of its load.
+    states as its load has comfort levels, the rates give one chain under
+    shared_comfort, initial_horizon is None or finite and positive, and
+    max_doublings is at least 1; raises InvalidSetPoint unless every
+    set-point lies in [0, Theta_C] of its load.
     """
 
     wind_rates: tuple                            # (q_up, q_down) or (up, down) pairs
@@ -95,10 +96,13 @@ class CftpConfig:
         if len(self.set_points) != n or len(self.comfort_rates) != n:
             raise ValueError(f"set_points and comfort_rates need one entry per load ({n}), "
                              f"got {len(self.set_points)} and {len(self.comfort_rates)}")
-        for p, rates in zip(self.load_params, self.comfort_rates):
-            if _birth_death_generator(rates).shape[0] != len(p.comfort_levels):
+        generators = [_birth_death_generator(rates) for rates in self.comfort_rates]
+        for p, q, rates in zip(self.load_params, generators, self.comfort_rates):
+            if q.shape[0] != len(p.comfort_levels):
                 raise ValueError(f"comfort rates {rates} do not give one state per "
                                  f"comfort level {p.comfort_levels}")
+        if self.shared_comfort and not all(np.array_equal(q, generators[0]) for q in generators):
+            raise ValueError("a shared comfort chain needs the same comfort rates for every load")
         if self.initial_horizon is not None and \
                 not (np.isfinite(self.initial_horizon) and self.initial_horizon > 0):
             raise ValueError(f"initial_horizon must be finite and positive, "
@@ -134,57 +138,48 @@ class JointSample:
     horizon: float               # past horizon that achieved coalescence
 
 
-def _extend(chains: _FactorChain, ages: np.ndarray, states: np.ndarray, drawn: np.ndarray,
-            rngs: list, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward paths extended with fresh jumps until every chain covers
-    ``horizon``; the jumps already drawn are kept.
-
-    ages[d, j, k] is the age of jump k of chain j in draw d (0 first, inf
-    past the drawn[d, j] entries) and states[d, j, k] the state it enters;
-    draw d reads rngs[d].  In each wave every draw with a chain short of
-    the horizon draws _CHUNK jumps of its first such chain, so it takes
-    its chains in order, one chunk at a time, as a draw on its own would;
-    one walk extends all of those rows.  ``drawn`` is updated in place and
-    the arrays are returned, widened when a chain needs more room.
+def _extend(chains: _FactorChain, jumps: np.ndarray, end: np.ndarray, last: np.ndarray,
+            rngs: list, horizon: float) -> np.ndarray:
+    """The list ``jumps`` with fresh jumps appended until every chain covers
+    ``horizon``.  An entry holds a jump's row (draw * chains + chain), age
+    and entered state, each chain's oldest last; end[d, j] and last[d, j]
+    hold the oldest age and state of row d * chains + j and are updated in
+    place.  Draw d reads rngs[d].  In each wave every draw with a chain
+    short of the horizon draws _CHUNK jumps of its first such chain, so it
+    takes its chains in order, one chunk at a time, as a draw on its own
+    would; one walk extends all of those rows.
     """
+    blocks = [jumps]
     while True:
-        ends = np.take_along_axis(ages, drawn[:, :, None] - 1, axis=2)[:, :, 0]
-        short = ends < horizon
+        short = end < horizon
         d = np.flatnonzero(short.any(axis=1))
         if not len(d):
-            return ages, states
+            return np.concatenate(blocks)
         j = short[d].argmax(axis=1)
-        at = drawn[d, j]
-        times, new = _walk(chains, j, states[d, j, at - 1],
+        times, new = _walk(chains, j, last[d, j],
                            *_draw_jumps(chains, j, [rngs[k] for k in d.tolist()], _CHUNK))
-        more = int(at.max()) + _CHUNK - ages.shape[2]
-        if more > 0:
-            ages = np.concatenate([ages, np.full(ages.shape[:2] + (more,), np.inf)], axis=2)
-            states = np.concatenate([states, np.zeros(states.shape[:2] + (more,), dtype=np.int64)],
-                                    axis=2)
-        cols = (d[:, None], j[:, None], at[:, None] + np.arange(_CHUNK))
-        ages[cols] = ends[d, j][:, None] + times
-        states[cols] = new[:, 1:]
-        drawn[d, j] += _CHUNK
+        block = np.empty(times.shape, dtype=jumps.dtype)
+        block["row"], block["age"], block["state"] = \
+            (d * end.shape[1] + j)[:, None], end[d, j][:, None] + times, new[:, 1:]
+        blocks.append(block.ravel())
+        end[d, j], last[d, j] = block["age"][:, -1], new[:, -1]
 
 
-def _segments(ages: np.ndarray, states: np.ndarray,
+def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,
               horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """The segments that tile [-horizon, 0] in each draw's backward paths
-    (draws x chains x jumps, as _extend keeps them): the state of every
-    chain (steps x chains x draws) and the durations (steps x draws),
-    oldest first.  Every draw ends its last step at time 0; a draw with
-    fewer segments is padded at the old end with zero durations in state 0.
+    (the list of jumps _extend keeps): the state of every chain
+    (steps x chains x draws) and the durations (steps x draws), oldest
+    first.  Every draw ends its last step at time 0; a draw with fewer
+    segments is padded at the old end with zero durations in state 0.
 
     A segment starts at each distinct jump age below the horizon, and a
     chain's state on it is the one after its last jump at or before that
     age, so the segments are those of each draw on its own.
     """
-    n_draws, n_chains, width = ages.shape
-    ages = ages.reshape(-1)
-    keep = np.flatnonzero(ages < horizon)
-    entry, ages = states.reshape(-1)[keep], ages[keep]
-    draw, chain = np.divmod(keep // width, n_chains)
+    jumps = jumps[jumps["age"] < horizon]
+    ages, entry = jumps["age"], jumps["state"]
+    draw, chain = np.divmod(jumps["row"], n_chains)
     # by draw, age and chain; stable, so a chain's jumps keep their order
     order = np.lexsort((chain, ages, draw))
     ages, entry, draw, chain = ages[order], entry[order], draw[order], chain[order]
@@ -251,15 +246,16 @@ class _Coupling:
         u = np.array([rng.random(len(self.cdfs)) for rng in rngs])
         now = (self.cdfs <= u[:, :, None]).sum(axis=2)
         # the backward paths of the pending draws, as _extend keeps them
-        ages, states = np.zeros(now.shape + (1,)), now[:, :, None].copy()
-        drawn = np.ones(now.shape, dtype=np.int64)
+        jumps = np.zeros(now.size, dtype=[("row", np.int32), ("state", np.int32), ("age", float)])
+        jumps["row"], jumps["state"] = np.arange(now.size), now.ravel()
+        end, last = np.zeros(now.shape), now.copy()
         samples: list = [None] * len(rngs)
         pending = np.arange(len(rngs))
         horizon = self.horizon
         for _ in range(self.max_doublings):
-            ages, states = _extend(self.chains, ages, states, drawn,
-                                   [rngs[d] for d in pending.tolist()], horizon)
-            state, dt = _segments(ages, states, horizon)
+            jumps = _extend(self.chains, jumps, end, last,
+                            [rngs[d] for d in pending.tolist()], horizon)
+            state, dt = _segments(jumps, *end.shape, horizon)
             wind = state[:, 0]
             theta = self.levels[loads[:, None], state[:, self.owner]]
             ci = self.rates[loads[:, None], wind[:, None]]
@@ -280,8 +276,12 @@ class _Coupling:
                 d = pending[j]
                 samples[d] = JointSample(temperatures=x[0, :, j].copy(), wind=int(now[d, 0]),
                                          comfort=now[d, self.owner], horizon=horizon)
-            # coalesced draws leave the paths, so memory follows the pending ones
-            pending, ages, states, drawn = (a[~met] for a in (pending, ages, states, drawn))
+            # coalesced draws leave the paths, so memory follows the pending
+            # ones; the rows of the rest are renumbered in order
+            keep = np.repeat(~met, now.shape[1])
+            jumps = jumps[keep[jumps["row"]]]
+            jumps["row"] = (np.cumsum(keep) - 1)[jumps["row"]]
+            pending, end, last = (a[~met] for a in (pending, end, last))
             if not len(pending):
                 return samples
             horizon *= 2.0
@@ -333,10 +333,9 @@ def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
     power = (grid.sum(axis=1) / n) ** 2
     disc = (np.maximum(x - theta, 0.0) ** 2).sum(axis=1) / n
     totals = power + gamma * disc
-    se = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) if len(totals) > 1 else float("inf")
     return CostReport(power_cost=float(power.mean()),
                       discomfort_cost=float(disc.mean()),
-                      gamma=gamma, std_error=se)
+                      gamma=gamma, std_error=standard_error(totals))
 
 
 def smooth_distribution(u: ThresholdDistribution, bandwidth: float,

@@ -55,6 +55,12 @@ class CostReport:
         return self.power_cost + self.gamma * self.discomfort_cost
 
 
+def standard_error(values) -> float:
+    """Standard error of the mean of ``values`` (inf for a single value)."""
+    return float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 \
+        else float("inf")
+
+
 @dataclass(frozen=True)
 class SensitivityCurves:
     """Curves over a set-point grid driving the variational problem.
@@ -104,6 +110,16 @@ def _supplement_rates(c: float, n_wind: int) -> np.ndarray:
     intermediate wind state i = 1..W-2."""
     i = np.arange(1, n_wind - 1, dtype=float)
     return c * (1.0 - i / (n_wind - 1))
+
+
+def check_curves(curves, env: MarkovEnvironment, params: LoadParams) -> None:
+    """Raise ValueError unless ``curves`` (sensitivity or point-mass
+    curves) were built for ``params`` and for an environment with the
+    wind and comfort generators of ``env``."""
+    if curves.params != params \
+            or not np.array_equal(curves.env.wind_generator, env.wind_generator) \
+            or not np.array_equal(curves.env.comfort_generator, env.comfort_generator):
+        raise ValueError("curves were built for another environment or load")
 
 
 def default_z_grid(params: LoadParams, step: float | None = None) -> np.ndarray:
@@ -172,12 +188,14 @@ def sensitivity_curves(env: MarkovEnvironment, params: LoadParams,
     interval ends; the breakpoint discontinuities never enter a stencil.
     A non-positive quadratic weight is recorded (w_nonpositive) rather than
     raised; divisions use the eps-clamped weight.  ``workers`` is accepted
-    for compatibility and has no effect.
+    for compatibility and has no effect.  Raises ValueError if ``raw`` was
+    built for another environment or load (check_curves).
     """
     if raw is None:
         if z_grid is None:
             z_grid = default_z_grid(params)
         raw = point_mass_curves(env, params, z_grid, grid_step=grid_step)
+    check_curves(raw, env, params)
     z_grid = raw.z_grid
     slices = _segment_slices(z_grid, params.comfort_levels)
 
@@ -215,13 +233,15 @@ def finite_cost(set_points, env: MarkovEnvironment, params: LoadParams,
     stochastic-dominance frontier telescopes: parked sets fill bottom-up,
     violation sets fill top-down, so squared ensemble draws reduce to sums
     of marginal masses.  Curve values are linearly interpolated from one
-    shared curve build (O(dz^2) accurate).
+    shared curve build (O(dz^2) accurate).  Raises ValueError if ``curves``
+    were built for another environment or load (check_curves).
     """
     z = np.asarray(set_points, dtype=float)
     if np.any(np.diff(z) < 0):
         raise UnsortedInput("set-points must be ascending")
     if curves is None:
         curves = sensitivity_curves(env, params)
+    check_curves(curves, env, params)
     n = len(z)
     h, c = params.h, params.c
     k = np.arange(1, n + 1)

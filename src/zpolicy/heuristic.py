@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .costs import standard_error
 from .distributions import ThresholdDistribution
 from .model import LoadParams, MarkovEnvironment
 from .simulate import SampledEpisode, SimulationConfig, run_episode, sample_episode
@@ -167,9 +168,7 @@ def estimate_cost(dist: PiecewiseDistribution, episodes: Sequence[SampledEpisode
     z = replace(first.config, distribution=dist.to_threshold_distribution()) \
         .resolve_set_points(first.params)
     totals = [run_episode(ep, z, gamma).empirical_cost.total for ep in episodes]
-    se = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
-        if len(totals) > 1 else float("inf")
-    return CostEstimate(j_hat=float(np.mean(totals)), std_error=se)
+    return CostEstimate(j_hat=float(np.mean(totals)), std_error=standard_error(totals))
 
 
 def make_simulation_cost_fn(env: MarkovEnvironment, params: LoadParams, gamma: float,

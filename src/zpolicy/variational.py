@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import SensitivityCurves, sensitivity_curves
+from .costs import SensitivityCurves, check_curves, sensitivity_curves
 from .distributions import ThresholdDistribution
 from .errors import NoConvergence, NotADistribution
 from .model import LoadParams, MarkovEnvironment
@@ -195,12 +195,14 @@ def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
     levels there is nothing to iterate: the result is the projection of
     the candidate, after 0 iterations and with an empty trace.
 
-    Raises ValueError unless tol is finite and positive.
+    Raises ValueError unless tol is finite and positive, and if ``curves``
+    were built for another environment or load (check_curves).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if curves is None:
         curves = sensitivity_curves(env, params)
+    check_curves(curves, env, params)
     n_mid = max(env.n_comfort - 2, 0)
     level_idx = np.searchsorted(curves.z_grid, params.comfort_levels[1:-1], side="right") - 1
 

@@ -283,6 +283,14 @@ def test_config_rejects_bad_shapes_and_horizons(change):
         CftpConfig(**{**asdict(base), "load_params": base.load_params, **change})
 
 
+def test_shared_comfort_needs_one_comfort_chain():
+    cfg = _lockstep_case("shared")
+    # rates that give the same chain are accepted, however they are written
+    replace(cfg, comfort_rates=((0.02, 0.02), ((0.02, 0.02),), (0.02, 0.02)))
+    with pytest.raises(ValueError):
+        replace(cfg, comfort_rates=((0.02, 0.02), (0.5, 0.5), (0.02, 0.02)))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), 150.0, -5.0, float("inf")])
 def test_config_rejects_set_points_outside_comfort_range(bad):
     from zpolicy.errors import InvalidSetPoint
@@ -338,11 +346,19 @@ def _lockstep_case(name):
         cfg = _ref_cftp_config(set_points=tuple(np.linspace(55.0, 95.0, 10))) \
             if name == "long_horizon" else _lockstep_case("w3")
         return replace(cfg, initial_horizon=6000.0)
+    if name == "one_wind":
+        # a one-state wind chain never jumps: its only jump age is inf
+        return replace(_ref_cftp_config(set_points=(60.0, 90.0)), wind_rates=())
+    if name == "one_comfort":
+        top = LoadParams(h=1.0, c=1.1, comfort_levels=(100.0,))
+        return replace(_ref_cftp_config(set_points=(60.0, 90.0)), load_params=(top, top),
+                       comfort_rates=((),) * 2)
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("name", ["ref2", "ref10", "w3", "c3", "shared", "heterogeneous",
-                                  "short_horizon", "long_horizon", "w3_long_horizon"])
+                                  "short_horizon", "long_horizon", "w3_long_horizon",
+                                  "one_wind", "one_comfort"])
 def test_lockstep_draws_match_frozen_sampler(name):
     from reference_cftp import cftp_sample as reference
     cfg = _lockstep_case(name)
@@ -354,7 +370,7 @@ def test_lockstep_draws_match_frozen_sampler(name):
 
 
 @pytest.mark.parametrize("name", ["w3", "heterogeneous", "short_horizon", "long_horizon",
-                                  "w3_long_horizon"])
+                                  "w3_long_horizon", "one_wind"])
 def test_draws_leave_generators_as_frozen_sampler_does(name):
     # every draw reads its generator as far as the frozen sampler does, in
     # a batch and in a batch of one

@@ -3,7 +3,7 @@ import pytest
 
 from zpolicy import (
     LoadParams, SimulationConfig, ThresholdDistribution, build_environment, continuum_cost,
-    default_z_grid, euler_lagrange, finite_cost, phi, sensitivity_curves, simulate,
+    default_z_grid, euler_lagrange, finite_cost, fixed_point, phi, sensitivity_curves, simulate,
 )
 from zpolicy.costs import _dejump, _segment_slices
 from zpolicy.errors import UnsortedInput
@@ -83,6 +83,24 @@ def test_finite_cost_requires_sorted(ref_env, ref_params, ref_curves):
     with pytest.raises(UnsortedInput):
         finite_cost([80.0, 60.0], ref_env, ref_params, GAMMA_REF,
                     curves=ref_curves)
+
+
+@pytest.mark.parametrize("entry", ["finite_cost", "fixed_point", "sensitivity_curves"])
+def test_curves_built_for_another_model_are_refused(entry, ref_env, ref_params, ref_curves,
+                                                    env_w3):
+    raw = point_mass_curves(ref_env, ref_params, default_z_grid(ref_params, step=5.0))
+    call = {
+        "finite_cost": lambda env, params: finite_cost([60.0, 90.0], env, params, GAMMA_REF,
+                                                       curves=ref_curves),
+        "fixed_point": lambda env, params: fixed_point(env, params, GAMMA_REF, curves=ref_curves),
+        "sensitivity_curves": lambda env, params: sensitivity_curves(env, params, raw=raw),
+    }[entry]
+    call(build_environment((0.04, 0.04), (0.02, 0.02)), ref_params)   # an equal model
+    other_comfort = build_environment((0.04, 0.04), (0.03, 0.02))
+    other_load = LoadParams(h=1.2, c=1.1, comfort_levels=(50.0, 100.0))
+    for env, params in ((env_w3, ref_params), (other_comfort, ref_params), (ref_env, other_load)):
+        with pytest.raises(ValueError, match="another environment or load"):
+            call(env, params)
 
 
 def test_finite_cost_single_load_formula(ref_env, ref_params, ref_curves):
