@@ -161,8 +161,12 @@ def _extend(chains: _FactorChain, jumps: np.ndarray, end: np.ndarray, last: np.n
         block = np.empty(times.shape, dtype=jumps.dtype)
         block["row"], block["age"], block["state"] = \
             (d * end.shape[1] + j)[:, None], end[d, j][:, None] + times, new[:, 1:]
-        blocks.append(block.ravel())
         end[d, j], last[d, j] = block["age"][:, -1], new[:, -1]
+        # once a chain is absorbed its remaining jumps lie at age inf, past
+        # every horizon; ages grow along a row, so only a row ending at inf
+        # holds any
+        block = block.ravel()
+        blocks.append(block[np.isfinite(block["age"])] if np.isinf(end[d, j]).any() else block)
 
 
 def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,

@@ -233,10 +233,15 @@ def finite_cost(set_points, env: MarkovEnvironment, params: LoadParams,
     stochastic-dominance frontier telescopes: parked sets fill bottom-up,
     violation sets fill top-down, so squared ensemble draws reduce to sums
     of marginal masses.  Curve values are linearly interpolated from one
-    shared curve build (O(dz^2) accurate).  Raises ValueError if ``curves``
-    were built for another environment or load (check_curves).
+    shared curve build (O(dz^2) accurate).  Raises ValueError for an empty
+    or non-1-d vector or if ``curves`` were built for another environment
+    or load (check_curves), InvalidSetPoint for a set-point outside
+    [0, Theta_C], and UnsortedInput unless the set-points ascend.
     """
     z = np.asarray(set_points, dtype=float)
+    if z.ndim != 1 or not len(z):
+        raise ValueError(f"set_points must be a non-empty 1-d vector, got shape {z.shape}")
+    params.check_set_points(z)
     if np.any(np.diff(z) < 0):
         raise UnsortedInput("set-points must be ascending")
     if curves is None:

@@ -206,7 +206,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
         theta = params.comfort_levels[jc]
         forced = temps > theta + 1e-12
         # mandatory holding power at the active top (f <= 0 there)
-        holding = (np.isclose(temps, theta) | np.isclose(temps, params.theta_max)) & ~forced
+        holding = np.isclose(temps, theta) & ~forced
         top_cap = np.where(holding, 0.0, np.inf)
         orders = []
         for order in ([(0, 1), (1, 0)] if iw >= 1 else [(0, 1)]):

@@ -33,13 +33,13 @@ system stays well conditioned however fast the environment switches.  The
 unknowns are the mode coefficients a of each interval and the point
 masses; there is no shooting or ODE stepping.
 
-Set-points with the same number of comfort levels below them share the
-structure of the system; only the length of the last interval changes.
-``point_mass_curves`` solves each such group as one stacked system with a
-batched SVD, and ``solve_stationary`` is the same solve at a batch of one
-plus the density grid.  Tails and the discomfort integral are closed-form
-integrals of (polynomial of degree <= 2) x exponential over whole
-intervals.
+Set-points with the same number n of comfort levels below them share the
+structure of the system, and n alone places every mass; only the length of
+the last interval changes.  ``_solve`` checks the inputs and solves each
+such group as one stacked system with a batched SVD, for both
+``point_mass_curves`` and ``solve_stationary`` (a batch of one, plus the
+density grid).  Tails and the discomfort integral are closed-form
+integrals of (polynomial of degree <= 2) x exponential over whole intervals.
 """
 
 from __future__ import annotations
@@ -342,6 +342,22 @@ def _grid_step(params: LoadParams, grid_step: float | None) -> float:
     return params.theta_max / 400.0 if grid_step is None else grid_step
 
 
+def _solve(env: MarkovEnvironment, params: LoadParams, z: np.ndarray,
+           grid_step: float | None):
+    """The checks of ``solve_stationary``, the model, and (n, slice of z,
+    _Solution) per count n of comfort levels below the ascending set-points
+    z > 0."""
+    params.check_environment(env)
+    params.check_set_points(z)
+    grid_step = _grid_step(params, grid_step)
+    model = _build_model(env, params)
+    # z ascends, so the set-points in (Theta_n, Theta_{n+1}] (Theta_0 = 0)
+    # are one slice of it
+    ends = np.searchsorted(z, [0.0, *params.comfort_levels], side="right").tolist()
+    return model, [(n, slice(lo, hi), _solve_batch(model, z[lo:hi], grid_step))
+                   for n, (lo, hi) in enumerate(zip(ends, ends[1:])) if hi > lo]
+
+
 def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                      grid_step: float | None = None) -> StationaryDistribution:
     """Solve the stationary density/mass system for set-point ``z``.
@@ -352,12 +368,9 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
     the single conservation redundancy or produces significantly negative
     densities.
     """
-    params.check_environment(env)
-    params.check_set_points(z)
-    grid_step = _grid_step(params, grid_step)
+    model, batches = _solve(env, params, np.array([float(z)]), grid_step)
     n_states = env.n_states
-
-    if z == 0.0:
+    if not batches:
         # Degenerate policy: the load is pinned at the floor in every state.
         pi = env.stationary()
         masses = {(0.0, s): float(pi[s]) for s in range(n_states) if pi[s] > 0}
@@ -366,8 +379,7 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                                       system_shape=(n_states + 1, n_states),
                                       system_rank=n_states)
 
-    model = _build_model(env, params)
-    sol = _solve_batch(model, np.array([float(z)]), grid_step)
+    [(n, _, sol)] = batches
     segments = []
     for k, (t, dens_sup, integ) in enumerate(zip(sol.grids, sol.densities, sol.integrals[0])):
         dens = np.zeros((n_states, t.shape[-1]))
@@ -377,7 +389,7 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
     masses = {}
     for s, m in zip(model.mass_states.tolist(), sol.masses[0].tolist()):
         wind, j = env.split_index(s)
-        masses[(0.0 if wind else min(z, params.comfort_levels[j]), s)] = m
+        masses[(0.0 if wind else params.comfort_levels[j] if j < n else z, s)] = m
     return StationaryDistribution(z=z, env=env, params=params, segments=tuple(segments),
                                   point_masses=masses, system_shape=sol.shape,
                                   system_rank=int(sol.rank[0]))
@@ -444,13 +456,10 @@ def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
     ``solve_stationary`` applied to each z.  ``workers`` is accepted for
     compatibility and has no effect.
     """
-    params.check_environment(env)
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be strictly ascending")
-    params.check_set_points(z_grid)
-    grid_step = _grid_step(params, grid_step)
-    levels = params.comfort_levels
+    model, batches = _solve(env, params, z_grid, grid_step)
     n_c, n_w, n_z = env.n_comfort, env.n_wind, len(z_grid)
 
     delta_z = np.zeros(n_z)
@@ -461,23 +470,13 @@ def point_mass_curves(env: MarkovEnvironment, params: LoadParams, z_grid,
     # z = 0 pins the load at the floor: the wind-off mass is parked at z
     delta_z[z_grid == 0.0] = env.stationary()[:n_c].sum()
 
-    n_below = np.searchsorted(levels, z_grid)
-    model = _build_model(env, params)
-    for n in np.unique(n_below):
-        sel = np.nonzero((n_below == n) & (z_grid > 0.0))[0]
-        if not len(sel):
-            continue
-        z = z_grid[sel]
-        sol = _solve_batch(model, z, grid_step)
-        for col, s in enumerate(model.mass_states.tolist()):
-            wind, j = env.split_index(s)
-            if wind:
-                continue
-            # parked exactly at the set-point: wind-off states only
-            # (under wind the load is held at the floor, not at z)
-            m = sol.masses[:, col]
-            delta_z[sel] += np.where(np.abs(np.minimum(z, levels[j]) - z) <= 1e-9, m, 0.0)
-            delta_theta[j, sel] = np.where(levels[j] < z - 1e-12, m, 0.0)
+    for n, sel, sol in batches:
+        # wind-off masses only: under wind the load is held at the floor
+        for col, (wind, j) in enumerate(map(env.split_index, model.mass_states.tolist())):
+            if not wind and j < n:
+                delta_theta[j, sel] = sol.masses[:, col]
+            elif not wind:
+                delta_z[sel] += sol.masses[:, col]
         tail[sel] = sol.integrals[:, 1:].sum(axis=(1, 2))
         for j in range(n_c):
             states = [env.state_index(i, j) for i in range(n_w)]

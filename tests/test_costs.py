@@ -6,7 +6,7 @@ from zpolicy import (
     default_z_grid, euler_lagrange, finite_cost, fixed_point, phi, sensitivity_curves, simulate,
 )
 from zpolicy.costs import _dejump, _segment_slices
-from zpolicy.errors import UnsortedInput
+from zpolicy.errors import InvalidSetPoint, UnsortedInput
 from zpolicy.stationary import PointMassCurves, point_mass_curves
 
 import reference_costs
@@ -83,6 +83,17 @@ def test_finite_cost_requires_sorted(ref_env, ref_params, ref_curves):
     with pytest.raises(UnsortedInput):
         finite_cost([80.0, 60.0], ref_env, ref_params, GAMMA_REF,
                     curves=ref_curves)
+
+
+@pytest.mark.parametrize("set_points, error", [
+    ([150.0, 200.0], InvalidSetPoint), ([-5.0, 60.0], InvalidSetPoint),
+    ([float("nan"), 60.0], InvalidSetPoint), ([], ValueError), ([[60.0, 90.0]], ValueError),
+], ids=["above", "below", "nan", "empty", "2d"])
+def test_finite_cost_rejects_bad_set_points(set_points, error, ref_env, ref_params, ref_curves):
+    # the same set-points phi and solve_stationary refuse, and vectors
+    # that are empty or not 1-d
+    with pytest.raises(error):
+        finite_cost(set_points, ref_env, ref_params, GAMMA_REF, curves=ref_curves)
 
 
 @pytest.mark.parametrize("entry", ["finite_cost", "fixed_point", "sensitivity_curves"])

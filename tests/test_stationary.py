@@ -251,6 +251,32 @@ def test_sweep_matches_single_solves(instance, ref_env, ref_params, env3, params
         assert abs(curves.phi[k] - phi(z, env, params)) <= 1e-10
 
 
+@pytest.mark.parametrize("instance", ["ref", "c3", "w3"])
+def test_curves_place_each_mass_where_the_solve_does(instance, ref_env, ref_params, env3,
+                                                     params3, env_w3):
+    # a set-point any distance above Theta_j parks the wind-off mass of
+    # level j at Theta_j, and one at or below it parks it at the set-point
+    env, params = {"ref": (ref_env, ref_params), "c3": (env3, params3),
+                   "w3": (env_w3, ref_params)}[instance]
+    for theta in params.comfort_levels:
+        for z in theta + np.array([-5e-10, 0.0, 5e-13, 5e-10, 2e-9, 1.0]):
+            if z > params.theta_max:
+                continue
+            curves = point_mass_curves(env, params, [z])
+            at_z, at_theta = 0.0, np.zeros(env.n_comfort)
+            for (loc, s), m in solve_stationary(z, env, params).point_masses.items():
+                wind, j = env.split_index(s)
+                if wind:
+                    continue
+                if loc == z:
+                    at_z += m
+                else:
+                    assert loc == params.comfort_levels[j]
+                    at_theta[j] += m
+            assert abs(curves.delta_z[0] - at_z) <= 1e-12, z
+            assert np.abs(curves.delta_theta[:, 0] - at_theta).max() <= 1e-12, z
+
+
 def test_sweep_tails_and_phi_match_trapezoid(ref_env, ref_params, env3, params3, env_w3):
     # the closed-form integrals against the trapezoid rule on the solver
     # grid, Richardson-extrapolated from steps 0.1 and 0.05 (the rule alone

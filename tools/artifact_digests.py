@@ -12,7 +12,9 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
   JSON integers;
 - ``hjb`` on the benchmark's W3, C3 and FAST models, on a grid step that
   does not divide the top comfort level, and with ``wind_power`` and
-  ``forced_power`` set.
+  ``forced_power`` set;
+- ``distribution`` at set-points other than Theta_C: 0, a comfort level
+  and 5e-10 above it, and the lowest of three comfort levels.
 
 Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
 as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
@@ -53,6 +55,11 @@ HJB = (("w3", "W3", {}), ("c3", "C3", {}), ("fast", "FAST", {}),
        ("grid_step_3.5", "REF", {"grid_step": 3.5}),
        ("powers", "REF", {"wind_power": 0.7, "forced_power": 3.5}),
        ("no_power", "REF", {"wind_power": 0, "forced_power": 0}))
+# distribution runs whose masses do not all sit at Theta_C: the load
+# pinned at the floor, the set-point on a comfort level and 5e-10 above
+# it, and on the lowest of three comfort levels
+DISTRIBUTION = (("z0", "REF", "0"), ("z50", "REF", "50"),
+                ("z50_above", "REF", "50.0000000005"), ("c3_z40", "C3", "40"))
 COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
             "compare")
 
@@ -101,6 +108,10 @@ def main(argv=None) -> int:
             config = {"model": getattr(workloads, model),
                       "hjb": {"horizon": 10.0, "grid_step": 2.5, **hjb}}
             digests[f"hjb.{name}"] = run(cli, tmp, f"hjb.{name}", "hjb", config)
+        for name, model, z in DISTRIBUTION:
+            config = {"model": getattr(workloads, model)}
+            digests[f"distribution.{name}"] = run(cli, tmp, f"distribution.{name}",
+                                                  "distribution", config, ("--z", z))
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
