@@ -241,8 +241,11 @@ def successive_refinement(cost_fn, initial_level: int = 0, max_level: int = 3,
     by delta_j (default 0.5% of the best so far), the best distribution
     seen so far is split in two and seeds the next level.  Every cost_fn
     call is one trace step.  Returns the best-seen distribution and the
-    full trace.
+    full trace.  Raises ValueError unless 0 <= initial_level <= max_level.
     """
+    if not 0 <= initial_level <= max_level:
+        raise ValueError(f"need 0 <= initial_level <= max_level, got initial_level "
+                         f"{initial_level}, max_level {max_level}")
     rng = np.random.default_rng(seed)
     trace = AdaptationTrace()
     best_dist, best_j = None, np.inf

@@ -219,9 +219,9 @@ class _Occupation:
     over the stretches that is e*S(e) - T(e): S sums w over the stretches
     with lo < e less those with hi < e, and T sums w*lo and w*hi likewise.
     S and T are binned by the first edge above lo (or hi) and summed up the
-    edges at the end.  Parked time is summed per dwell key (load, location
-    rounded to 1e-9): a load parks at min(z, Theta_k) with wind off and at
-    the floor 0 under wind.
+    edges at the end.  Parked time is summed per dwell key (load, location),
+    the location exactly where the flow parks the load: min(z, Theta_k) with
+    wind off and the floor 0 under wind.
     """
 
     def __init__(self, zd: np.ndarray, levels: np.ndarray, edges: np.ndarray):
@@ -237,7 +237,7 @@ class _Occupation:
         # dwell slot k < C: parked at comfort level k; slot C: the floor
         spots = np.column_stack([np.minimum.outer(zd, levels), np.zeros(len(zd))])
         index: dict[tuple[int, float], int] = {}
-        self.slot_key = np.array([[index.setdefault((j, round(loc, 9)), len(index))
+        self.slot_key = np.array([[index.setdefault((j, loc), len(index))
                                    for loc in row] for j, row in enumerate(spots.tolist())])
         self.keys = list(index)
         self.dwell = np.zeros(len(index))
@@ -291,7 +291,7 @@ class _Occupation:
         t = np.cumsum(self.t.reshape(-1, self.n_bins), axis=1)[:, :-1]
         out = self.edges * s - t
         for (j, loc), v in zip(self.keys, self.dwell.tolist()):
-            out[j, self.edges >= loc - 1e-9] += v
+            out[j, self.edges >= loc] += v
         return out / max(time, 1e-300)
 
     def fractions(self, inv: np.ndarray, time: float) -> dict:

@@ -102,21 +102,14 @@ class StationaryDistribution:
     def total_mass(self) -> float:
         return self.density_mass() + sum(self.point_masses.values())
 
-    def mass_at(self, location: float, state: int | None = None, atol: float = 1e-9) -> float:
-        tot = 0.0
-        for (loc, s), m in self.point_masses.items():
-            if abs(loc - location) <= atol and (state is None or s == state):
-                tot += m
-        return tot
+    def mass_at(self, location: float, state: int | None = None) -> float:
+        """Point mass at exactly ``location`` (of one state, or of all)."""
+        return float(sum(m for (loc, s), m in self.point_masses.items()
+                         if loc == location and (state is None or s == state)))
 
-    def mass_locations(self, atol: float = 1e-9) -> list[float]:
-        locs: list[float] = []
-        for (loc, _s), m in sorted(self.point_masses.items()):
-            if m <= atol:
-                continue
-            if not any(abs(loc - l0) <= atol for l0 in locs):
-                locs.append(loc)
-        return locs
+    def mass_locations(self) -> list[float]:
+        """Sorted locations that hold a positive point mass."""
+        return sorted({loc for (loc, _s), m in self.point_masses.items() if m > 0})
 
     def cdf(self, x):
         """P(X <= x) mixing densities and point masses (right-continuous).
@@ -135,7 +128,7 @@ class StationaryDistribution:
             frac = cum[idx] + 0.5 * (np.interp(inside, seg.x, total) + total[idx]) * (inside - seg.x[idx])
             out += np.where(xq < lo, 0.0, np.where(xq >= hi, cum[-1], frac))
         for (loc, _s), m in self.point_masses.items():
-            out += np.where(xq >= loc - 1e-9, m, 0.0)
+            out += np.where(xq >= loc, m, 0.0)
         return out if np.ndim(x) else float(out[0])
 
     def tail_above(self, theta: float, states=None) -> float:

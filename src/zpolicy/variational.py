@@ -195,11 +195,14 @@ def fixed_point(env: MarkovEnvironment, params: LoadParams, gamma: float,
     levels there is nothing to iterate: the result is the projection of
     the candidate, after 0 iterations and with an empty trace.
 
-    Raises ValueError unless tol is finite and positive, and if ``curves``
-    were built for another environment or load (check_curves).
+    Raises ValueError unless tol is finite and positive and max_iter is at
+    least 1, and if ``curves`` were built for another environment or load
+    (check_curves).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if curves is None:
         curves = sensitivity_curves(env, params)
     check_curves(curves, env, params)

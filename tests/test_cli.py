@@ -381,6 +381,11 @@ def test_malformed_config_is_usage_error(tmp_path, command, text):
     ("solver", "tolerance", float("nan"), "tol"),
     ("solver", "tolerance", 0, "tol"),
     ("solver", "tolerance", -1, "tol"),
+    ("solver", "max_iter", 0, "max_iter"),
+    ("solver", "max_iter", -3, "max_iter"),
+    ("heuristic", "initial_level", -1, "initial_level"),
+    ("heuristic", "max_level", -2, "max_level"),
+    ("heuristic", "initial_level", 1, "initial_level"),   # above max_level 0
 ])
 def test_bad_range_is_usage_error_that_names_its_key(tmp_path, capsys, block, key, value, word):
     cfg = tmp_path / "config.json"
@@ -573,9 +578,10 @@ def test_library_defaults_reach_the_library_unchanged(tmp_path, monkeypatch, com
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, spied, spy)
+    # max_level 1, so that initial_level 1 is in range
     blocks = {"simulation": {"n_loads": 1, "horizon_jumps": 200, "set_points": [80.0]},
               "cftp": {"n_samples": 2, "set_points": [80.0]}, "solver": {"gamma": 0.1},
-              "heuristic": {"max_level": 0, "episode_jumps": 100, "n_loads": 2},
+              "heuristic": {"max_level": 1, "episode_jumps": 100, "n_loads": 2},
               "hjb": {"horizon": 1.0, "grid_step": 10.0}}
     base = {k: v for k, v in blocks[block].items() if k != key}
     blocks = {block: {**base, **({key: value} if set_in_config else {})}}

@@ -54,9 +54,21 @@ def test_single_comfort_occupation_matches_analytic():
     cfg = SimulationConfig(n_loads=1, horizon_jumps=1000000, seed=19,
                            set_points=np.array([50.0]), record_occupation=True)
     res = simulate(cfg, env, params, gamma=0.0)
-    emp_mass = sum(v for (load, loc), v in res.dwell_fractions.items()
-                   if abs(loc - 50.0) < 1e-6)
+    emp_mass = sum(v for (load, loc), v in res.dwell_fractions.items() if loc == 50.0)
     assert emp_mass == pytest.approx(dist.mass_at(50.0), abs=0.02)
+
+
+def test_occupation_reads_each_mass_where_the_load_parks(ref_env, ref_params):
+    # 5e-10 above Theta_1 a load parks at Theta_1 in comfort state 1 and at
+    # z in comfort state 2; the mass at z lies above the edge at Theta_1
+    z = 50.0 + 5e-10
+    cfg = SimulationConfig(n_loads=1, horizon_jumps=20000, seed=3,
+                           set_points=np.array([z]), record_occupation=True)
+    res = simulate(cfg, ref_env, ref_params, gamma=0.0)
+    assert {loc for (load, loc) in res.dwell_fractions} == {0.0, 50.0, z}
+    [k] = np.flatnonzero(res.occupation_edges == 50.0)
+    analytic = solve_stationary(z, ref_env, ref_params).cdf(50.0)
+    assert res.occupation_cdf[0, k] == pytest.approx(analytic, abs=0.02)
 
 
 def test_three_load_trajectories_follow_fig5_pattern(ref_env, ref_params):
@@ -68,7 +80,7 @@ def test_three_load_trajectories_follow_fig5_pattern(ref_env, ref_params):
     # staggered parking at the three set-points is observed
     for i, zi in enumerate(z):
         dwell = sum(v for (load, loc), v in res.dwell_fractions.items()
-                    if load == i and abs(loc - zi) < 1e-6)
+                    if load == i and loc == zi)
         assert dwell > 0.02
     # temperatures never exceed min(Z, Theta_M): in particular never Z
     assert np.all(res.trace_x <= z[None, :] + 1e-12)

@@ -178,8 +178,7 @@ def test_low_set_point_mass_matches_simulation(ref_env, ref_params):
     cfg = SimulationConfig(n_loads=1, horizon_jumps=1000000, seed=21,
                            set_points=np.array([z]), record_occupation=True)
     res = simulate(cfg, ref_env, ref_params, gamma=0.0)
-    emp_at_z = sum(v for (load, loc), v in res.dwell_fractions.items()
-                   if abs(loc - z) < 1e-6)
+    emp_at_z = sum(v for (load, loc), v in res.dwell_fractions.items() if loc == z)
     assert emp_at_z == pytest.approx(dist.mass_at(z), abs=0.02)
     assert dist.mass_at(50.0) == 0.0
 
@@ -258,13 +257,14 @@ def test_curves_place_each_mass_where_the_solve_does(instance, ref_env, ref_para
     # level j at Theta_j, and one at or below it parks it at the set-point
     env, params = {"ref": (ref_env, ref_params), "c3": (env3, params3),
                    "w3": (env_w3, ref_params)}[instance]
-    for theta in params.comfort_levels:
+    for k, theta in enumerate(params.comfort_levels):
         for z in theta + np.array([-5e-10, 0.0, 5e-13, 5e-10, 2e-9, 1.0]):
             if z > params.theta_max:
                 continue
             curves = point_mass_curves(env, params, [z])
+            dist = solve_stationary(z, env, params)
             at_z, at_theta = 0.0, np.zeros(env.n_comfort)
-            for (loc, s), m in solve_stationary(z, env, params).point_masses.items():
+            for (loc, s), m in dist.point_masses.items():
                 wind, j = env.split_index(s)
                 if wind:
                     continue
@@ -275,6 +275,15 @@ def test_curves_place_each_mass_where_the_solve_does(instance, ref_env, ref_para
                     at_theta[j] += m
             assert abs(curves.delta_z[0] - at_z) <= 1e-12, z
             assert np.abs(curves.delta_theta[:, 0] - at_theta).max() <= 1e-12, z
+            # the readers of the law take each mass at exactly that place
+            below = [t for t in params.comfort_levels if t < z]
+            assert dist.mass_locations() == [0.0, *below, z], z
+            assert abs(dist.mass_at(z) - curves.delta_z[0]) <= 1e-12, z
+            expected = curves.delta_theta[k, 0] if theta < z else at_z if theta == z else 0.0
+            assert abs(dist.mass_at(theta) - expected) <= 1e-12, z
+            if theta < z:
+                # the mass at z lies above Theta_j
+                assert dist.cdf(theta) <= 1.0, z
 
 
 def test_sweep_tails_and_phi_match_trapezoid(ref_env, ref_params, env3, params3, env_w3):

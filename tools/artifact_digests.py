@@ -14,7 +14,9 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
   does not divide the top comfort level, and with ``wind_power`` and
   ``forced_power`` set;
 - ``distribution`` at set-points other than Theta_C: 0, a comfort level
-  and 5e-10 above it, and the lowest of three comfort levels.
+  and 5e-10 above it, and the lowest of three comfort levels;
+- ``compare`` 5e-10 above a comfort level, where the simulated load parks
+  at both.
 
 Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
 as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
@@ -60,6 +62,10 @@ HJB = (("w3", "W3", {}), ("c3", "C3", {}), ("fast", "FAST", {}),
 # it, and on the lowest of three comfort levels
 DISTRIBUTION = (("z0", "REF", "0"), ("z50", "REF", "50"),
                 ("z50_above", "REF", "50.0000000005"), ("c3_z40", "C3", "40"))
+# compare on REF 5e-10 above Theta_1: the analytic masses at Theta_1 and
+# at z against the dwell the simulator keys at each
+COMPARE_Z50_ABOVE = {"n_loads": 1, "horizon_jumps": 20000, "seed": 3,
+                     "set_points": [50.0000000005]}
 COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
             "compare")
 
@@ -112,6 +118,8 @@ def main(argv=None) -> int:
             config = {"model": getattr(workloads, model)}
             digests[f"distribution.{name}"] = run(cli, tmp, f"distribution.{name}",
                                                   "distribution", config, ("--z", z))
+        config = {"model": workloads.REF, "simulation": COMPARE_Z50_ABOVE}
+        digests["compare.z50_above"] = run(cli, tmp, "compare.z50_above", "compare", config)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
