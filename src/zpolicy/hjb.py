@@ -49,6 +49,11 @@ candidates wins.  The other steps keep a running minimum, which gives the
 same values.  Each solve makes one workspace of scratch arrays that every
 step writes into, in the same order of operations as freshly allocated
 arrays, so its values are those of the plain expressions bit for bit.
+The workspace, which holds the policy arrays too, is made before the
+candidate table, and each wind order and each extra-power candidate holds
+the views of it that its step reads or writes, cut to its box: so a step
+slices nothing and builds no list, and calls only ufuncs.  The last step
+also reports the (min, max) of its rate dV/dt, ValueGrid.rate_bracket.
 
 The minimizing structure matches the closed-form argmin of the quadratic
 Hamiltonian: wind goes entirely to the load with the larger value-gradient
@@ -92,6 +97,9 @@ class ValueGrid:
     values: np.ndarray               # (n_env, nx, nx) cost-to-go at t=0
     horizon: float
     time_step: float
+    # (min, max) over the cells of the last step's rate dV/dt, the
+    # Hamiltonian plus the coupling: it narrows as the horizon grows
+    rate_bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,9 @@ class AllocationPolicy:
 
 
 class _Cap(NamedTuple):
-    """A boundary cap on the cells of a box where it is finite: row and
-    column slices of the box, and the cap's values there."""
-    index: tuple[slice, slice]
+    """A boundary cap on the cells of a box where it is finite: those cells
+    of the extra's drift scratch, and the cap's values there."""
+    cells: np.ndarray
     value: np.ndarray
 
 
@@ -114,23 +122,35 @@ class _Extra(NamedTuple):
     """The candidate that gives one load the clipped half-gradient as extra
     grid power, on top of its wind order's forced and holding power.  It is
     scored on its box, the bounding box of the cells where the load has
-    room for extra power, and its arrays are cut to that box."""
+    room for extra power, and holds every array its step reads or writes,
+    cut to that box."""
     load: int
-    box: tuple[slice, slice]
     room: np.ndarray          # the most extra grid power the load can take
     floor: _Cap | None        # h at x = 0, where the load may not cool
     top: _Cap | None          # 0 at the active top, where it may not heat
+    base: np.ndarray          # the load's forced and holding grid power
+    base_total: np.ndarray    # that of both loads
+    fwd: np.ndarray           # the load's forward and backward differences
+    bwd: np.ndarray
+    work: np.ndarray          # scratch: the extra power, then the load's drift
+    terms: tuple[np.ndarray, np.ndarray]  # upwind term per load: its own in scratch
+    cand: np.ndarray          # scratch: its Hamiltonian
+    best: np.ndarray          # the state's cheapest Hamiltonian
+    powers: tuple[np.ndarray, ...]   # wind and grid power per load, its own grid in scratch
+    chosen: tuple[np.ndarray, ...]   # the state's policy arrays
 
 
 class _WindOrder(NamedTuple):
-    """One wind order of one environment state: every array of its
-    candidates that does not depend on V."""
-    wind: np.ndarray          # wind power per load, (2, nx, nx)
-    grid: np.ndarray          # forced and holding grid power per load
-    grid_total: np.ndarray    # their sum, (nx, nx)
-    f: np.ndarray             # drift per load, with no extra grid power
-    up: np.ndarray            # f > 0: where each load reads the forward difference
-    power_sq: np.ndarray      # (g1 + g2)**2, with no extra grid power
+    """One wind order of one environment state: the arrays of its
+    candidate with no extra grid power that do not depend on V, and the
+    views of the workspace and policy arrays its step reads or writes."""
+    upwind: tuple[tuple[np.ndarray, ...], ...]  # per load, _upwind's (f, fwd, bwd, out, up)
+    power_sq: np.ndarray      # (g1 + g2)**2
+    terms: tuple[np.ndarray, np.ndarray]  # upwind term per load
+    cand: np.ndarray          # its Hamiltonian: the state's cheapest for the first order
+    best: np.ndarray          # the state's cheapest Hamiltonian
+    powers: tuple[np.ndarray, ...]   # wind and grid power per load
+    chosen: tuple[np.ndarray, ...]   # the state's policy arrays
     extras: tuple[_Extra, ...]
 
 
@@ -144,11 +164,12 @@ def _bounding_box(mask: np.ndarray) -> tuple[slice, slice] | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _cap_in(cap: np.ndarray, box: tuple[slice, slice]) -> _Cap | None:
-    """``cap`` cut to ``box`` and, within it, to where the cap is finite."""
+def _cap_in(cap: np.ndarray, box: tuple[slice, slice], work: np.ndarray) -> _Cap | None:
+    """``cap`` cut to ``box`` and, within it, to where the cap is finite,
+    bound to those cells of ``work``, the box's drift scratch."""
     cut = cap[box]
     finite = _bounding_box(np.isfinite(cut))
-    return None if finite is None else _Cap(finite, cut[finite])
+    return None if finite is None else _Cap(work[finite], cut[finite])
 
 
 def _upwind(f: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, out: np.ndarray,
@@ -162,19 +183,16 @@ def _upwind(f: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, out: np.ndarray,
     return out
 
 
-def _drift(h: float, power: np.ndarray, floor: _Cap | None, top: _Cap | None,
-           out: np.ndarray) -> np.ndarray:
-    """dx/dt of one load, into ``out``: h minus its power capped at h on the
-    floor, with its heating capped at 0 at the active top.  Each cap is
-    applied only where it is finite, since a minimum with inf is the
-    identity; ``power`` is capped in place."""
+def _drift(h: float, power: np.ndarray, floor: _Cap | None, top: _Cap | None) -> np.ndarray:
+    """dx/dt of one load, in place of its ``power``: h minus the power
+    capped at h on the floor, with its heating capped at 0 at the active
+    top.  Each cap holds only the cells of ``power`` where it is finite,
+    since a minimum with inf is the identity."""
     if floor is not None:
-        capped = power[floor.index]
-        np.minimum(capped, floor.value, out=capped)
-    f = np.subtract(h, power, out=out)
+        np.minimum(floor.cells, floor.value, out=floor.cells)
+    f = np.subtract(h, power, out=power)
     if top is not None:
-        capped = f[top.index]
-        np.minimum(capped, top.value, out=capped)
+        np.minimum(top.cells, top.value, out=top.cells)
     return f
 
 
@@ -190,9 +208,9 @@ def _wind_split(budget, need: np.ndarray, order) -> np.ndarray:
 
 
 def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
-                     w_pow: float, m_pow: float) -> list[list[_WindOrder]]:
+                     w_pow: float, m_pow: float, ws: _Workspace) -> list[list[_WindOrder]]:
     """The wind orders of every environment state, in the order the
-    backward step scores them."""
+    backward step scores them, bound to the views of ``ws`` they use."""
     h, c = params.h, params.c
     cap = h + c                                   # per-load total power cap
     temps = np.stack(np.meshgrid(x, x, indexing="ij"))     # (2, nx, nx): x1, x2
@@ -200,6 +218,7 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
     floor_cap = np.where(at_floor, h, np.inf)
     need = np.where(at_floor, h, cap)
     share = params.wind_cooling_rates(env.n_wind) / c    # of the full-wind budget
+    terms = tuple(ws.terms)
     table = []
     for e in range(env.n_states):
         iw, jc = env.split_index(e)
@@ -208,6 +227,10 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
         # mandatory holding power at the active top (f <= 0 there)
         holding = np.isclose(temps, theta) & ~forced
         top_cap = np.where(holding, 0.0, np.inf)
+        fwd, bwd = tuple(d[e] for d in ws.fwd), tuple(d[e] for d in ws.bwd)
+        best = ws.ham[e]
+        chosen = (ws.wind[e, :, :, 0], ws.wind[e, :, :, 1],
+                  ws.grid[e, :, :, 0], ws.grid[e, :, :, 1])
         orders = []
         for order in ([(0, 1), (1, 0)] if iw >= 1 else [(0, 1)]):
             # wind off has a budget of 0, so each load gets 0
@@ -218,37 +241,55 @@ def _candidate_table(env: MarkovEnvironment, params: LoadParams, x: np.ndarray,
             f = np.minimum(h - np.minimum(pw + g, floor_cap), top_cap)
             room = np.where(forced, 0.0, np.clip(cap - pw - g_base, 0.0, None))
             room = np.where(at_floor, np.clip(h - pw - g_base, 0.0, None), room)
+            g_total = g_base[0] + g_base[1]
             extras = []
             for li in (0, 1):
                 # outside the box the extra is 0, so the candidate is a copy
                 # of the one with no extra grid power, and a copy never wins
                 box = _bounding_box(room[li] > 0)
-                if box is not None:
-                    extras.append(_Extra(li, box, room[li][box], _cap_in(floor_cap[li], box),
-                                         _cap_in(top_cap[li], box)))
+                if box is None:
+                    continue
+                work, own_grid, own_term, cand = ws.boxes(room[li][box].shape)
+                ex_terms = [t[box] for t in terms]
+                ex_terms[li] = own_term
+                ex_grid = [gi[box] for gi in g]
+                ex_grid[li] = own_grid
+                extras.append(_Extra(
+                    load=li, room=room[li][box], floor=_cap_in(floor_cap[li], box, work),
+                    top=_cap_in(top_cap[li], box, work), base=g[li][box],
+                    base_total=g_total[box], fwd=fwd[li][box],
+                    bwd=bwd[li][box], work=work, terms=tuple(ex_terms), cand=cand,
+                    best=best[box], powers=(pw[0][box], pw[1][box], *ex_grid),
+                    chosen=tuple(arr[box] for arr in chosen)))
             orders.append(_WindOrder(
-                wind=pw, grid=g, grid_total=g_base[0] + g_base[1], f=f, up=f > 0,
-                power_sq=(g[0] + g[1]) ** 2, extras=tuple(extras)))
+                upwind=tuple(zip(f, fwd, bwd, terms, f > 0)), power_sq=(g[0] + g[1]) ** 2,
+                terms=terms, cand=ws.cand if orders else best, best=best,
+                powers=(*pw, *g), chosen=chosen, extras=tuple(extras)))
         table.append(orders)
     return table
 
 
 class _Workspace:
-    """The scratch arrays of one solve, written by every backward step."""
+    """The scratch arrays of one solve, written by every backward step, and
+    the policy arrays, written by the last."""
 
     def __init__(self, n_env: int, nx: int):
-        # one-sided differences, inward at the edges: each axis's forward
-        # and backward differences are two views of one padded array
+        # one-sided differences, inward at the edges: along axis 1 the
+        # forward and backward differences are two views of one padded
+        # array; along axis 2 each is its own contiguous stack
         self.d1 = np.empty((n_env, nx + 1, nx))
-        self.d2 = np.empty((n_env, nx, nx + 1))
-        self.grads = (self.d1[:, 1:, :], self.d1[:, :-1, :],
-                      self.d2[:, :, 1:], self.d2[:, :, :-1])
+        self.f2 = np.empty((n_env, nx, nx))
+        self.b2 = np.empty((n_env, nx, nx))
+        self.fwd = (self.d1[:, 1:, :], self.f2)   # per load
+        self.bwd = (self.d1[:, :-1, :], self.b2)
         self.ham = np.empty((n_env, nx, nx))      # the cheapest Hamiltonian
         # a state with no coupling rate keeps its zero row
         self.coupling = np.zeros((n_env, nx, nx))
         self.terms = np.empty((2, nx, nx))        # upwind term per load, no extra grid power
         self.cand = np.empty((nx, nx))
         self.flat = np.empty((4, nx * nx))        # box-shaped scratch, contiguous
+        self.wind = np.zeros((n_env, nx, nx, 2))
+        self.grid = np.zeros((n_env, nx, nx, 2))
 
     def boxes(self, shape: tuple[int, int]) -> list[np.ndarray]:
         """Four scratch arrays of ``shape``."""
@@ -258,16 +299,22 @@ class _Workspace:
 
 def _one_sided_gradients(v: np.ndarray, dx: float, ws: _Workspace) -> None:
     """Forward/backward differences along each grid axis of the
-    (n_env, nx, nx) stack into ``ws.grads``, one-sided inward at edges."""
-    d1, d2 = ws.d1, ws.d2
+    (n_env, nx, nx) stack into ``ws.fwd`` and ``ws.bwd``, one-sided
+    inward at edges."""
+    d1 = ws.d1
     np.subtract(v[:, 1:, :], v[:, :-1, :], out=d1[:, 1:-1, :])
     d1[:, 1:-1, :] /= dx
     d1[:, 0, :] = d1[:, 1, :]
     d1[:, -1, :] = d1[:, -2, :]
-    np.subtract(v[:, :, 1:], v[:, :, :-1], out=d2[:, :, 1:-1])
-    d2[:, :, 1:-1] /= dx
-    d2[:, :, 0] = d2[:, :, 1]
-    d2[:, :, -1] = d2[:, :, -2]
+    # along axis 2 on the flat stack, so every pass is contiguous: the
+    # differences that straddle two rows land in the edge columns, which
+    # then take their inward neighbours
+    flat_v, fwd, bwd = v.reshape(-1), ws.f2.reshape(-1), ws.b2.reshape(-1)
+    np.subtract(flat_v[1:], flat_v[:-1], out=bwd[1:])
+    bwd[1:] /= dx
+    fwd[:-1] = bwd[1:]
+    ws.b2[:, :, 0] = ws.b2[:, :, 1]
+    ws.f2[:, :, -1] = ws.f2[:, :, -2]
 
 
 def _keep_cheaper(best: np.ndarray, cand: np.ndarray, chosen, powers) -> None:
@@ -285,76 +332,66 @@ def _keep_cheaper(best: np.ndarray, cand: np.ndarray, chosen, powers) -> None:
         np.copyto(arr, new, where=better)
 
 
-def _score_extra(ex: _Extra, order: _WindOrder, e: int, h: float,
-                 ws: _Workspace) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(Hamiltonian, powers) of an extra-power candidate on its box.  The
-    extra changes only its own load's drift, so the other load's upwind
-    term comes from the order's candidate with no extra grid power."""
-    li, box = ex.load, ex.box
-    work, g, own, cand = ws.boxes(ex.room.shape)
+def _score_extra(ex: _Extra, h: float, record: bool) -> None:
+    """Score an extra-power candidate on its box and keep it where it is
+    cheaper.  The extra changes only its own load's drift, so the other
+    load's upwind term comes from the order's candidate with no extra grid
+    power."""
     # the clipped half-gradient: half the load's backward difference
-    extra = np.multiply(0.5, ws.grads[2 * li + 1][e][box], out=work)
-    extra -= order.grid_total[box]
+    extra = np.multiply(0.5, ex.bwd, out=ex.work)
+    extra -= ex.base_total
     np.maximum(extra, 0.0, out=extra)
     np.minimum(extra, ex.room, out=extra)
-    grid = [order.grid[0][box], order.grid[1][box]]
-    grid[li] = np.add(grid[li], extra, out=g)
-    f = _drift(h, np.add(order.wind[li][box], g, out=work), ex.floor, ex.top, out=work)
-    terms = [t[box] for t in ws.terms]
-    terms[li] = _upwind(f, ws.grads[2 * li][e][box], ws.grads[2 * li + 1][e][box], own)
-    np.add(grid[0], grid[1], out=cand)
+    grid = np.add(ex.base, extra, out=ex.powers[2 + ex.load])
+    f = _drift(h, np.add(ex.powers[ex.load], grid, out=ex.work), ex.floor, ex.top)
+    _upwind(f, ex.fwd, ex.bwd, ex.terms[ex.load])
+    cand = np.add(ex.powers[2], ex.powers[3], out=ex.cand)
     np.square(cand, out=cand)
-    cand += terms[0]
-    cand += terms[1]
-    return cand, (order.wind[0][box], order.wind[1][box], *grid)
+    cand += ex.terms[0]
+    cand += ex.terms[1]
+    _keep_cheaper(ex.best, cand, ex.chosen if record else (), ex.powers)
 
 
-def _backward_step(v: np.ndarray, table: list[list[_WindOrder]],
-                   rates: list[list[tuple[int, float]]], dx: float, dt: float,
-                   h: float, ws: _Workspace,
-                   policy: tuple[np.ndarray, np.ndarray] | None) -> None:
+def _backward_step(v: np.ndarray, table: list[list[_WindOrder]], rates: list[tuple],
+                   dx: float, dt: float, h: float, ws: _Workspace,
+                   record: bool) -> tuple[float, float] | None:
     """One explicit step from V(t + dt) to V(t), in place.  Each cell takes
-    the first of its cheapest candidates; with ``policy`` given as (wind,
-    grid) arrays, the winners' powers are written into them."""
+    the first of its cheapest candidates; with ``record``, the winners'
+    powers are written into the policy arrays of ``ws``, and the step
+    returns the (min, max) over all cells of the rate, the Hamiltonian
+    plus the coupling."""
     _one_sided_gradients(v, dx, ws)
-    terms = ws.terms
-    for e, orders in enumerate(table):
-        grads = [gr[e] for gr in ws.grads]
-        best = ws.ham[e]
-        chosen = ()
-        if policy is not None:
-            chosen = (policy[0][e, :, :, 0], policy[0][e, :, :, 1],
-                      policy[1][e, :, :, 0], policy[1][e, :, :, 1])
+    for orders in table:
         for k, order in enumerate(orders):
-            for t, f, up, fwd, bwd in zip(terms, order.f, order.up, grads[0::2], grads[1::2]):
-                _upwind(f, fwd, bwd, t, up)
-            cand = best if k == 0 else ws.cand
-            np.add(order.power_sq, terms[0], out=cand)
-            cand += terms[1]
-            powers = (*order.wind, *order.grid)
+            for args in order.upwind:
+                _upwind(*args)
+            cand = np.add(order.power_sq, order.terms[0], out=order.cand)
+            cand += order.terms[1]
+            chosen = order.chosen if record else ()
             if k == 0:
-                for arr, new in zip(chosen, powers):
+                for arr, new in zip(chosen, order.powers):
                     arr[...] = new
             else:
-                _keep_cheaper(best, cand, chosen, powers)
+                _keep_cheaper(order.best, cand, chosen, order.powers)
             for ex in order.extras:
-                cand, powers = _score_extra(ex, order, e, h, ws)
-                _keep_cheaper(best[ex.box], cand, [arr[ex.box] for arr in chosen], powers)
+                _score_extra(ex, h, record)
     # sum over e2 of q[e2, e] * (V[e2] - V[e]), over the rates that are not
     # zero: the others add a signed zero, which leaves the sum as it is.
     # Each state's first term is written straight into its row.
-    coupling, diff = ws.coupling, ws.cand       # no candidate is scored from here on
-    for e, row in enumerate(rates):
-        for k, (e2, rate) in enumerate(row):
-            term = coupling[e] if k == 0 else diff
-            np.subtract(v[e2], v[e], out=term)
+    diff = ws.cand                              # no candidate is scored from here on
+    for row, v_e, terms in rates:
+        for k, (v_e2, rate) in enumerate(terms):
+            term = row if k == 0 else diff
+            np.subtract(v_e2, v_e, out=term)
             term *= rate
             if k:
-                coupling[e] += term
+                row += term
     ham = ws.ham
-    ham += coupling
+    ham += ws.coupling
+    bracket = (float(ham.min()), float(ham.max())) if record else None
     ham *= dt
     v += ham
+    return bracket
 
 
 def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
@@ -397,23 +434,23 @@ def solve_hjb(env: MarkovEnvironment, params: LoadParams, horizon: float,
     x = np.arange(0.0, params.theta_max + 0.5 * grid_step, grid_step)
     x = x[x <= params.theta_max + 1e-12]
     nx = len(x)
-    table = _candidate_table(env, params, x, w_pow, m_pow)
+    ws = _Workspace(env.n_states, nx)
+    table = _candidate_table(env, params, x, w_pow, m_pow, ws)
     n_steps = int(np.ceil(horizon / time_step))
     v = np.zeros((env.n_states, nx, nx))
-    wind_split = np.zeros((env.n_states, nx, nx, 2))
-    grid_power = np.zeros((env.n_states, nx, nx, 2))
     q = env.generator
-    rates = [[(e2, q[e2, e]) for e2 in range(env.n_states) if e2 != e and q[e2, e] != 0.0]
+    # per state: its coupling row, its values, and the values of each state
+    # with a nonzero rate into it, with that rate
+    rates = [(ws.coupling[e], v[e], [(v[e2], q[e2, e]) for e2 in range(env.n_states)
+                                     if e2 != e and q[e2, e] != 0.0])
              for e in range(env.n_states)]
-    ws = _Workspace(env.n_states, nx)
     for k in range(n_steps):
-        last = k == n_steps - 1
-        _backward_step(v, table, rates, grid_step, time_step, h, ws,
-                       (wind_split, grid_power) if last else None)
+        bracket = _backward_step(v, table, rates, grid_step, time_step, h, ws,
+                                 record=k == n_steps - 1)
 
     grid_obj = ValueGrid(x=x, values=v, horizon=n_steps * time_step,
-                         time_step=time_step)
-    policy = AllocationPolicy(x=x, wind=wind_split, grid=grid_power,
+                         time_step=time_step, rate_bracket=bracket)
+    policy = AllocationPolicy(x=x, wind=ws.wind, grid=ws.grid,
                               wind_power=w_pow, forced_power=m_pow)
     return grid_obj, policy
 

@@ -114,7 +114,10 @@ class StationaryDistribution:
     def cdf(self, x):
         """P(X <= x) mixing densities and point masses (right-continuous).
 
-        A scalar ``x`` gives a float, an array gives an array.
+        A scalar ``x`` gives a float, an array gives an array.  Within a
+        segment the density is integrated by the trapezoid rule, scaled so
+        that the segment ends at its exact mass, ``seg.integral``; so
+        cdf(Theta_C) is ``total_mass()``.
         """
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
@@ -126,7 +129,9 @@ class StationaryDistribution:
             idx = np.clip(np.searchsorted(seg.x, xq, side="right") - 1, 0, len(seg.x) - 1)
             inside = np.clip(xq, lo, hi)
             frac = cum[idx] + 0.5 * (np.interp(inside, seg.x, total) + total[idx]) * (inside - seg.x[idx])
-            out += np.where(xq < lo, 0.0, np.where(xq >= hi, cum[-1], frac))
+            exact = float(seg.integral.sum())
+            scale = exact / cum[-1] if cum[-1] > 0 else 1.0
+            out += np.where(xq < lo, 0.0, np.where(xq >= hi, exact, scale * frac))
         for (loc, _s), m in self.point_masses.items():
             out += np.where(xq >= loc, m, 0.0)
         return out if np.ndim(x) else float(out[0])

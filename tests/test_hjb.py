@@ -187,10 +187,17 @@ _REF_ENV = build_environment((0.04, 0.04), (0.02, 0.02))
     (build_environment((0.04, 0.04), []), LoadParams(h=1.0, c=1.1, comfort_levels=(100.0,)), {}),
     # one environment state: no coupling rate at all
     (build_environment([], []), LoadParams(h=1.0, c=1.1, comfort_levels=(100.0,)), {}),
+    # the fewest nodes: every axis-2 difference is an edge column or next to one
+    (_REF_ENV, _REF_PARAMS, {"grid_step": 100.0}),
+    (_REF_ENV, _REF_PARAMS, {"grid_step": 50.0}),
+    # the largest table: three comfort levels at full grid
+    (build_environment((0.04, 0.04), [(0.02, 0.02), (0.02, 0.02)]),
+     LoadParams(h=1.0, c=1.1, comfort_levels=(40.0, 70.0, 100.0)),
+     {"horizon": 2.0, "grid_step": 1.0, "time_step": 0.2}),
 ], ids=["ref", "c3", "w3_asymmetric", "wind_power_0.7", "wind_power_3.0",
         "forced_power_3.5", "bench_grid", "one_wind_state", "grid_misses_comfort",
         "floor_cap_binds", "top_cap_binds", "wind_power_0", "forced_power_0",
-        "one_comfort_level", "single_state"])
+        "one_comfort_level", "single_state", "two_nodes", "three_nodes", "c3_grid_1"])
 def test_matches_per_state_reference_exactly(env, params, kwargs):
     args = {"horizon": 12.0, "grid_step": 2.5, "time_step": 0.5, **kwargs}
     values, policy = solve_hjb(env, params, **args)
@@ -198,6 +205,15 @@ def test_matches_per_state_reference_exactly(env, params, kwargs):
     assert np.array_equal(values.values, ref_values)
     assert np.array_equal(policy.wind, ref_wind)
     assert np.array_equal(policy.grid, ref_grid)
+
+
+def test_rate_bracket_narrows_as_the_horizon_grows(ref_env, ref_params):
+    # the last step's rate dV/dt tends to the ergodic cost in every cell,
+    # so each longer horizon's (min, max) lies within the shorter one's
+    brackets = [_solve_small(ref_env, ref_params, horizon=t, time_step=0.8)[0].rate_bracket
+                for t in (40.0, 80.0, 160.0)]
+    for (lo, hi), (inner_lo, inner_hi) in zip(brackets, brackets[1:]):
+        assert lo < inner_lo <= inner_hi < hi
 
 
 @pytest.mark.parametrize("grid_step", [1.0, 2.5, 3.0, 10.0 / 3.0, 3.5, 6.0, 0.7, 60.0, 100.0])

@@ -201,6 +201,16 @@ def test_cdf_scalar_in_float_out(ref_env, ref_params):
     assert arr[0] == value
 
 
+@pytest.mark.parametrize("instance, z", [("ref", 100.0), ("w3", 50.0)])
+def test_cdf_ends_at_the_total_mass(ref_env, ref_params, env_w3, instance, z):
+    # each segment's trapezoid sum is scaled to its exact integral, so the
+    # cdf does not rise above the mass total_mass() counts
+    env = {"ref": ref_env, "w3": env_w3}[instance]
+    dist = solve_stationary(z, env, ref_params)
+    assert abs(dist.cdf(ref_params.theta_max) - dist.total_mass()) <= 1e-12
+    assert np.all(np.diff(dist.cdf(np.linspace(0.0, ref_params.theta_max, 2001))) >= 0.0)
+
+
 @pytest.mark.parametrize("rate", [0.3, 1.0, 5.0])
 def test_fast_switching_solves(rate, ref_params):
     # growing modes anchored at the right end of each interval cannot

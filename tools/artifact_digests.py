@@ -10,9 +10,10 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
 - every operation again with ``--seed 7``, on the first SEED's configs;
 - every command on an integer-valued config, whose whole numbers are
   JSON integers;
-- ``hjb`` on the benchmark's W3, C3 and FAST models, on a grid step that
-  does not divide the top comfort level, and with ``wind_power`` and
-  ``forced_power`` set;
+- ``hjb`` on the benchmark's W3, C3 and FAST models, W3 and C3 again at
+  grid step 1, so that every table size is pinned at full grid, on a grid
+  step that does not divide the top comfort level, and with
+  ``wind_power`` and ``forced_power`` set;
 - ``distribution`` at set-points other than Theta_C: 0, a comfort level
   and 5e-10 above it, and the lowest of three comfort levels;
 - ``compare`` 5e-10 above a comfort level, where the simulated load parks
@@ -51,9 +52,10 @@ INTEGER = {
 INTEGER_COMPARE = {**INTEGER, "simulation": {"n_loads": 1, "horizon_jumps": 2000, "seed": 3,
                                              "set_points": [60]}}
 # hjb runs that reach what the benchmark's one REF run does not: wind
-# states, comfort levels, fast switching, a last node short of Theta_C and
-# both power keys
+# states, comfort levels, both at full grid, fast switching, a last node
+# short of Theta_C and both power keys
 HJB = (("w3", "W3", {}), ("c3", "C3", {}), ("fast", "FAST", {}),
+       ("w3_grid_1", "W3", {"grid_step": 1.0}), ("c3_grid_1", "C3", {"grid_step": 1.0}),
        ("grid_step_3.5", "REF", {"grid_step": 3.5}),
        ("powers", "REF", {"wind_power": 0.7, "forced_power": 3.5}),
        ("no_power", "REF", {"wind_power": 0, "forced_power": 0}))
