@@ -29,6 +29,18 @@ by block, with each distinct load counted by its multiplicity:
   stretches (uniform in x) as prefix sums evaluated on a fixed grid of
   edges.
 
+A block (_BLOCK segments) is the unit of every sum, and within it the
+work runs in tiles of about _TILE_CELLS load-segments, so that each
+pass over a tile stays in cache.  The columns are derived in tiles of
+rows, and the grid-power products in tiles of rows written into one
+block-sized array that is summed once; both are elementwise, so their
+tiles cannot change a bit.  The occupation runs in tiles of loads.
+Each distinct load owns its own occupation bins and dwell keys, so a
+tile adds only into its own loads', and every bin still receives its
+load's values in segment order, as one pass over the whole block would
+add them.  The per-block matrix products with the multiplicities run on
+the whole block, whose layout fixes their summation order.
+
 Windows carry the temperatures across and blocks the sums and the
 occupation, so one run's memory stays O(window x distinct loads) however
 long the path; a window holds about _WINDOW_CELLS load-segments.  The
@@ -89,6 +101,10 @@ class SimulationConfig:
     initial_temperature: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_loads", "horizon_jumps", "occupation_edges"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_loads < 1:
             raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
         if self.horizon_jumps < 1:
@@ -156,6 +172,7 @@ def sample_environment_path(env: MarkovEnvironment, n_jumps: int,
 
 _BLOCK = 4096   # environment segments per accounting block
 _WINDOW_CELLS = 1 << 18     # load-segments per recursion window, in whole blocks
+_TILE_CELLS = 1 << 15       # load-segments per accounting tile within a block
 
 
 class _Kept:
@@ -242,10 +259,18 @@ class _Occupation:
         self.keys = list(index)
         self.dwell = np.zeros(len(index))
 
-    def add(self, x, target, event, ci, dur, wind, comfort, h: float, c: float):
-        """One block: entry temperatures x, targets and event times (segments x
-        distinct loads, as run_episode derives them) and the segments' wind
-        cooling rate, duration, wind and comfort states as columns."""
+    def add(self, j0: int, x, event, z, theta, ci, dur, wind, comfort, h: float, c: float):
+        """One tile of a block: entry temperatures x and event times (segments x
+        the distinct loads j0, j0 + 1, ..., as run_episode derives them), their
+        set-points z and the segments' comfort level, wind cooling rate,
+        duration, wind and comfort states as columns.  Loads own disjoint bins
+        and dwell keys, so tiles of one block add into them in any order, and
+        each bin and key sees its load's segments in order whichever way the
+        tile is laid out: it is worked as loads x segments, rows contiguous."""
+        x, event = np.ascontiguousarray(x.T), np.ascontiguousarray(event.T)
+        theta, ci, dur, wind, comfort = theta.T, ci.T, dur.T, wind.T, comfort.T
+        n_loads, n_seg = x.shape
+        target = _target(z[:, None], theta, wind)
         off = wind == 0
         down = x > target
         # first stretch: to the hold point with wind off, down to Theta under wind
@@ -255,19 +280,24 @@ class _Occupation:
         # second stretch: under wind, down toward the floor
         t2 = np.where(~off & (rem > 0) & (y > 0),
                       np.minimum(y / np.where(off, np.inf, ci), rem), 0.0)
-        lo = np.stack([np.minimum(x, y), y - ci * t2])
-        hi = np.stack([np.maximum(x, y), y])
-        span, took = hi - lo, np.stack([t1, t2])
-        live = (span >= 1e-14) & (took > 0)
-        lo, hi, w = lo[live], hi[live], took[live] / span[live]
-        col = np.broadcast_to(np.arange(x.shape[1]) * self.n_bins, live.shape)[live]
+        # each stretch's live cells, stretch 1 first
+        parts = []
+        for lo, hi, took in ((np.minimum(x, y), np.maximum(x, y), t1), (y - ci * t2, y, t2)):
+            span = hi - lo
+            i = np.flatnonzero((span >= 1e-14) & (took > 0))
+            parts.append((lo.take(i), hi.take(i), took.take(i) / span.take(i),
+                          i // n_seg * self.n_bins))
+        lo, hi, w, col = (np.concatenate(p) for p in zip(*parts))
         bins = np.concatenate([self._bin(lo) + col, self._bin(hi) + col])
-        size = len(self.s)
-        self.s += np.bincount(bins, weights=np.concatenate([w, -w]), minlength=size)
-        self.t += np.bincount(bins, weights=np.concatenate([w * lo, -w * hi]), minlength=size)
+        size = n_loads * self.n_bins
+        own = slice(j0 * self.n_bins, j0 * self.n_bins + size)
+        self.s[own] += np.bincount(bins, weights=np.concatenate([w, -w]), minlength=size)
+        self.t[own] += np.bincount(bins, weights=np.concatenate([w * lo, -w * hi]),
+                                   minlength=size)
         # parked time, added in segment order after the running totals
         parked = rem - t2
-        keys = self.slot_key.T[np.where(off, comfort, self.slot_key.shape[1] - 1).ravel()]
+        keys = self.slot_key[j0:j0 + n_loads][
+            :, np.where(off, comfort, self.slot_key.shape[1] - 1).ravel()]
         live = parked > 0
         self.dwell = np.bincount(np.concatenate([np.arange(len(self.dwell)), keys[live]]),
                                  weights=np.concatenate([self.dwell, parked[live]]),
@@ -326,17 +356,25 @@ def _target(z, theta, wind):
     return np.where(wind == 0, np.minimum(z, theta), theta)
 
 
-def _columns(x, z, theta, ci, dur, wind, h: float, c: float):
-    """For entry temperatures x of one block (segments x set-points z): the
-    event time, at which a load reaches its target, capped at the segment's
-    duration; the grid draw before the event (grid_power); and the
-    discomfort a^3 - cooled^3 of the excess a over Theta, which cools at c."""
+def _columns(x, z, theta, ci, dur, wind, h: float, c: float, out: np.ndarray):
+    """For entry temperatures x of one tile (segments x set-points z), into
+    out (3 x segments x set-points): the event time, at which a load
+    reaches its target, capped at the segment's duration; the grid draw
+    before the event (grid_power); and the discomfort a^3 - cooled^3 of the
+    excess a over Theta, which cools at c."""
     target = _target(z, theta, wind)
-    event = np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur)
-    g0 = grid_power(x, z, theta, h, c, ci, wind)
+    np.minimum(np.where(x > target, (x - target) / c, (target - x) / h), dur, out=out[0])
+    out[1] = grid_power(x, z, theta, h, c, ci, wind)
     a = np.maximum(x - theta, 0.0)
     cooled = a - c * np.minimum(a / c, dur)
-    return event, g0, a * a * a - cooled * cooled * cooled
+    np.subtract(a * a * a, cooled * cooled * cooled, out=out[2])
+
+
+def _tiles(n: int, width: int) -> list[slice]:
+    """Consecutive slices of range(n), each of at least one index and of
+    about _TILE_CELLS cells when every index stands for ``width`` of them."""
+    step = max(_TILE_CELLS // width, 1)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _block_costs(event, g0, cubes, g1, dur, weight, c: float):
@@ -348,12 +386,19 @@ def _block_costs(event, g0, cubes, g1, dur, weight, c: float):
     g1 of a load at its target, at its event time.  Sorting each row's
     event times makes the aggregate piecewise constant between them.
     Above Theta a load cools at c, so its discomfort integral is cubic.
+    The rows are walked in tiles of about _TILE_CELLS cells; the products
+    land in one array, summed once as a whole.
     """
-    order = np.argsort(event, axis=1)
-    steps = np.take_along_axis((g1 - g0) * weight, order, axis=1)
-    level = np.cumsum(np.concatenate([(g0 @ weight)[:, None], steps], axis=1), axis=1)
-    width = np.diff(np.take_along_axis(event, order, axis=1), axis=1, prepend=0.0, append=dur)
-    return float(np.sum(level * level * width)), float(np.sum(cubes @ weight)) / (3.0 * c)
+    start = g0 @ weight
+    terms = np.empty((len(event), event.shape[1] + 1))
+    for r in _tiles(len(event), event.shape[1] + 1):
+        order = np.argsort(event[r], axis=1)
+        steps = np.take_along_axis((g1[r] - g0[r]) * weight, order, axis=1)
+        level = np.cumsum(np.concatenate([start[r, None], steps], axis=1), axis=1)
+        width = np.diff(np.take_along_axis(event[r], order, axis=1), axis=1, prepend=0.0,
+                        append=dur[r])
+        np.multiply(level * level, width, out=terms[r])
+    return float(np.sum(terms)), float(np.sum(cubes @ weight)) / (3.0 * c)
 
 
 def run_episode(episode: SampledEpisode, z: np.ndarray, gamma: float) -> SimulationResult:
@@ -402,6 +447,8 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
     # windows: whole blocks, as few as hold about _WINDOW_CELLS each
     n_windows = max(round(len(fresh) * n_seg / _WINDOW_CELLS), 1)
     window = _BLOCK * -(-n_seg // (_BLOCK * n_windows))
+    # the fresh set-points' event, draw and discomfort columns of a block
+    fill = np.empty((3, min(_BLOCK, n_seg - first), len(fresh)))
     x_end = config.initial_temperature
     for w0 in range(0, n_seg, window):
         if len(fresh):
@@ -416,7 +463,9 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
             theta, ci, dur, wind, g1 = (a[acc, None] for a in (*columns, episode.g1))
             if len(fresh):
                 xs = xw[acc.start - w0:stop - w0]
-                cols = (xs, *_columns(xs, fresh, theta, ci, dur, wind, h, c))
+                cols = (xs, *fill[:, :len(xs)])
+                for r in _tiles(len(xs), len(fresh)):
+                    _columns(xs[r], fresh, theta[r], ci[r], dur[r], wind[r], h, c, fill[:, r])
                 if keep:
                     table[:, rows, put] = cols
             if keep:
@@ -427,8 +476,10 @@ def _run(episode: SampledEpisode, z: np.ndarray, gamma: float, keep: bool) -> Si
             int_g2 += g2
             int_disc += disc
             if occ is not None:
-                occ.add(cols[0], _target(zd, theta, wind), cols[1], ci, dur, wind,
-                        path.comfort[acc, None], h, c)
+                comfort = path.comfort[acc, None]
+                for j in _tiles(len(zd), len(theta)):
+                    occ.add(j.start, cols[0][:, j], cols[1][:, j], zd[j], theta, ci, dur, wind,
+                            comfort, h, c)
             if config.record_trace:
                 trace.append(cols[0][:, inv])
     if keep:

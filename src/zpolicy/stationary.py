@@ -137,20 +137,26 @@ class StationaryDistribution:
         return out if np.ndim(x) else float(out[0])
 
     def tail_above(self, theta: float, states=None) -> float:
-        """Integrated density mass strictly above ``theta`` for the given states."""
+        """Integrated density mass strictly above ``theta`` for the given
+        states.  Within a segment the density is integrated by the trapezoid
+        rule, scaled as cdf scales it so that the segment counts its exact
+        mass, ``seg.integral``; so tail_above(0.0) is ``density_mass()``."""
         tot = 0.0
         for seg in self.segments:
             if seg.x[-1] <= theta + 1e-12:
                 continue
-            sel = seg.densities if states is None else seg.densities[list(states)]
-            dens = sel.sum(axis=0)
+            rows = slice(None) if states is None else list(states)
+            exact = float(seg.integral[rows].sum())
             if seg.x[0] >= theta - 1e-12:
-                tot += float(np.trapezoid(dens, seg.x))
+                tot += exact
             else:
+                dens = seg.densities[rows].sum(axis=0)
+                whole = float(np.trapezoid(dens, seg.x))
                 mask = seg.x >= theta
                 xs = np.concatenate([[theta], seg.x[mask]])
                 ds = np.concatenate([[np.interp(theta, seg.x, dens)], dens[mask]])
-                tot += float(np.trapezoid(ds, xs))
+                part = float(np.trapezoid(ds, xs))
+                tot += exact / whole * part if whole > 0 else part
         return tot
 
 

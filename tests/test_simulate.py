@@ -176,6 +176,20 @@ def test_config_rejects_no_loads():
         SimulationConfig(n_loads=0, horizon_jumps=100, seed=0)
 
 
+@pytest.mark.parametrize("field", ["n_loads", "horizon_jumps", "occupation_edges"])
+@pytest.mark.parametrize("value", [2.0, 100.0, 10.5, np.float64(3.0), True])
+def test_config_rejects_non_integer_counts(field, value):
+    # as the CLI does: a float or a bool is not a count, even a whole one
+    with pytest.raises(ValueError, match=field):
+        SimulationConfig(**{"n_loads": 2, "horizon_jumps": 100, "seed": 0, field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = SimulationConfig(n_loads=np.int64(2), horizon_jumps=np.int32(100), seed=0,
+                           occupation_edges=np.int64(11))
+    assert (cfg.n_loads, cfg.horizon_jumps, cfg.occupation_edges) == (2, 100, 11)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 150.0])
 def test_simulate_rejects_set_points_outside_comfort_range(bad, ref_env, ref_params):
     cfg = SimulationConfig(n_loads=2, horizon_jumps=100, seed=0,
@@ -478,6 +492,37 @@ def test_occupation_bins_match_searchsorted(n_edges, top):
                         rng.uniform(-0.1 * top, 1.1 * top, 20000)])
     assert np.array_equal(occ._bin(v), np.searchsorted(edges, v, side="right"))
 
+
+
+@pytest.mark.parametrize("name", ["ref", "w3", "c3"])
+def test_tile_size_does_not_change_results(name, monkeypatch, env_w3, env3, params3,
+                                           ref_env, ref_params):
+    # tiles of one load, tiles that leave a ragged last one and one tile
+    # per block give bitwise the same run, over three blocks (the first
+    # cut by the burn-in), and so does a replay from kept columns
+    import importlib
+    module = importlib.import_module("zpolicy.simulate")
+    env, params = _case(name, env_w3, env3, params3, ref_env, ref_params)
+    z = np.array([0.0, 40.0, 55.0, 70.0, 70.0, 88.5, 100.0])
+    cfg = SimulationConfig(n_loads=7, horizon_jumps=9000, seed=13, set_points=z,
+                           record_occupation=True, record_trace=True, burn_in=0.3,
+                           initial_temperature=120.0)
+    runs = []
+    for cells in (1, 4 * module._BLOCK, 1 << 30):
+        monkeypatch.setattr(module, "_TILE_CELLS", cells)
+        episode = module.sample_episode(cfg, env, params)
+        runs.append([simulate(cfg, env, params, GAMMA_REF),
+                     module.run_episode(episode, z[:5], GAMMA_REF),
+                     module.run_episode(episode, z, GAMMA_REF)])
+    assert runs[0][0].n_segments > 2 * module._BLOCK
+    for got in runs[1:]:
+        for a, b in zip(runs[0], got):
+            assert (a.empirical_cost.power_cost, a.empirical_cost.discomfort_cost) == \
+                (b.empirical_cost.power_cost, b.empirical_cost.discomfort_cost)
+            assert np.array_equal(a.occupation_cdf, b.occupation_cdf)
+            assert a.dwell_fractions == b.dwell_fractions
+            assert np.array_equal(a.trace_x, b.trace_x)
+    _same_run(runs[0][0], runs[0][2])
 
 
 @pytest.mark.parametrize("name", ["ref", "w3", "c3"])

@@ -211,6 +211,19 @@ def test_cdf_ends_at_the_total_mass(ref_env, ref_params, env_w3, instance, z):
     assert np.all(np.diff(dist.cdf(np.linspace(0.0, ref_params.theta_max, 2001))) >= 0.0)
 
 
+@pytest.mark.parametrize("instance, z", [("ref", 100.0), ("w3", 50.0)])
+def test_tail_above_counts_the_exact_masses(ref_env, ref_params, env_w3, instance, z):
+    # tail_above scales each segment as cdf does: from 0 it is the exact
+    # density mass, and above any point it is what the cdf leaves of it
+    env = {"ref": ref_env, "w3": env_w3}[instance]
+    dist = solve_stationary(z, env, ref_params)
+    assert abs(dist.tail_above(0.0) - dist.density_mass()) <= 1e-12
+    for theta in (0.0, 25.0, 50.0, 75.3, 100.0):
+        masses = sum(m for (loc, _s), m in dist.point_masses.items() if loc <= theta)
+        below = dist.cdf(theta) - masses
+        assert abs(dist.tail_above(theta) + below - dist.density_mass()) <= 1e-12, theta
+
+
 @pytest.mark.parametrize("rate", [0.3, 1.0, 5.0])
 def test_fast_switching_solves(rate, ref_params):
     # growing modes anchored at the right end of each interval cannot
@@ -223,6 +236,22 @@ def test_fast_switching_solves(rate, ref_params):
     for curve in (curves.tail, curves.tail_wind_off, curves.phi):
         assert curve.min() >= 0.0
     assert np.all(curves.delta_z_plus_theta <= 1.0 + 1e-9)
+
+
+def _trapezoid_tail(dist, theta, states=None):
+    """Density mass above theta by the trapezoid rule on the solver grid, unscaled."""
+    tot = 0.0
+    for seg in dist.segments:
+        if seg.x[-1] <= theta + 1e-12:
+            continue
+        dens = seg.densities[slice(None) if states is None else states].sum(axis=0)
+        if seg.x[0] >= theta - 1e-12:
+            tot += float(np.trapezoid(dens, seg.x))
+        else:
+            mask = seg.x >= theta
+            tot += float(np.trapezoid(np.concatenate([[np.interp(theta, seg.x, dens)], dens[mask]]),
+                                      np.concatenate([[theta], seg.x[mask]])))
+    return tot
 
 
 def _trapezoid_phi(dist, env, params):
@@ -302,9 +331,9 @@ def test_sweep_tails_and_phi_match_trapezoid(ref_env, ref_params, env3, params3,
     # is off by up to 6e-6 relative at step 0.05)
     def trapezoid(env, params, z, step):
         dist = solve_stationary(z, env, params, grid_step=step)
-        off = sum(dist.tail_above(theta, states=[env.state_index(0, j)])
+        off = sum(_trapezoid_tail(dist, theta, states=[env.state_index(0, j)])
                   for j, theta in enumerate(params.comfort_levels))
-        return np.array([dist.tail_above(params.comfort_levels[0]), off,
+        return np.array([_trapezoid_tail(dist, params.comfort_levels[0]), off,
                          _trapezoid_phi(dist, env, params)])
 
     for env, params in ((ref_env, ref_params), (env3, params3), (env_w3, ref_params)):

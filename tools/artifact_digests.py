@@ -17,7 +17,9 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
 - ``distribution`` at set-points other than Theta_C: 0, a comfort level
   and 5e-10 above it, and the lowest of three comfort levels;
 - ``compare`` 5e-10 above a comfort level, where the simulated load parks
-  at both.
+  at both;
+- ``simulate`` of 100 loads on REF, C3 and W3 over several accounting
+  blocks, each cut into many tiles, with occupation on.
 
 Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
 as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
@@ -68,6 +70,10 @@ DISTRIBUTION = (("z0", "REF", "0"), ("z50", "REF", "50"),
 # at z against the dwell the simulator keys at each
 COMPARE_Z50_ABOVE = {"n_loads": 1, "horizon_jumps": 20000, "seed": 3,
                      "set_points": [50.0000000005]}
+# simulate over three blocks of 4096 segments, each cut into tiles: 100
+# loads at 80 distinct set-points, comfort levels among them
+SIMULATE_TILES = {"n_loads": 100, "horizon_jumps": 12000, "seed": 5,
+                  "set_points": [float(round(20 + 0.8 * k)) for k in range(100)]}
 COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
             "compare")
 
@@ -122,6 +128,10 @@ def main(argv=None) -> int:
                                                   "distribution", config, ("--z", z))
         config = {"model": workloads.REF, "simulation": COMPARE_Z50_ABOVE}
         digests["compare.z50_above"] = run(cli, tmp, "compare.z50_above", "compare", config)
+        for model in ("REF", "C3", "W3"):
+            config = {"model": getattr(workloads, model), "simulation": SIMULATE_TILES}
+            label = f"simulate.tiles_{model.lower()}"
+            digests[label] = run(cli, tmp, label, "simulate", config)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
