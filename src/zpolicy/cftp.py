@@ -47,8 +47,8 @@ from .costs import CostReport, standard_error
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
-    LoadParams, _birth_death_generator, _draw_jumps, _FactorChain, _walk, child_rngs, exact_flow,
-    grid_power, stationary_law,
+    LoadParams, _birth_death_generator, _check_integers, _draw_jumps, _FactorChain, _walk,
+    child_rngs, exact_flow, grid_power, stationary_law,
 )
 
 __all__ = [
@@ -76,8 +76,9 @@ class CftpConfig:
     comfort_rates give one entry per load, each comfort chain has as many
     states as its load has comfort levels, the rates give one chain under
     shared_comfort, initial_horizon is None or finite and positive, and
-    max_doublings is at least 1; raises InvalidSetPoint unless every
-    set-point lies in [0, Theta_C] of its load.
+    seed and max_doublings are integers (numpy ones too, not bools),
+    max_doublings at least 1; raises InvalidSetPoint unless every set-point
+    lies in [0, Theta_C] of its load.
     """
 
     wind_rates: tuple                            # (q_up, q_down) or (up, down) pairs
@@ -107,6 +108,7 @@ class CftpConfig:
                 not (np.isfinite(self.initial_horizon) and self.initial_horizon > 0):
             raise ValueError(f"initial_horizon must be finite and positive, "
                              f"got {self.initial_horizon}")
+        _check_integers(self, ("seed", "max_doublings"))
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be at least 1, got {self.max_doublings}")
         for p, z in zip(self.load_params, self.set_points):

@@ -124,7 +124,8 @@ def check_curves(curves, env: MarkovEnvironment, params: LoadParams) -> None:
 
 def default_z_grid(params: LoadParams, step: float | None = None) -> np.ndarray:
     """Ascending grid over (0, Theta_C] with every comfort level included
-    and uniform spacing inside each comfort interval."""
+    once (0 too, when it is one) and uniform spacing inside each comfort
+    interval."""
     top = params.theta_max
     if step is None:
         step = top / 400.0
@@ -134,8 +135,8 @@ def default_z_grid(params: LoadParams, step: float | None = None) -> np.ndarray:
     lo = 0.0
     for theta in params.comfort_levels:
         n = max(int(np.ceil((theta - lo) / step)), 2)
-        seg = np.linspace(lo, theta, n + 1)[1:]
-        pts.append(seg)
+        # a comfort level at 0 is its own single point
+        pts.append(np.linspace(lo, theta, n + 1)[1:] if theta > lo else np.array([theta]))
         lo = theta
     return np.concatenate(pts)
 

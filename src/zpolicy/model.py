@@ -56,6 +56,15 @@ __all__ = [
 ]
 
 
+def _check_integers(config, names) -> None:
+    """Raise ValueError unless each named field of ``config`` is an int or
+    a numpy integer (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _birth_death_generator(rates) -> np.ndarray:
     """Generator (column convention) for a birth-death chain.
 

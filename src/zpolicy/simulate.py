@@ -68,8 +68,8 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
 from .model import (
-    LoadParams, MarkovEnvironment, _draw_jumps, _FactorChain, _walk, child_seed, flow_paths,
-    grid_power,
+    LoadParams, MarkovEnvironment, _check_integers, _draw_jumps, _FactorChain, _walk, child_seed,
+    flow_paths, grid_power,
 )
 
 __all__ = [
@@ -101,10 +101,7 @@ class SimulationConfig:
     initial_temperature: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_loads", "horizon_jumps", "occupation_edges"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, ("n_loads", "horizon_jumps", "occupation_edges"))
         if self.n_loads < 1:
             raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
         if self.horizon_jumps < 1:

@@ -38,8 +38,11 @@ structure of the system, and n alone places every mass; only the length of
 the last interval changes.  ``_solve`` checks the inputs and solves each
 such group as one stacked system with a batched SVD, for both
 ``point_mass_curves`` and ``solve_stationary`` (a batch of one, plus the
-density grid).  Tails and the discomfort integral are closed-form
-integrals of (polynomial of degree <= 2) x exponential over whole intervals.
+density grid).  Tails, the discomfort integral and the CDF are
+closed-form integrals of (polynomial of degree <= 2) x exponential, from
+``_modes``: over whole intervals, or up to a point inside one.  The grid
+step shapes only the sampled density grid, which ``distribution`` writes
+and the negativity and conservation checks read.
 """
 
 from __future__ import annotations
@@ -72,12 +75,31 @@ _REVERSE = np.array([[1.0, 1.0, 1.0], [0.0, -1.0, -2.0], [0.0, 0.0, 1.0]])
 
 @dataclass(frozen=True)
 class Segment:
-    """Densities on one open interval between breakpoints."""
+    """Densities on one open interval between breakpoints: sampled on a
+    grid for output and checks, and as the anchored modes of the module
+    docstring, which every reader of their mass integrates."""
 
     x: np.ndarray              # grid including both endpoints
     densities: np.ndarray      # shape (n_states, len(x))
     drift: np.ndarray          # diagonal of D on this interval, shape (n_states,)
     integral: np.ndarray       # exact per-state integral over the interval
+    lam: np.ndarray            # (n_sup,) eigenvalues of D^-1 Q
+    vec: np.ndarray            # (n_sup, n_sup) eigenvectors V on the support
+    coef: np.ndarray           # (n_sup,) mode coefficients a
+    support: np.ndarray        # states the chain visits, the rows of V
+
+
+def _mass_below(seg: Segment, x: np.ndarray) -> np.ndarray:
+    """Each state's exact density mass on [lo, min(x, hi)]: shape
+    (n_states, len(x)).  ``_modes`` anchors a growing mode at t = x - lo,
+    the segment at its length L, hence the factor e^{lam (t - L)}."""
+    length = seg.x[-1] - seg.x[0]
+    t = np.clip(x - seg.x[0], 0.0, length)[:, None]
+    _, _, mom = _modes(seg.lam, t)
+    weight = mom[..., 0] * np.exp(np.where(seg.lam.real > 0, seg.lam * (t - length), 0.0))
+    out = np.zeros((len(seg.drift), len(x)))
+    out[seg.support] = (seg.vec @ (seg.coef * weight).T).real
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,51 +135,20 @@ class StationaryDistribution:
 
     def cdf(self, x):
         """P(X <= x) mixing densities and point masses (right-continuous).
-
-        A scalar ``x`` gives a float, an array gives an array.  Within a
-        segment the density is integrated by the trapezoid rule, scaled so
-        that the segment ends at its exact mass, ``seg.integral``; so
-        cdf(Theta_C) is ``total_mass()``.
-        """
+        A scalar ``x`` gives a float, an array gives an array."""
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xq)
-        for seg in self.segments:
-            total = seg.densities.sum(axis=0)
-            cum = np.concatenate([[0.0], np.cumsum(
-                0.5 * (total[1:] + total[:-1]) * np.diff(seg.x))])
-            lo, hi = seg.x[0], seg.x[-1]
-            idx = np.clip(np.searchsorted(seg.x, xq, side="right") - 1, 0, len(seg.x) - 1)
-            inside = np.clip(xq, lo, hi)
-            frac = cum[idx] + 0.5 * (np.interp(inside, seg.x, total) + total[idx]) * (inside - seg.x[idx])
-            exact = float(seg.integral.sum())
-            scale = exact / cum[-1] if cum[-1] > 0 else 1.0
-            out += np.where(xq < lo, 0.0, np.where(xq >= hi, exact, scale * frac))
+        out = sum((_mass_below(seg, xq).sum(axis=0) for seg in self.segments),
+                  np.zeros_like(xq))
         for (loc, _s), m in self.point_masses.items():
             out += np.where(xq >= loc, m, 0.0)
         return out if np.ndim(x) else float(out[0])
 
     def tail_above(self, theta: float, states=None) -> float:
-        """Integrated density mass strictly above ``theta`` for the given
-        states.  Within a segment the density is integrated by the trapezoid
-        rule, scaled as cdf scales it so that the segment counts its exact
-        mass, ``seg.integral``; so tail_above(0.0) is ``density_mass()``."""
-        tot = 0.0
-        for seg in self.segments:
-            if seg.x[-1] <= theta + 1e-12:
-                continue
-            rows = slice(None) if states is None else list(states)
-            exact = float(seg.integral[rows].sum())
-            if seg.x[0] >= theta - 1e-12:
-                tot += exact
-            else:
-                dens = seg.densities[rows].sum(axis=0)
-                whole = float(np.trapezoid(dens, seg.x))
-                mask = seg.x >= theta
-                xs = np.concatenate([[theta], seg.x[mask]])
-                ds = np.concatenate([[np.interp(theta, seg.x, dens)], dens[mask]])
-                part = float(np.trapezoid(ds, xs))
-                tot += exact / whole * part if whole > 0 else part
-        return tot
+        """Density mass strictly above ``theta`` for the given states."""
+        rows = slice(None) if states is None else list(states)
+        at = np.array([float(theta)])
+        return sum((float(seg.integral[rows].sum() - _mass_below(seg, at)[rows].sum())
+                    for seg in self.segments), 0.0)
 
 
 def _drift_diagonals(env: MarkovEnvironment, params: LoadParams) -> np.ndarray:
@@ -366,11 +357,12 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
                      grid_step: float | None = None) -> StationaryDistribution:
     """Solve the stationary density/mass system for set-point ``z``.
 
-    Raises InvalidSetPoint for z outside [0, Theta_C], ValueError unless
-    params and env agree and grid_step is None (Theta_C/400) or finite and
-    positive, and SingularSystem if the assembled system loses rank beyond
-    the single conservation redundancy or produces significantly negative
-    densities.
+    ``grid_step`` spaces the sampled density grid only; the masses, the
+    CDF and the tails are exact whatever it is.  Raises InvalidSetPoint for
+    z outside [0, Theta_C], ValueError unless params and env agree and
+    grid_step is None (Theta_C/400) or finite and positive, and
+    SingularSystem if the assembled system loses rank beyond the single
+    conservation redundancy or produces significantly negative densities.
     """
     model, batches = _solve(env, params, np.array([float(z)]), grid_step)
     n_states = env.n_states
@@ -389,7 +381,8 @@ def solve_stationary(z: float, env: MarkovEnvironment, params: LoadParams,
         dens = np.zeros((n_states, t.shape[-1]))
         dens[model.support] = np.clip(dens_sup[0], 0.0, None) * sol.scale[0]
         segments.append(Segment(x=model.lows[k] + t.reshape(-1), densities=dens,
-                                drift=model.drift[k], integral=integ))
+                                drift=model.drift[k], integral=integ, lam=model.lam[k],
+                                vec=model.vec[k], coef=sol.coef[0, k], support=model.support))
     masses = {}
     for s, m in zip(model.mass_states.tolist(), sol.masses[0].tolist()):
         wind, j = env.split_index(s)

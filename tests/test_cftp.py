@@ -275,12 +275,21 @@ def test_estimate_joint_cost_tops_up_intermediate_wind():
     {"initial_horizon": -1.0}, {"initial_horizon": 0.0},
     {"initial_horizon": float("nan")}, {"initial_horizon": float("inf")},
     {"max_doublings": 0},
+    {"max_doublings": 2.5}, {"max_doublings": 2.0}, {"max_doublings": True},
+    {"seed": 1.5}, {"seed": 3.0}, {"seed": True},
 ])
 def test_config_rejects_bad_shapes_and_horizons(change):
     from dataclasses import asdict
     base = _ref_cftp_config()
     with pytest.raises(ValueError):
         CftpConfig(**{**asdict(base), "load_params": base.load_params, **change})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = replace(_ref_cftp_config(), seed=np.int64(3), max_doublings=np.int32(24))
+    got, expected = cftp_sample(cfg), cftp_sample(_ref_cftp_config())
+    assert np.array_equal(got.temperatures, expected.temperatures)
+    assert (got.wind, got.horizon) == (expected.wind, expected.horizon)
 
 
 def test_shared_comfort_needs_one_comfort_chain():

@@ -111,6 +111,21 @@ def test_optimize_three_levels_bracket_halving(tmp_path):
     assert rep["pooled_intervals"] == [list(p) for p in proj.pooled_intervals]
 
 
+@pytest.mark.parametrize("step", [None, 1.0])
+def test_comfort_level_at_zero_enters_the_set_point_grid_once(tmp_path, step):
+    from zpolicy import LoadParams, default_z_grid
+    model = {"h": 1.0, "c": 1.1, "comfort_levels": [0.0, 100.0],
+             "wind_rates": [0.04, 0.04], "comfort_rates": [0.02, 0.02]}
+    grid = default_z_grid(LoadParams(h=1.0, c=1.1, comfort_levels=(0.0, 100.0)), step=step)
+    assert grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)
+    cfg = _write_config(tmp_path, model=model, solver={"gamma": 0.1, "z_grid_step": step})
+    for command in ("curves", "optimize"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    z = np.loadtxt(tmp_path / "curves" / "curves.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.array_equal(z, grid)
+
+
 def test_simulate_reproducible_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, simulation={
         "n_loads": 3, "horizon_jumps": 3000, "seed": 5,

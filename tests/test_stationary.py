@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from zpolicy import (
 )
 from zpolicy.errors import InvalidSetPoint
 from zpolicy.model import MarkovEnvironment
-from zpolicy.stationary import Segment
 
 
 def test_reference_instance_structure(ref_env, ref_params):
@@ -106,8 +106,7 @@ def test_conservation_detects_perturbation(ref_env, ref_params):
     seg = dist.segments[0]
     bumped = seg.densities.copy()
     bumped[0] += 0.1
-    perturbed = Segment(x=seg.x, densities=bumped, drift=seg.drift,
-                        integral=seg.integral)
+    perturbed = replace(seg, densities=bumped)
     forged = type(dist)(z=dist.z, env=dist.env, params=dist.params,
                         segments=(perturbed, dist.segments[1]),
                         point_masses=dist.point_masses,
@@ -203,8 +202,8 @@ def test_cdf_scalar_in_float_out(ref_env, ref_params):
 
 @pytest.mark.parametrize("instance, z", [("ref", 100.0), ("w3", 50.0)])
 def test_cdf_ends_at_the_total_mass(ref_env, ref_params, env_w3, instance, z):
-    # each segment's trapezoid sum is scaled to its exact integral, so the
-    # cdf does not rise above the mass total_mass() counts
+    # the cdf integrates the same modes as each segment's exact integral, so
+    # it does not rise above the mass total_mass() counts
     env = {"ref": ref_env, "w3": env_w3}[instance]
     dist = solve_stationary(z, env, ref_params)
     assert abs(dist.cdf(ref_params.theta_max) - dist.total_mass()) <= 1e-12
@@ -213,7 +212,7 @@ def test_cdf_ends_at_the_total_mass(ref_env, ref_params, env_w3, instance, z):
 
 @pytest.mark.parametrize("instance, z", [("ref", 100.0), ("w3", 50.0)])
 def test_tail_above_counts_the_exact_masses(ref_env, ref_params, env_w3, instance, z):
-    # tail_above scales each segment as cdf does: from 0 it is the exact
+    # tail_above reads the same closed form as cdf: from 0 it is the exact
     # density mass, and above any point it is what the cdf leaves of it
     env = {"ref": ref_env, "w3": env_w3}[instance]
     dist = solve_stationary(z, env, ref_params)
@@ -222,6 +221,31 @@ def test_tail_above_counts_the_exact_masses(ref_env, ref_params, env_w3, instanc
         masses = sum(m for (loc, _s), m in dist.point_masses.items() if loc <= theta)
         below = dist.cdf(theta) - masses
         assert abs(dist.tail_above(theta) + below - dist.density_mass()) <= 1e-12, theta
+
+
+@pytest.mark.parametrize("instance", ["ref", "c3", "w3", "fast"])
+def test_cdf_and_tails_do_not_depend_on_the_grid(instance, ref_env, ref_params, env3, params3,
+                                                 env_w3):
+    # the grid step shapes only the sampled densities: the cdf and the
+    # tails are integrals of the modes, the same on any grid, and the cdf at
+    # Theta_1 leaves exactly the batch solve's tail above it
+    env, params = {"ref": (ref_env, ref_params), "c3": (env3, params3),
+                   "w3": (env_w3, ref_params),
+                   "fast": (build_environment((0.3, 0.3), (0.15, 0.15)), ref_params)}[instance]
+    top, theta_1 = params.theta_max, params.comfort_levels[0]
+    xs = np.linspace(0.0, top, 2001)
+    for z in (60.0, 87.5, 100.0):
+        readings = []
+        for step in (top / 4000.0, None, 5.0):
+            dist = solve_stationary(z, env, params, grid_step=step)
+            tails = [dist.tail_above(theta, [env.state_index(i, j) for i in range(env.n_wind)])
+                     for j, theta in enumerate(params.comfort_levels)]
+            readings.append(np.concatenate([dist.cdf(xs), tails]))
+        assert np.abs(readings[1] - readings[0]).max() <= 1e-13, z
+        assert np.abs(readings[2] - readings[0]).max() <= 1e-13, z
+        above = sum(m for (loc, _s), m in dist.point_masses.items() if loc > theta_1)
+        tail = point_mass_curves(env, params, [z]).tail[0]
+        assert abs(dist.cdf(theta_1) - (1.0 - tail - above)) <= 1e-12, z
 
 
 @pytest.mark.parametrize("rate", [0.3, 1.0, 5.0])

@@ -17,7 +17,8 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
 - ``distribution`` at set-points other than Theta_C: 0, a comfort level
   and 5e-10 above it, and the lowest of three comfort levels;
 - ``compare`` 5e-10 above a comfort level, where the simulated load parks
-  at both;
+  at both, and at Theta_C on W3 and C3 (one load, 20,000 jumps, seed 3),
+  so that the analytic CDF is pinned off REF;
 - ``simulate`` of 100 loads on REF, C3 and W3 over several accounting
   blocks, each cut into many tiles, with occupation on.
 
@@ -70,6 +71,9 @@ DISTRIBUTION = (("z0", "REF", "0"), ("z50", "REF", "50"),
 # at z against the dwell the simulator keys at each
 COMPARE_Z50_ABOVE = {"n_loads": 1, "horizon_jumps": 20000, "seed": 3,
                      "set_points": [50.0000000005]}
+# compare at Theta_C off REF: the analytic CDF with three wind states and
+# with three comfort levels
+COMPARE_OFF_REF = {"n_loads": 1, "horizon_jumps": 20000, "seed": 3}
 # simulate over three blocks of 4096 segments, each cut into tiles: 100
 # loads at 80 distinct set-points, comfort levels among them
 SIMULATE_TILES = {"n_loads": 100, "horizon_jumps": 12000, "seed": 5,
@@ -128,6 +132,10 @@ def main(argv=None) -> int:
                                                   "distribution", config, ("--z", z))
         config = {"model": workloads.REF, "simulation": COMPARE_Z50_ABOVE}
         digests["compare.z50_above"] = run(cli, tmp, "compare.z50_above", "compare", config)
+        for model in ("W3", "C3"):
+            config = {"model": getattr(workloads, model), "simulation": COMPARE_OFF_REF}
+            label = f"compare.{model.lower()}"
+            digests[label] = run(cli, tmp, label, "compare", config)
         for model in ("REF", "C3", "W3"):
             config = {"model": getattr(workloads, model), "simulation": SIMULATE_TILES}
             label = f"simulate.tiles_{model.lower()}"
