@@ -19,21 +19,29 @@ horizon appends older jumps to the paths drawn so far and never alters
 the randomness already used, which is exactly the replay discipline
 coupling from the past requires.
 
-Draws run in lockstep.  Every draw owns its random generator and reads it
-in the order a draw on its own would, so a sample does not depend on which
-other draws share its batch.  The backward paths of a block's unfinished
-draws are one flat list of jumps, each holding its row (one chain of one
-draw), its age and the state it enters.  The list grows in waves: each draw
-with a chain short of the horizon draws the next chunk of its first such
-chain from its own generator, and one walk of the model's sampler extends
-every such row.  In each doubling round the segments of all unfinished draws
-are read off the jumps below the horizon and laid out on one grid, oldest
-first and aligned at time 0, and step k advances segment k of every draw
-with one call to ``model.exact_flow`` on the (top, bottom) temperatures of
-all loads and draws; a draw with fewer segments is padded at the old end
-with zero-length segments, which the flow maps to themselves.  Draws that
-have coalesced leave the list, and only the rest double their horizon.  The
-chains' tables and stationary laws are built once per config.  CftpConfig
+Draws run in lockstep, at most _BLOCK // n_loads of them (a block) at a
+time.  Every draw owns its random generator and reads it in the order a
+draw on its own would, so a sample does not depend on which other draws
+share its round.  The backward paths of a round's draws are one flat list
+of jumps, each holding its row (one chain of one draw), its age and the
+state it enters.  The list grows in waves: each draw with a chain short of
+the horizon draws the next chunk of its first such chain from its own
+generator, and one walk of the model's sampler extends every such row.  In
+a round the segments of all its draws are read off the jumps below the
+horizon and laid out on one grid, oldest first and aligned at time 0, and
+step k advances segment k of every draw with one call to
+``model.exact_flow`` on the (top, bottom) temperatures of all loads and
+draws; a draw with fewer segments is padded at the old end with
+zero-length segments, which the flow maps to themselves.  Draws that have
+coalesced leave the list.
+
+Each block of fresh draws runs one round at the first horizon.  The draws
+it leaves unfinished wait in the pool of the next doubling level, with
+those of every other block: their lists are concatenated with a row offset
+per group, and each level runs once over its pool, whose unfinished draws
+wait for the level after.  A pool runs early whenever the next group would
+take it past a block, so no round holds more than a block.  The chains'
+tables and stationary laws are built once per config.  CftpConfig
 validates itself on construction.
 """
 
@@ -47,8 +55,8 @@ from .costs import CostReport, standard_error
 from .distributions import ThresholdDistribution
 from .errors import EmptySamples, NoCoalescence
 from .model import (
-    LoadParams, _birth_death_generator, _check_integers, _draw_jumps, _FactorChain, _walk,
-    child_rngs, exact_flow, grid_power, stationary_law,
+    LoadParams, _birth_death_generator, _check_integers, _check_seed, _draw_jumps,
+    _FactorChain, _walk, child_rngs, exact_flow, grid_power, stationary_law,
 )
 
 __all__ = [
@@ -76,8 +84,8 @@ class CftpConfig:
     comfort_rates give one entry per load, each comfort chain has as many
     states as its load has comfort levels, the rates give one chain under
     shared_comfort, initial_horizon is None or finite and positive, and
-    seed and max_doublings are integers (numpy ones too, not bools),
-    max_doublings at least 1; raises InvalidSetPoint unless every set-point
+    seed and max_doublings are integers (numpy ones too, not bools), seed
+    at least 0 and max_doublings at least 1; raises InvalidSetPoint unless every set-point
     lies in [0, Theta_C] of its load.
     """
 
@@ -108,7 +116,8 @@ class CftpConfig:
                 not (np.isfinite(self.initial_horizon) and self.initial_horizon > 0):
             raise ValueError(f"initial_horizon must be finite and positive, "
                              f"got {self.initial_horizon}")
-        _check_integers(self, ("seed", "max_doublings"))
+        _check_integers(self, ("max_doublings",))
+        _check_seed(self)
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be at least 1, got {self.max_doublings}")
         for p, z in zip(self.load_params, self.set_points):
@@ -186,8 +195,12 @@ def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,
     jumps = jumps[jumps["age"] < horizon]
     ages, entry = jumps["age"], jumps["state"]
     draw, chain = np.divmod(jumps["row"], n_chains)
-    # by draw, age and chain; stable, so a chain's jumps keep their order
-    order = np.lexsort((chain, ages, draw))
+    # by draw, age and chain: one stable sort per key, least significant
+    # first, which is np.lexsort's order; on keys of 16 bits or fewer numpy
+    # sorts by radix.  Stable, so a chain's jumps keep their order
+    order = np.argsort(chain.astype(np.min_scalar_type(n_chains - 1)), kind="stable")
+    order = order[np.argsort(ages[order], kind="stable")]
+    order = order[np.argsort(draw.astype(np.min_scalar_type(n_draws - 1))[order], kind="stable")]
     ages, entry, draw, chain = ages[order], entry[order], draw[order], chain[order]
     starts = np.ones(len(ages), dtype=bool)
     starts[1:] = (draw[1:] != draw[:-1]) | (ages[1:] != ages[:-1])
@@ -207,11 +220,43 @@ def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,
     first = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
     back = np.arange(len(bounds)) - first[owner]
     n_steps = back.max() + 1
-    steps = np.zeros((n_steps, n_chains, n_draws), dtype=np.int64)
+    steps = np.zeros((n_steps, n_chains, n_draws), dtype=entry.dtype)
     dt = np.zeros((n_steps, n_draws))
     steps[n_steps - 1 - back, :, owner] = state
     dt[n_steps - 1 - back, owner] = ends - bounds
     return steps, dt
+
+
+@dataclass
+class _Draws:
+    """Unfinished draws and their backward paths: the list of jumps that
+    _extend keeps (a row is draw * chains + chain, draws numbered from 0 in
+    this group), the oldest age and state of every row (end, last), the
+    state of every chain at time 0 (now), all as (draws x chains), and each
+    draw's sample index."""
+
+    jumps: np.ndarray
+    end: np.ndarray
+    last: np.ndarray
+    now: np.ndarray
+    index: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Draws:
+        """The draws where ``keep`` holds, their rows renumbered in order."""
+        rows = np.repeat(keep, self.now.shape[1])
+        jumps = self.jumps[rows[self.jumps["row"]]]
+        jumps["row"] = (np.cumsum(rows) - 1)[jumps["row"]]
+        return _Draws(jumps, *(a[keep] for a in (self.end, self.last, self.now, self.index)))
+
+    @staticmethod
+    def pool(groups: list[_Draws]) -> _Draws:
+        """The draws of all ``groups`` as one group, in order, each group's
+        rows offset by the rows before it."""
+        jumps = np.concatenate([g.jumps for g in groups])
+        rows = np.cumsum([0] + [g.now.size for g in groups[:-1]])
+        jumps["row"] += np.repeat(rows, [len(g.jumps) for g in groups])
+        return _Draws(jumps, *(np.concatenate([getattr(g, name) for g in groups])
+                               for name in ("end", "last", "now", "index")))
 
 
 class _Coupling:
@@ -239,75 +284,98 @@ class _Coupling:
             self.horizon = float(config.initial_horizon)
         else:
             self.horizon = 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
-        self.max_doublings = config.max_doublings
 
-    def draw(self, rngs: list) -> list[JointSample]:
-        """One block of draws in lockstep; draw d reads only rngs[d].
-
-        Raises NoCoalescence if any draw exhausts its horizons.
-        """
-        n, loads = len(self.loads), self.loads
+    def fresh(self, rngs: list, index: np.ndarray) -> _Draws:
+        """New draws with sample indices ``index``, draw d reading
+        rngs[index[d]]: each chain's state at time 0, and no jumps yet."""
         # the state at time 0 of each chain: its stationary law's inverse
         # CDF at one uniform per chain (the draw Generator.choice makes)
-        u = np.array([rng.random(len(self.cdfs)) for rng in rngs])
+        u = np.array([rngs[i].random(len(self.cdfs)) for i in index.tolist()])
         now = (self.cdfs <= u[:, :, None]).sum(axis=2)
-        # the backward paths of the pending draws, as _extend keeps them
         jumps = np.zeros(now.size, dtype=[("row", np.int32), ("state", np.int32), ("age", float)])
         jumps["row"], jumps["state"] = np.arange(now.size), now.ravel()
-        end, last = np.zeros(now.shape), now.copy()
-        samples: list = [None] * len(rngs)
-        pending = np.arange(len(rngs))
-        horizon = self.horizon
-        for _ in range(self.max_doublings):
-            jumps = _extend(self.chains, jumps, end, last,
-                            [rngs[d] for d in pending.tolist()], horizon)
-            state, dt = _segments(jumps, *end.shape, horizon)
-            wind = state[:, 0]
-            theta = self.levels[loads[:, None], state[:, self.owner]]
-            ci = self.rates[loads[:, None], wind[:, None]]
-            # x[0] holds the top chains and x[1] the bottom ones, as
-            # (loads x draws); the load parameters are spread to that shape
-            # once, so that every step works on whole contiguous arrays
-            shape = (2, n, len(pending))
-            z, h, c = (np.ascontiguousarray(np.broadcast_to(v[:, None], shape))
-                       for v in (self.z, self.h, self.c))
-            x = np.zeros(shape)
-            x[0] = self.top[:, None]
-            for k in range(len(dt)):
-                x = exact_flow(x, z, theta[k], h, c, ci[k], dt[k], wind[k])
-                if (x[1] > x[0] + 1e-12).any():
-                    raise AssertionError("sandwich violated; flow is not monotone")
-            met = np.all(x[0] - x[1] <= _COALESCE_TOL, axis=0)
-            for j in np.flatnonzero(met).tolist():
-                d = pending[j]
-                samples[d] = JointSample(temperatures=x[0, :, j].copy(), wind=int(now[d, 0]),
-                                         comfort=now[d, self.owner], horizon=horizon)
-            # coalesced draws leave the paths, so memory follows the pending
-            # ones; the rows of the rest are renumbered in order
-            keep = np.repeat(~met, now.shape[1])
-            jumps = jumps[keep[jumps["row"]]]
-            jumps["row"] = (np.cumsum(keep) - 1)[jumps["row"]]
-            pending, end, last = (a[~met] for a in (pending, end, last))
-            if not len(pending):
-                return samples
-            horizon *= 2.0
-        raise NoCoalescence(f"no coalescence by horizon {horizon}")
+        return _Draws(jumps, np.zeros(now.shape), now.copy(), now, index)
+
+    def round(self, draws: _Draws, rngs: list, horizon: float, samples: list) -> _Draws:
+        """Run ``draws`` in lockstep from time -horizon, each reading only
+        its own generator and its paths extended in place; put the
+        coalesced ones in ``samples`` and return the rest."""
+        n, loads = len(self.loads), self.loads
+        draws.jumps = _extend(self.chains, draws.jumps, draws.end, draws.last,
+                              [rngs[i] for i in draws.index.tolist()], horizon)
+        state, dt = _segments(draws.jumps, *draws.end.shape, horizon)
+        wind = state[:, 0]
+        theta = self.levels[loads[:, None], state[:, self.owner]]
+        ci = self.rates[loads[:, None], wind[:, None]]
+        # x[0] holds the top chains and x[1] the bottom ones, as
+        # (loads x draws); the load parameters are spread to that shape
+        # once, so that every step works on whole contiguous arrays
+        shape = (2, n, len(draws.index))
+        z, h, c = (np.ascontiguousarray(np.broadcast_to(v[:, None], shape))
+                   for v in (self.z, self.h, self.c))
+        x = np.zeros(shape)
+        x[0] = self.top[:, None]
+        for k in range(len(dt)):
+            x = exact_flow(x, z, theta[k], h, c, ci[k], dt[k], wind[k])
+            if (x[1] > x[0] + 1e-12).any():
+                raise AssertionError("sandwich violated; flow is not monotone")
+        met = np.all(x[0] - x[1] <= _COALESCE_TOL, axis=0)
+        now = draws.now
+        for j in np.flatnonzero(met).tolist():
+            samples[draws.index[j]] = JointSample(
+                temperatures=x[0, :, j].copy(), wind=int(now[j, 0]),
+                comfort=now[j, self.owner], horizon=horizon)
+        # coalesced draws leave the paths, so memory follows the pending ones
+        return draws.take(~met)
 
 
 def cftp_samples(config: CftpConfig, rngs) -> list[JointSample]:
     """Exact draws from the joint stationary distribution, one per random
     generator in ``rngs``.
 
-    Draws run in lockstep, in blocks of _BLOCK // n_loads draws (at least
-    one), which bounds the memory a block takes.  Each reads only its own
-    generator, in the order a draw on its own would, so a sample does not
-    depend on the other draws or on the blocking.  Raises NoCoalescence if
-    any draw exhausts max_doublings horizons.
+    Draws run in lockstep, at most _BLOCK // n_loads (at least one) at a
+    time, which bounds the memory a lockstep takes.  Each block of fresh
+    draws runs at the first horizon; the draws it leaves unfinished wait in
+    a pool for the second, with those of the other blocks, and so on: each
+    doubling level runs once over the pooled draws of every block, and a
+    pool runs early whenever the next group would take it past a block.
+    Each draw reads only its own generator, in the order a draw on its own
+    would, so a sample does not depend on the other draws or on the
+    blocking.  Raises NoCoalescence if any draw exhausts max_doublings
+    horizons.
     """
     rngs = list(rngs)
     coupling = _Coupling(config)
     size = max(1, _BLOCK // config.n_loads)
-    return [s for b in range(0, len(rngs), size) for s in coupling.draw(rngs[b:b + size])]
+    samples: list = [None] * len(rngs)
+    # pools[k]: groups of unfinished draws waiting for doubling level k,
+    # whose horizon is the first one times 2**k
+    pools: dict[int, list[_Draws]] = {}
+
+    def run(level: int) -> None:
+        """Run the pool of ``level`` once; queue what it leaves unfinished."""
+        settle(level + 1, coupling.round(_Draws.pool(pools.pop(level)), rngs,
+                                         coupling.horizon * 2.0 ** level, samples))
+
+    def settle(level: int, draws: _Draws) -> None:
+        """Queue ``draws`` for ``level``, first running its pool if they
+        would take it past a block."""
+        if not len(draws.index):
+            return
+        if level == config.max_doublings:
+            raise NoCoalescence(f"no coalescence by horizon "
+                                f"{coupling.horizon * 2.0 ** (level - 1)}, "
+                                f"the longest of {level} horizons tried")
+        if sum(len(g.index) for g in pools.get(level, ())) + len(draws.index) > size:
+            run(level)
+        pools.setdefault(level, []).append(draws)
+
+    for b in range(0, len(rngs), size):
+        settle(1, coupling.round(coupling.fresh(rngs, np.arange(b, min(b + size, len(rngs)))),
+                                 rngs, coupling.horizon, samples))
+    while pools:
+        run(min(pools))
+    return samples
 
 
 def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> JointSample:

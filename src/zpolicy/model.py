@@ -65,6 +65,14 @@ def _check_integers(config, names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(config) -> None:
+    """Raise ValueError unless ``config.seed`` is an integer, as
+    _check_integers takes one, and not negative (SeedSequence's range)."""
+    _check_integers(config, ("seed",))
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
+
+
 def _birth_death_generator(rates) -> np.ndarray:
     """Generator (column convention) for a birth-death chain.
 

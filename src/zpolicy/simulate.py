@@ -68,8 +68,8 @@ from .costs import CostReport
 from .distributions import ThresholdDistribution
 from .errors import MissingOccupation
 from .model import (
-    LoadParams, MarkovEnvironment, _check_integers, _draw_jumps, _FactorChain, _walk, child_seed,
-    flow_paths, grid_power,
+    LoadParams, MarkovEnvironment, _check_integers, _check_seed, _draw_jumps, _FactorChain,
+    _walk, child_seed, flow_paths, grid_power,
 )
 
 __all__ = [
@@ -102,6 +102,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_integers(self, ("n_loads", "horizon_jumps", "occupation_edges"))
+        _check_seed(self)
         if self.n_loads < 1:
             raise ValueError(f"n_loads must be at least 1, got {self.n_loads}")
         if self.horizon_jumps < 1:

@@ -104,8 +104,9 @@ def test_no_coalescence_reports_horizon():
     cfg = CftpConfig(wind_rates=(0.04, 0.04),
                      load_params=(LoadParams(1.0, 1.1, (50.0, 100.0)),),
                      comfort_rates=((0.02, 0.02),), set_points=(90.0,),
-                     seed=0, initial_horizon=0.25, max_doublings=1)
-    with pytest.raises(NoCoalescence):
+                     seed=0, initial_horizon=0.25, max_doublings=3)
+    # the horizons tried are 0.25, 0.5 and 1.0
+    with pytest.raises(NoCoalescence, match=r"by horizon 1\.0, the longest of 3 horizons"):
         cftp_sample(cfg, np.random.default_rng(1))
 
 
@@ -276,7 +277,7 @@ def test_estimate_joint_cost_tops_up_intermediate_wind():
     {"initial_horizon": float("nan")}, {"initial_horizon": float("inf")},
     {"max_doublings": 0},
     {"max_doublings": 2.5}, {"max_doublings": 2.0}, {"max_doublings": True},
-    {"seed": 1.5}, {"seed": 3.0}, {"seed": True},
+    {"seed": 1.5}, {"seed": 3.0}, {"seed": True}, {"seed": -1},
 ])
 def test_config_rejects_bad_shapes_and_horizons(change):
     from dataclasses import asdict
@@ -402,6 +403,31 @@ def test_block_size_does_not_change_samples(monkeypatch):
     whole = cftp.cftp_samples(cfg, _rngs(43, 30))
     monkeypatch.setattr(cftp, "_BLOCK", 7 * cfg.n_loads)     # blocks of 7 draws
     _same(cftp.cftp_samples(cfg, _rngs(43, 30)), whole)
+
+
+def test_unfinished_draws_of_every_block_share_each_doubling_level(monkeypatch):
+    import zpolicy.cftp as cftp
+    from reference_cftp import cftp_sample as reference
+    cfg = _lockstep_case("short_horizon")
+    want, got = _rngs(59, 40), _rngs(59, 40)
+    expected = [reference(cfg, rng) for rng in want]
+    monkeypatch.setattr(cftp, "_BLOCK", 7 * cfg.n_loads)     # 6 blocks of up to 7 draws
+    rounds, segments = [], cftp._segments
+
+    def spy(jumps, n_draws, *rest):
+        rounds.append(n_draws)
+        return segments(jumps, n_draws, *rest)
+
+    monkeypatch.setattr(cftp, "_segments", spy)
+    _same(cftp.cftp_samples(cfg, got), expected)
+    for g, w in zip(got, want):
+        assert g.bit_generator.state == w.bit_generator.state
+    assert len({s.horizon for s in expected}) >= 3
+    assert max(rounds) <= 7
+    # each block on its own runs every level up to its last draw's horizon
+    alone = sum(1 + int(np.log2(max(s.horizon for s in expected[b:b + 7]) / 10.0))
+                for b in range(0, 40, 7))
+    assert len(rounds) < alone
 
 
 def test_no_coalescence_when_any_draw_in_a_batch_fails():

@@ -184,6 +184,12 @@ def test_config_rejects_non_integer_counts(field, value):
         SimulationConfig(**{"n_loads": 2, "horizon_jumps": 100, "seed": 0, field: value})
 
 
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, -1])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimulationConfig(n_loads=2, horizon_jumps=100, seed=seed)
+
+
 def test_config_takes_numpy_integer_counts():
     cfg = SimulationConfig(n_loads=np.int64(2), horizon_jumps=np.int32(100), seed=0,
                            occupation_edges=np.int64(11))

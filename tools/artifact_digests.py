@@ -20,7 +20,9 @@ Imports ``zpolicy`` from SRC_DIR and the benchmark's workloads from
   at both, and at Theta_C on W3 and C3 (one load, 20,000 jumps, seed 3),
   so that the analytic CDF is pinned off REF;
 - ``simulate`` of 100 loads on REF, C3 and W3 over several accounting
-  blocks, each cut into many tiles, with occupation on.
+  blocks, each cut into many tiles, with occupation on;
+- ``cftp`` of 12 loads and 600 samples on REF, whose draws that miss the
+  first horizon come from several lockstep blocks and share later rounds.
 
 Prints ``{operation: {"exit": code, "stderr": text, file: sha256, ...}}``
 as JSON.  Running it on two trees' ``src`` and diffing the outputs checks
@@ -78,6 +80,10 @@ COMPARE_OFF_REF = {"n_loads": 1, "horizon_jumps": 20000, "seed": 3}
 # loads at 80 distinct set-points, comfort levels among them
 SIMULATE_TILES = {"n_loads": 100, "horizon_jumps": 12000, "seed": 5,
                   "set_points": [float(round(20 + 0.8 * k)) for k in range(100)]}
+# cftp in four blocks of at most 170 draws (2048 // 12 loads); draws of
+# every block miss the first horizon, so the later rounds pool them
+CFTP_POOLED = {"set_points": [55.0 + 4.0 * k for k in range(12)], "n_samples": 600,
+               "seed": 3}
 COMMANDS = ("distribution", "curves", "optimize", "simulate", "cftp", "heuristic", "hjb",
             "compare")
 
@@ -140,6 +146,8 @@ def main(argv=None) -> int:
             config = {"model": getattr(workloads, model), "simulation": SIMULATE_TILES}
             label = f"simulate.tiles_{model.lower()}"
             digests[label] = run(cli, tmp, label, "simulate", config)
+        config = {"model": workloads.REF, "cftp": CFTP_POOLED}
+        digests["cftp.pooled"] = run(cli, tmp, "cftp.pooled", "cftp", config)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
