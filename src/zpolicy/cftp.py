@@ -26,14 +26,17 @@ share its round.  The backward paths of a round's draws are one flat list
 of jumps, each holding its row (one chain of one draw), its age and the
 state it enters.  The list grows in waves: each draw with a chain short of
 the horizon draws the next chunk of its first such chain from its own
-generator, and one walk of the model's sampler extends every such row.  In
-a round the segments of all its draws are read off the jumps below the
-horizon and laid out on one grid, oldest first and aligned at time 0, and
-step k advances segment k of every draw with one call to
-``model.exact_flow`` on the (top, bottom) temperatures of all loads and
-draws; a draw with fewer segments is padded at the old end with
-zero-length segments, which the flow maps to themselves.  Draws that have
-coalesced leave the list.
+generator, and one walk of the model's sampler extends every such row.  A
+load's flow reads only the wind chain and its own comfort chain, so in a
+round each load of each draw (a lane) gets its own segments, bounded by
+the jump ages below the horizon of those two chains.  The lanes are laid
+out on one grid, oldest first and aligned at time 0, and step k advances
+segment k of every lane with one call to ``model.exact_flow`` on the
+(top, bottom) temperatures of all loads and draws, each lane with its own
+duration and wind state; a lane with fewer segments is padded at the old
+end with zero-length segments, which the flow maps to themselves.  So a
+round takes as many steps as its longest lane, however many loads there
+are.  Draws that have coalesced leave the list.
 
 Each block of fresh draws runs one round at the first horizon.  The draws
 it leaves unfinished wait in the pool of the next doubling level, with
@@ -83,10 +86,11 @@ class CftpConfig:
     Raises ValueError unless there is at least one load, set_points and
     comfort_rates give one entry per load, each comfort chain has as many
     states as its load has comfort levels, the rates give one chain under
-    shared_comfort, initial_horizon is None or finite and positive, and
-    seed and max_doublings are integers (numpy ones too, not bools), seed
-    at least 0 and max_doublings at least 1; raises InvalidSetPoint unless every set-point
-    lies in [0, Theta_C] of its load.
+    shared_comfort, initial_horizon is None or a finite positive real
+    number (not a bool), and seed and max_doublings are integers (numpy
+    ones too, not bools), seed at least 0 and max_doublings at least 1;
+    raises InvalidSetPoint unless every set-point lies in [0, Theta_C] of
+    its load.
     """
 
     wind_rates: tuple                            # (q_up, q_down) or (up, down) pairs
@@ -112,10 +116,10 @@ class CftpConfig:
                                  f"comfort level {p.comfort_levels}")
         if self.shared_comfort and not all(np.array_equal(q, generators[0]) for q in generators):
             raise ValueError("a shared comfort chain needs the same comfort rates for every load")
-        if self.initial_horizon is not None and \
-                not (np.isfinite(self.initial_horizon) and self.initial_horizon > 0):
-            raise ValueError(f"initial_horizon must be finite and positive, "
-                             f"got {self.initial_horizon}")
+        t = self.initial_horizon
+        real = isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool)
+        if t is not None and not (real and 0.0 < t < np.inf):
+            raise ValueError(f"initial_horizon must be a finite positive number, got {t!r}")
         _check_integers(self, ("max_doublings",))
         _check_seed(self)
         if self.max_doublings < 1:
@@ -180,17 +184,19 @@ def _extend(chains: _FactorChain, jumps: np.ndarray, end: np.ndarray, last: np.n
         blocks.append(block[np.isfinite(block["age"])] if np.isinf(end[d, j]).any() else block)
 
 
-def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,
-              horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The segments that tile [-horizon, 0] in each draw's backward paths
-    (the list of jumps _extend keeps): the state of every chain
-    (steps x chains x draws) and the durations (steps x draws), oldest
-    first.  Every draw ends its last step at time 0; a draw with fewer
+def _segments(jumps: np.ndarray, n_draws: int, n_chains: int, horizon: float,
+              owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segments that tile [-horizon, 0] for each load of each draw in
+    the draws' backward paths (the list of jumps _extend keeps): the states
+    of the wind chain and of the load's comfort chain owner[i], and the
+    durations, each (steps x loads x draws), oldest first.  Every lane (a
+    load of a draw) ends its last step at time 0; a lane with fewer
     segments is padded at the old end with zero durations in state 0.
 
-    A segment starts at each distinct jump age below the horizon, and a
-    chain's state on it is the one after its last jump at or before that
-    age, so the segments are those of each draw on its own.
+    A load's segment starts at each jump age below the horizon of the wind
+    chain or of its own comfort chain, and a chain's state on it is the one
+    after its last jump at or before that age, so the segments are those of
+    each load of each draw on its own.
     """
     jumps = jumps[jumps["age"] < horizon]
     ages, entry = jumps["age"], jumps["state"]
@@ -202,29 +208,35 @@ def _segments(jumps: np.ndarray, n_draws: int, n_chains: int,
     order = order[np.argsort(ages[order], kind="stable")]
     order = order[np.argsort(draw.astype(np.min_scalar_type(n_draws - 1))[order], kind="stable")]
     ages, entry, draw, chain = ages[order], entry[order], draw[order], chain[order]
-    starts = np.ones(len(ages), dtype=bool)
-    starts[1:] = (draw[1:] != draw[:-1]) | (ages[1:] != ages[:-1])
+    starts = np.append(True, (draw[1:] != draw[:-1]) | (ages[1:] != ages[:-1]))
     seg = np.cumsum(starts) - 1
-    # the last entry of each chain in each segment, carried forward through
-    # the segments where the chain does not jump (every chain has an entry
-    # at age 0, so nothing is carried from one draw into the next)
-    last = np.ones(len(ages), dtype=bool)
-    last[:-1] = starts[1:] | (chain[1:] != chain[:-1])
-    pick = np.zeros((seg[-1] + 1, n_chains), dtype=np.int64)
-    pick[seg[last], chain[last]] = np.flatnonzero(last)
-    state = entry[np.maximum.accumulate(pick, axis=0)]
-    bounds, owner = ages[starts], draw[starts]
+    # the last entry of each chain in each of the draws' segments (-1 where
+    # it does not jump), then carried forward through those segments (every
+    # chain has an entry at age 0, so nothing is carried from one draw into
+    # the next)
+    last = np.append(starts[1:] | (chain[1:] != chain[:-1]), True)
+    pick = np.full((n_chains, seg[-1] + 1), -1, dtype=np.int32)
+    pick[chain[last], seg[last]] = np.flatnonzero(last)
+    # a load keeps the segments where the wind or its comfort chain jumps,
+    # lane by lane: a lane is a load of a draw, load-major as the columns of
+    # the result, and runs back from its segment at age 0
+    keep = (pick[owner] >= 0) | (pick[0] >= 0)
+    np.maximum.accumulate(pick, axis=1, out=pick)
+    load, s = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    bounds = ages[starts][s]
+    first = np.flatnonzero(bounds == 0.0)
     ends = np.append(bounds[1:], horizon)
-    ends[:-1][owner[1:] != owner[:-1]] = horizon
-    # step of each segment, counted back from the newest (age 0) of its draw
-    first = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
-    back = np.arange(len(bounds)) - first[owner]
-    n_steps = back.max() + 1
-    steps = np.zeros((n_steps, n_chains, n_draws), dtype=entry.dtype)
-    dt = np.zeros((n_steps, n_draws))
-    steps[n_steps - 1 - back, :, owner] = state
-    dt[n_steps - 1 - back, owner] = ends - bounds
-    return steps, dt
+    ends[first[1:] - 1] = horizon
+    length = np.diff(first, append=len(s))
+    # lane l fills its newest length[l] steps, from time 0 back
+    fill = np.arange(length.max()) < length[:, None]
+
+    def lay(values):
+        out = np.zeros(fill.shape[::-1], dtype=values.dtype)
+        out[::-1].T[fill] = values
+        return out.reshape(-1, len(owner), n_draws)
+
+    return lay(entry[pick[0, s]]), lay(entry[pick[owner[load], s]]), lay(ends - bounds)
 
 
 @dataclass
@@ -280,10 +292,8 @@ class _Coupling:
         # the comfort chain of each load
         self.owner = 1 + (np.zeros(n, dtype=np.int64) if config.shared_comfort else self.loads)
         self.top = np.array([p.theta_max for p in config.load_params])
-        if config.initial_horizon is not None:
-            self.horizon = float(config.initial_horizon)
-        else:
-            self.horizon = 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
+        self.horizon = float(config.initial_horizon) if config.initial_horizon is not None \
+            else 4.0 * max(p.theta_max / min(p.c, p.h) for p in config.load_params)
 
     def fresh(self, rngs: list, index: np.ndarray) -> _Draws:
         """New draws with sample indices ``index``, draw d reading
@@ -300,17 +310,15 @@ class _Coupling:
         """Run ``draws`` in lockstep from time -horizon, each reading only
         its own generator and its paths extended in place; put the
         coalesced ones in ``samples`` and return the rest."""
-        n, loads = len(self.loads), self.loads
+        loads = self.loads[:, None]
         draws.jumps = _extend(self.chains, draws.jumps, draws.end, draws.last,
                               [rngs[i] for i in draws.index.tolist()], horizon)
-        state, dt = _segments(draws.jumps, *draws.end.shape, horizon)
-        wind = state[:, 0]
-        theta = self.levels[loads[:, None], state[:, self.owner]]
-        ci = self.rates[loads[:, None], wind[:, None]]
+        wind, comfort, dt = _segments(draws.jumps, *draws.end.shape, horizon, self.owner)
+        theta, ci = self.levels[loads, comfort], self.rates[loads, wind]
         # x[0] holds the top chains and x[1] the bottom ones, as
         # (loads x draws); the load parameters are spread to that shape
         # once, so that every step works on whole contiguous arrays
-        shape = (2, n, len(draws.index))
+        shape = (2, len(loads), len(draws.index))
         z, h, c = (np.ascontiguousarray(np.broadcast_to(v[:, None], shape))
                    for v in (self.z, self.h, self.c))
         x = np.zeros(shape)
@@ -394,7 +402,11 @@ def estimate_joint_cost(samples: list[JointSample], config: CftpConfig,
 
     Each sample's grid power is classified per load by the model's
     grid_power; the standard error of the combined cost is reported.
+    Raises ValueError unless gamma is finite and nonnegative, and
+    EmptySamples if there are no samples.
     """
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     if not samples:
         raise EmptySamples("need at least one sample")
     n = config.n_loads
@@ -419,8 +431,12 @@ def smooth_distribution(u: ThresholdDistribution, bandwidth: float,
 
     The box kernel of half-width b turns a step into a linear ramp of width
     2b; the triangular kernel gives a smooth quadratic blend.  Monotonicity
-    is preserved and the boundary values are re-pinned afterwards.
+    is preserved and the boundary values are re-pinned afterwards.  Raises
+    ValueError unless n_grid is an integer of at least 2 (not a bool), the
+    bandwidth is finite and positive and the kernel is box or triangular.
     """
+    if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
+        raise ValueError(f"n_grid must be an integer of at least 2, got {n_grid!r}")
     lo, hi = u.domain
     zg = np.linspace(lo, hi, n_grid)
     b = float(bandwidth)

@@ -1,7 +1,11 @@
 """Frozen copy of the perfect sampler before draws ran in lockstep: one
-draw at a time, a Python loop over its segments with one flow call each,
-and a path sampler that rebuilt its tables on every call.  Its flow and
-path sampler are frozen here too.  The tests compare the current
+draw at a time, one load at a time, a Python loop over the load's segments
+with one flow call each, and a path sampler that rebuilt its tables on
+every call.  A load's segments are bounded by the jump ages below the
+horizon of the wind chain and of its own comfort chain, with durations by
+np.diff; with a shared comfort chain or one load they are every chain's
+segments, one loop for all loads.  Its flow and path sampler are frozen
+here too.  The tests compare the current
 cftp_samples and optimize_thresholds against it; it is not used by the
 package.  So are the per-sample generators built one SeedSequence hash
 pair at a time (child_rngs) and the smoothing quadrature over the whole
@@ -85,7 +89,9 @@ def _extend(chain: tuple, generator: np.ndarray, age: float,
 
 
 def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> JointSample:
-    """One exact draw from the joint stationary distribution."""
+    """One exact draw from the joint stationary distribution: each load's
+    (top, bottom) pair steps over the union of the wind chain's and its own
+    comfort chain's jump ages below the horizon."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = config.n_loads
@@ -94,9 +100,7 @@ def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> J
     chains = [(np.zeros(1), np.array([rng.choice(len(q), p=stationary_law(q))]))
               for q in generators]
     h, c, z, levels, rates = config._tables()
-    loads = np.arange(n)
-    owner = 1 + (np.zeros_like(loads) if config.shared_comfort else loads)
-    h2, c2, z2 = (np.concatenate([v, v]) for v in (h, c, z))
+    owner = 1 + (np.zeros(n, dtype=np.int64) if config.shared_comfort else np.arange(n))
     top = np.array([p.theta_max for p in config.load_params])
 
     if config.initial_horizon is not None:
@@ -106,20 +110,24 @@ def cftp_sample(config: CftpConfig, rng: np.random.Generator | None = None) -> J
 
     for _ in range(config.max_doublings):
         chains = [_extend(ch, q, horizon, rng) for ch, q in zip(chains, generators)]
-        bounds = np.unique(np.concatenate([[horizon]] + [a[a < horizon] for a, _ in chains]))
-        mid = 0.5 * (bounds[:-1] + bounds[1:])
-        seg = np.array([s[np.searchsorted(a, mid) - 1] for a, s in chains]).T[::-1]
-        wind = seg[:, 0]
-        theta = np.tile(levels[loads, seg[:, owner]], 2)
-        ci = np.tile(rates[loads, wind[:, None]], 2)
-        x = np.concatenate([top, np.zeros(n)])
-        for k, (w, dt) in enumerate(zip(wind.tolist(), np.diff(bounds)[::-1].tolist())):
-            x = exact_flow(x, z2, theta[k], h2, c2, ci[k], dt, w)
-            if (x[n:] > x[:n] + 1e-12).any():
-                raise AssertionError("sandwich violated; flow is not monotone")
-        if np.all(x[:n] - x[n:] <= _COALESCE_TOL):
+        x = np.empty((2, n))
+        for i in range(n):
+            # load i reads the wind chain and its own comfort chain only
+            own = (chains[0], chains[owner[i]])
+            bounds = np.unique(np.concatenate([[horizon]] + [a[a < horizon] for a, _ in own]))
+            mid = 0.5 * (bounds[:-1] + bounds[1:])
+            seg = np.array([s[np.searchsorted(a, mid) - 1] for a, s in own]).T[::-1]
+            wind = seg[:, 0]
+            theta, ci = levels[i, seg[:, 1]], rates[i, wind]
+            xi = np.array([top[i], 0.0])
+            for k, (w, dt) in enumerate(zip(wind.tolist(), np.diff(bounds)[::-1].tolist())):
+                xi = exact_flow(xi, z[i], theta[k], h[i], c[i], ci[k], dt, w)
+                if xi[1] > xi[0] + 1e-12:
+                    raise AssertionError("sandwich violated; flow is not monotone")
+            x[:, i] = xi
+        if np.all(x[0] - x[1] <= _COALESCE_TOL):
             now = np.array([s[0] for _, s in chains])
-            return JointSample(temperatures=x[:n].copy(), wind=int(now[0]),
+            return JointSample(temperatures=x[0].copy(), wind=int(now[0]),
                                comfort=now[owner], horizon=horizon)
         horizon *= 2.0
     raise NoCoalescence(f"no coalescence by horizon {horizon}")

@@ -115,6 +115,17 @@ def test_estimate_joint_cost_empty():
         estimate_joint_cost([], _ref_cftp_config(), gamma=0.1)
 
 
+@pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_estimate_joint_cost_refuses_a_bad_gamma(gamma):
+    from zpolicy import optimize_thresholds
+    cfg = _ref_cftp_config()
+    samples = cftp_samples(cfg, _rngs(5, 3))
+    with pytest.raises(ValueError, match="gamma"):
+        estimate_joint_cost(samples, cfg, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        optimize_thresholds(cfg, gamma, n_samples=3, sweeps=1, golden_iters=1)
+
+
 def test_estimate_joint_cost_free_samples_zero_power():
     from zpolicy.cftp import JointSample
     cfg = _ref_cftp_config()
@@ -278,6 +289,8 @@ def test_estimate_joint_cost_tops_up_intermediate_wind():
     {"max_doublings": 0},
     {"max_doublings": 2.5}, {"max_doublings": 2.0}, {"max_doublings": True},
     {"seed": 1.5}, {"seed": 3.0}, {"seed": True}, {"seed": -1},
+    {"initial_horizon": True}, {"initial_horizon": np.True_}, {"initial_horizon": "10"},
+    {"initial_horizon": 10 + 0j},
 ])
 def test_config_rejects_bad_shapes_and_horizons(change):
     from dataclasses import asdict
@@ -291,6 +304,14 @@ def test_config_takes_numpy_integer_counts():
     got, expected = cftp_sample(cfg), cftp_sample(_ref_cftp_config())
     assert np.array_equal(got.temperatures, expected.temperatures)
     assert (got.wind, got.horizon) == (expected.wind, expected.horizon)
+
+
+def test_config_takes_numpy_real_horizons():
+    want = cftp_sample(replace(_ref_cftp_config(), initial_horizon=40.0))
+    for horizon in (40, np.int64(40), np.float32(40.0)):
+        got = cftp_sample(replace(_ref_cftp_config(), initial_horizon=horizon))
+        assert got.temperatures.tobytes() == want.temperatures.tobytes()
+        assert got.horizon == want.horizon
 
 
 def test_shared_comfort_needs_one_comfort_chain():
@@ -430,6 +451,46 @@ def test_unfinished_draws_of_every_block_share_each_doubling_level(monkeypatch):
     assert len(rounds) < alone
 
 
+def test_flow_steps_do_not_grow_with_the_number_of_loads(monkeypatch):
+    # a load steps over the jumps of the wind chain and of its own comfort
+    # chain only, so ten loads take about as many flow steps as two
+    import zpolicy.cftp as cftp
+    calls, rounds, flow, segments = [0], [], cftp.exact_flow, cftp._segments
+
+    def counting(*args):
+        calls[0] += 1
+        return flow(*args)
+
+    def spy(*args):
+        rounds.append(segments(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(cftp, "exact_flow", counting)
+    monkeypatch.setattr(cftp, "_segments", spy)
+
+    def steps(cfg):
+        """The flow calls of each round of 40 draws."""
+        calls[0] = 0
+        rounds.clear()
+        cftp.cftp_samples(cfg, _rngs(41, 40))
+        assert calls[0] == sum(len(r[-1]) for r in rounds)
+        return [len(r[-1]) for r in rounds]
+
+    # the first round runs all 40 draws at the first horizon under either
+    # config; ten loads need more doublings before all of them coalesce, so
+    # only that round compares like with like
+    assert steps(_lockstep_case("ref10"))[0] <= 1.5 * steps(_lockstep_case("ref2"))[0]
+    # under a shared comfort chain every load reads every chain, so on the
+    # same generators each of ten loads steps over the segments of one load
+    steps(replace(_lockstep_case("ref10"), shared_comfort=True))
+    many = rounds[0]
+    steps(_ref_cftp_config(set_points=(95.0,)))
+    one = rounds[0]
+    assert len(many[2]) == len(one[2])
+    for got, want in zip(many, one):
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
 def test_no_coalescence_when_any_draw_in_a_batch_fails():
     from reference_cftp import cftp_sample as reference
     from dataclasses import replace
@@ -520,6 +581,17 @@ def test_smoothing_block_size_does_not_change_the_result(monkeypatch, block):
     for kernel in ("box", "triangular"):
         _same_distribution(cftp.smooth_distribution(_SMOOTHED["step"], 5.0, kernel),
                            reference(_SMOOTHED["step"], 5.0, kernel))
+
+
+@pytest.mark.parametrize("n_grid", [1, 0, 2.5, True, -3, np.float64(801.0), "801"])
+def test_smoothing_refuses_a_grid_that_is_not_an_integer_of_at_least_2(n_grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        smooth_distribution(_SMOOTHED["uniform"], 5.0, n_grid=n_grid)
+
+
+def test_smoothing_takes_a_numpy_integer_grid():
+    _same_distribution(smooth_distribution(_SMOOTHED["step"], 5.0, n_grid=np.int64(2)),
+                       smooth_distribution(_SMOOTHED["step"], 5.0, n_grid=2))
 
 
 @pytest.mark.parametrize("kwargs", [{"bandwidth": 0.0}, {"bandwidth": -1.0},
